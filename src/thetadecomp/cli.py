@@ -2,9 +2,9 @@
 
 All input and output is JSON.  Complex numbers are [re, im] pairs, complex
 matrices row-major arrays of such pairs, rationals {"num", "den"} objects.
-Exit codes: 0 ok, 1 verification failure, 2 validation error, 3 truncation
-insufficient, 4 residual too large (or an unsalvageably ill-conditioned
-sample matrix), 5 level-sum invalid.
+Exit codes: 0 ok, 1 verification failure; the error codes 2-5 (validation,
+truncation insufficient, residual too large or ill-conditioned, level-sum
+invalid) come from ``EXIT_CODES``, their one source.
 """
 
 from __future__ import annotations
@@ -39,6 +39,19 @@ from .serialization import (
     expr_from_json,
 )
 from .verify import run_suite
+
+# exception -> exit code; subclasses come before their bases, the first match wins
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (LevelSumInvalidError, 5),
+    (ResidualTooLargeError, 4),
+    (IllConditionedError, 4),
+    (TruncationInsufficientError, 3),
+    (ThetaError, 2),
+    (ValueError, 2),
+    (TypeError, 2),
+    (KeyError, 2),
+    (OSError, 2),
+)
 
 
 def _emit(payload, out_path):
@@ -168,18 +181,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LevelSumInvalidError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 5
-    except (ResidualTooLargeError, IllConditionedError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 4
-    except TruncationInsufficientError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 3
-    except (ThetaError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 2
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

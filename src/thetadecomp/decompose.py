@@ -11,13 +11,16 @@ values, so the certificates are independent of the solve.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .algebra import (
+    PRUNE_EPS,
     AlgebraElement,
     BasisSymbol,
     evaluate_element,
@@ -30,7 +33,6 @@ from .errors import (
     ResidualTooLargeError,
 )
 from .evaluation import (
-    ThetaValue,
     TruncationConfig,
     aux_theta_series,
     choose_radius,
@@ -38,55 +40,24 @@ from .evaluation import (
     transformation_factor,
     wderiv_fd,
 )
+# the node classes stay importable from here
+from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
 from .numerics import (
-    Characteristic,
     LevelMatrix,
-    MultiIndex,
     PeriodMatrix,
     enumerate_characteristics,
-    multi_indices_of_size,
     multi_indices_up_to,
     validate_level,
 )
 
 TAIL_TARGET = 1e-12
 COND_LIMIT = 1e8
-PRUNE_EPS = 1e-12
 _MASK64 = (1 << 64) - 1
 
 # sample streams; labels keep the draws for different purposes independent
 _STREAM_FIT = 0
 _STREAM_CERTIFY = 1
 _STREAM_VERIFY = 2
-_STREAM_PEEL = 3
-
-
-@dataclass(frozen=True)
-class DerivSymbol:
-    """Leaf of an expression tree: one derivative of one theta series."""
-
-    level: LevelMatrix
-    j: MultiIndex
-    char: Characteristic
-
-
-@dataclass(frozen=True)
-class Sum:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class Product:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: complex
-    child: object
-
-
-DiffPolyExpr = Union[DerivSymbol, Sum, Product, Scale]
 
 
 @dataclass(frozen=True)
@@ -239,38 +210,18 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     return fit_in_basis(f, lvl, degree, omega, cfg)
 
 
-def _expr_shape(expr) -> tuple[int, int]:
-    if isinstance(expr, DerivSymbol):
-        return (expr.level.h, expr.char.g)
-    if isinstance(expr, (Sum, Product)):
-        shapes = {_expr_shape(c) for c in expr.children}
-        if len(shapes) != 1:
-            raise DimensionMismatchError(f"expression mixes shapes {sorted(shapes)}")
-        return shapes.pop()
-    if isinstance(expr, Scale):
-        return _expr_shape(expr.child)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def _decompose_node(expr, omega, cfg):
-    """Recursive symbol-level decomposition; returns (element, max conditioning)."""
-    if isinstance(expr, DerivSymbol):
-        return AlgebraElement.from_symbol(BasisSymbol(expr.level, expr.j, expr.char)), 0.0
-    if isinstance(expr, Scale):
-        elem, cond = _decompose_node(expr.child, omega, cfg)
-        return expr.coeff * elem, cond
-    if isinstance(expr, Sum):
-        total = AlgebraElement.zero()
-        cond = 0.0
-        for child in expr.children:
-            elem, c = _decompose_node(child, omega, cfg)
-            total = total + elem
-            cond = max(cond, c)
-        return total, cond
-    if isinstance(expr, Product):
-        acc, cond = _decompose_node(expr.children[0], omega, cfg)
-        for child in expr.children[1:]:
-            nxt, c = _decompose_node(child, omega, cfg)
+    """Symbol-level decomposition; returns (element, max conditioning)."""
+
+    def leaf(d):
+        return AlgebraElement.from_symbol(BasisSymbol(d.level, d.j, d.char)), 0.0
+
+    def add(parts):
+        return sum((e for e, _ in parts), AlgebraElement.zero()), max(c for _, c in parts)
+
+    def mul(parts):
+        acc, cond = parts[0]
+        for nxt, c in parts[1:]:
             cond = max(cond, c)
             if acc.is_zero() or nxt.is_zero():
                 acc = AlgebraElement.zero()
@@ -283,61 +234,45 @@ def _decompose_node(expr, omega, cfg):
                     cond = max(cond, d.conditioning)
             acc = out.prune(PRUNE_EPS)
         return acc, cond
-    raise TypeError(f"not an expression node: {expr!r}")
+
+    return fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
 
 
-def _theta_cfg_cache(omega, box):
-    cache = {}
+def _cfg_memo(omega: PeriodMatrix) -> Callable:
+    """``_eval_cfg`` memoised on (level, box, degree) for one call only.
 
-    def get(level):
-        if level not in cache:
-            cache[level] = _eval_cfg(level, omega, box + 0.02, 0)
-        return cache[level]
-
-    return get
+    PeriodMatrix hashes by identity, so a memo kept for the whole process
+    would hold every period matrix it was ever given.
+    """
+    return functools.cache(lambda level, box, degree: _eval_cfg(level, omega, box, degree))
 
 
-def _expr_fd_value(expr, omega, w, cfg_for) -> complex:
-    """Value of the expression at W with every leaf taken as a W-derivative
-    of its theta series, computed by finite differences."""
-    if isinstance(expr, DerivSymbol):
-        f = lambda ww: theta_series(expr.level, expr.char, omega, ww, cfg_for(expr.level)).value
-        return wderiv_fd(f, w, expr.j)
-    if isinstance(expr, Sum):
-        return sum(_expr_fd_value(c, omega, w, cfg_for) for c in expr.children)
-    if isinstance(expr, Product):
-        out = 1.0 + 0j
-        for c in expr.children:
-            out *= _expr_fd_value(c, omega, w, cfg_for)
-        return out
-    if isinstance(expr, Scale):
-        return expr.coeff * _expr_fd_value(expr.child, omega, w, cfg_for)
-    raise TypeError(f"not an expression node: {expr!r}")
+def _max_keep_nan(acc: float, x: float) -> float:
+    """``max(acc, x)`` for residuals, except that a NaN is kept, never dropped."""
+    return x if x > acc or math.isnan(x) else acc
 
 
-def _element_fd_value(elem: AlgebraElement, omega, w, cfg_for) -> complex:
-    out = 0j
-    for s, coeff in elem.sorted_terms():
-        f = lambda ww, s=s: theta_series(s.level, s.char, omega, ww, cfg_for(s.level)).value
-        out += complex(coeff) * wderiv_fd(f, w, s.j)
-    return out
+def _fd_mismatch(expr, elem: AlgebraElement, omega, w, cfg_of, box: float) -> float:
+    """|expression - element| at W, with every leaf and every symbol taken as a
+    W-derivative of its plain theta series, computed by finite differences."""
+
+    def theta_deriv(level, j, char):
+        cfg_t = cfg_of(level, box + 0.02, 0)
+        return wderiv_fd(lambda ww: theta_series(level, char, omega, ww, cfg_t).value, w, j)
+
+    lhs = fold(expr, lambda d: theta_deriv(d.level, d.j, d.char), sum, math.prod, operator.mul)
+    rhs = sum(complex(c) * theta_deriv(s.level, s.j, s.char) for s, c in elem.sorted_terms())
+    return abs(lhs - rhs)
 
 
-def _expr_aux_value(expr, omega, z, w, cache) -> complex:
+def _expr_aux_value(expr, omega, z, w, cfg_of, box: float) -> complex:
     """Value of the expression at (Z, W) with every leaf read as its auxiliary series."""
-    if isinstance(expr, DerivSymbol):
-        cfg = cache(expr.level, expr.j.size)
-        return aux_theta_series(expr.level, expr.j, expr.char, omega, z, w, cfg).value
-    if isinstance(expr, Sum):
-        return sum(_expr_aux_value(c, omega, z, w, cache) for c in expr.children)
-    if isinstance(expr, Product):
-        out = 1.0 + 0j
-        for c in expr.children:
-            out *= _expr_aux_value(c, omega, z, w, cache)
-        return out
-    if isinstance(expr, Scale):
-        return expr.coeff * _expr_aux_value(expr.child, omega, z, w, cache)
-    raise TypeError(f"not an expression node: {expr!r}")
+
+    def leaf(d):
+        cfg_a = cfg_of(d.level, box, d.j.size)
+        return aux_theta_series(d.level, d.j, d.char, omega, z, w, cfg_a).value
+
+    return fold(expr, leaf, sum, math.prod, operator.mul)
 
 
 def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
@@ -348,9 +283,9 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
     is an end-to-end certificate at ``cfg.holdout`` fresh W points: the
     expression and the returned combination are both evaluated as
     W-derivative polynomials of plain theta series by finite differences and
-    compared.
+    compared.  A certificate that is not finite raises ResidualTooLargeError.
     """
-    h, g = _expr_shape(expr)
+    h, g = expr_shape(expr)
     if g != omega.g:
         raise DimensionMismatchError("expression width does not match omega")
     element, conditioning = _decompose_node(expr, omega, cfg)
@@ -360,21 +295,15 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
         element = element.prune(PRUNE_EPS)
 
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g, cfg.sample_box)
-    cfg_for = _theta_cfg_cache(omega, cfg.sample_box)
+    cfg_of = _cfg_memo(omega)
     residual = 0.0
     for i in range(cfg.holdout):
-        lhs = _expr_fd_value(expr, omega, w_pts[i], cfg_for)
-        rhs = _element_fd_value(element, omega, w_pts[i], cfg_for)
-        residual = max(residual, abs(lhs - rhs))
+        residual = _max_keep_nan(
+            residual, _fd_mismatch(expr, element, omega, w_pts[i], cfg_of, cfg.sample_box)
+        )
+    if not math.isfinite(residual):
+        raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
     return Decomposition(element=element, residual=residual, conditioning=conditioning)
-
-
-def restrict_z0(x: AlgebraElement, omega: PeriodMatrix, w, cfg: TruncationConfig) -> ThetaValue:
-    """Evaluate an element at Z = 0, i.e. as the matching W-derivative combination."""
-    if x.is_zero():
-        return ThetaValue(value=0j, tail_bound=0.0)
-    h, g = x.shape()
-    return evaluate_element(x, omega, np.zeros((h, g), dtype=complex), w, cfg)
 
 
 def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
@@ -387,37 +316,25 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     of the element's level components, certifying that the output transforms
     with the summed level.
     """
-    h, g = _expr_shape(expr)
-    n = cfg.holdout
-    z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, n, h, g, cfg.sample_box)
-    cfg_for = _theta_cfg_cache(omega, cfg.sample_box)
-
-    aux_cfgs = {}
-
-    def aux_cache(level, degree):
-        key = (level, degree)
-        if key not in aux_cfgs:
-            aux_cfgs[key] = _eval_cfg(level, omega, cfg.sample_box, degree)
-        return aux_cfgs[key]
+    h, g = expr_shape(expr)
+    n, box = cfg.holdout, cfg.sample_box
+    z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, n, h, g, box)
+    cfg_of = _cfg_memo(omega)
+    degree = dec.element.degree()
 
     max_z0 = 0.0
     max_sample = 0.0
-    elem_cfg = {
-        lvl: _eval_cfg(lvl, omega, cfg.sample_box, dec.element.degree())
-        for lvl in dec.element.levels()
-    }
     for i in range(n):
-        lhs0 = _expr_fd_value(expr, omega, w_pts[i], cfg_for)
-        rhs0 = _element_fd_value(dec.element, omega, w_pts[i], cfg_for)
-        max_z0 = max(max_z0, abs(lhs0 - rhs0))
-        lhs = _expr_aux_value(expr, omega, z_pts[i], w_pts[i], aux_cache)
+        z, w = z_pts[i], w_pts[i]
+        max_z0 = _max_keep_nan(max_z0, _fd_mismatch(expr, dec.element, omega, w, cfg_of, box))
+        lhs = _expr_aux_value(expr, omega, z, w, cfg_of, box)
         rhs = sum(
             evaluate_element(
-                dec.element.level_component(lvl), omega, z_pts[i], w_pts[i], elem_cfg[lvl]
+                dec.element.level_component(lvl), omega, z, w, cfg_of(lvl, box, degree)
             ).value
             for lvl in dec.element.levels()
         )
-        max_sample = max(max_sample, abs(lhs - rhs))
+        max_sample = _max_keep_nan(max_sample, abs(lhs - rhs))
 
     # shift-law residual of each level component of the output
     im_reach = float(np.abs(omega.omega.imag).sum(axis=0).max())
@@ -425,12 +342,10 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     rng = _rng(cfg.seed, _STREAM_VERIFY + 16)
     for lvl in dec.element.levels():
         comp = dec.element.level_component(lvl)
-        qp_cfg = _eval_cfg(lvl, omega, cfg.sample_box + im_reach + 1.0, comp.degree())
+        qp_cfg = cfg_of(lvl, box + im_reach + 1.0, comp.degree())
         for _ in range(4):
-            z = rng.uniform(-cfg.sample_box, cfg.sample_box, (h, g)) * (1 + 0j)
-            w = rng.uniform(-cfg.sample_box, cfg.sample_box, (h, g)) + 1j * rng.uniform(
-                -cfg.sample_box, cfg.sample_box, (h, g)
-            )
+            z = rng.uniform(-box, box, (h, g)) * (1 + 0j)
+            w = rng.uniform(-box, box, (h, g)) + 1j * rng.uniform(-box, box, (h, g))
             xi = rng.integers(-1, 2, (h, g)).astype(float)
             eta = rng.integers(-1, 2, (h, g)).astype(float)
             shifted = evaluate_element(
@@ -438,7 +353,7 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
             ).value
             factor = transformation_factor(lvl, omega, w, xi)
             base = evaluate_element(comp, omega, z, w, qp_cfg).value
-            max_qp = max(max_qp, abs(shifted - factor * base) / max(1.0, abs(factor)))
+            max_qp = _max_keep_nan(max_qp, abs(shifted - factor * base) / max(1.0, abs(factor)))
 
     return {
         "points": n,
@@ -446,86 +361,3 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
         "max_sample_residual": max_sample,
         "max_quasiperiod_residual": max_qp,
     }
-
-
-def fit_in_basis_sequential(f: Callable, level: LevelMatrix, max_degree: int,
-                            omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
-    """Degree-peeling fit, kept as a slower diagnostic alternative to fit_in_basis.
-
-    Works down from the top degree: the leading Z-form of the remainder is
-    isolated by discrete Fourier extraction along scaled Z rays, fitted
-    against the closed-form leading forms (2 pi i)^|J| (MZ)^J theta[A](W) of
-    the degree-|J| symbols, and the fitted series are subtracted before
-    descending.  Useful for locating the degree block responsible when the
-    global solve reports bad conditioning.
-    """
-    h, g = level.h, omega.g
-    chars = enumerate_characteristics(level, omega.g)
-    theta_cfg = _eval_cfg(level, omega, cfg.sample_box, 0)
-    full_cfg = _eval_cfg(level, omega, cfg.sample_box, max_degree)
-    m = level.as_array()
-
-    element = AlgebraElement.zero()
-
-    def remainder(z, w):
-        out = f(z, w)
-        if not element.is_zero():
-            out -= evaluate_element(element, omega, z, w, full_cfg).value
-        return out
-
-    cond_worst = 0.0
-    for degree in range(max_degree, 0, -1):
-        syms = [
-            BasisSymbol(level, j, ch)
-            for j in multi_indices_of_size(h, g, degree)
-            for ch in chars
-        ]
-        count = math.ceil(cfg.oversample * len(syms)) + 4
-        z_pts, w_pts = _sample_points(cfg.seed, _STREAM_PEEL + degree, count, h, g, cfg.sample_box)
-        roots = np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
-
-        lead_rhs = np.empty(count, dtype=complex)
-        for i in range(count):
-            vals = np.array([remainder(t * z_pts[i], w_pts[i]) for t in roots])
-            lead_rhs[i] = (vals * np.conj(roots) ** degree).mean()
-
-        design = np.empty((count, len(syms)), dtype=complex)
-        for i in range(count):
-            mz = m @ z_pts[i]
-            for c, s in enumerate(syms):
-                poly = np.prod(mz ** s.j.as_array())
-                theta = theta_series(level, s.char, omega, w_pts[i], theta_cfg).value
-                design[i, c] = (2j * np.pi) ** degree * poly * theta
-        coeffs, _, _, sv = np.linalg.lstsq(design, lead_rhs, rcond=None)
-        cond_worst = max(cond_worst, float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf)
-        element = element + AlgebraElement(
-            {s: complex(c) for s, c in zip(syms, coeffs) if abs(c) > PRUNE_EPS}
-        )
-
-    # the remainder now has Z-degree zero: fit it over the plain theta basis
-    count = math.ceil(cfg.oversample * len(chars)) + 4
-    z_pts, w_pts = _sample_points(cfg.seed, _STREAM_PEEL, count + cfg.holdout, h, g, cfg.sample_box)
-    design = np.array(
-        [
-            [theta_series(level, ch, omega, w_pts[i], theta_cfg).value for ch in chars]
-            for i in range(count)
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([remainder(z_pts[i], w_pts[i]) for i in range(count)], dtype=complex)
-    coeffs, _, _, sv = np.linalg.lstsq(design, rhs, rcond=None)
-    cond_worst = max(cond_worst, float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf)
-    j0 = MultiIndex.zeros(h, g)
-    element = element + AlgebraElement(
-        {
-            BasisSymbol(level, j0, ch): complex(c)
-            for ch, c in zip(chars, coeffs)
-            if abs(c) > PRUNE_EPS
-        }
-    )
-
-    residual = 0.0
-    for i in range(count, count + cfg.holdout):
-        got = evaluate_element(element, omega, z_pts[i], w_pts[i], full_cfg).value
-        residual = max(residual, abs(f(z_pts[i], w_pts[i]) - got))
-    return Decomposition(element=element, residual=residual, conditioning=cond_worst)

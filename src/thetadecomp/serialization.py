@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, BasisSymbol
 from .errors import DimensionMismatchError
+from .expr import DerivSymbol, Product, Scale, Sum, fold
 from .numerics import (
     Characteristic,
     LevelMatrix,
@@ -93,31 +94,21 @@ def element_from_json(data) -> AlgebraElement:
 
 
 def expr_to_json(expr) -> dict:
-    from .decompose import DerivSymbol, Product, Scale, Sum
-
-    if isinstance(expr, DerivSymbol):
-        return {
+    return fold(
+        expr,
+        lambda d: {
             "kind": "deriv",
-            "level": int_matrix_to_json(expr.level.entries),
-            "j": int_matrix_to_json(expr.j.j),
-            "char_index": expr.char.index,
-        }
-    if isinstance(expr, Sum):
-        return {"kind": "sum", "children": [expr_to_json(c) for c in expr.children]}
-    if isinstance(expr, Product):
-        return {"kind": "product", "children": [expr_to_json(c) for c in expr.children]}
-    if isinstance(expr, Scale):
-        return {
-            "kind": "scale",
-            "coeff": complex_to_json(expr.coeff),
-            "child": expr_to_json(expr.child),
-        }
-    raise TypeError(f"not an expression node: {expr!r}")
+            "level": int_matrix_to_json(d.level.entries),
+            "j": int_matrix_to_json(d.j.j),
+            "char_index": d.char.index,
+        },
+        lambda children: {"kind": "sum", "children": children},
+        lambda children: {"kind": "product", "children": children},
+        lambda coeff, child: {"kind": "scale", "coeff": complex_to_json(coeff), "child": child},
+    )
 
 
 def expr_from_json(data):
-    from .decompose import DerivSymbol, Product, Scale, Sum
-
     kind = data.get("kind")
     if kind == "deriv":
         level = validate_level(data["level"])

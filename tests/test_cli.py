@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from thetadecomp import cli, errors
+
 OMEGA_I = "[[[0,1]]]"
 
 
@@ -137,3 +141,65 @@ class TestDecompose:
         assert out.stdout == ""
         data = json.loads(path.read_text())
         assert data["element"][0]["char_index"] == 1
+
+
+THETA_PRODUCT = {
+    "kind": "product",
+    "children": [
+        {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 0},
+        {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1},
+    ],
+}
+
+# the documented codes 3-5; every other listed error is a validation error (2)
+SPECIAL_CODES = {
+    errors.LevelSumInvalidError: 5,
+    errors.ResidualTooLargeError: 4,
+    errors.IllConditionedError: 4,
+    errors.TruncationInsufficientError: 3,
+    errors.RadiusUnachievableError: 3,
+}
+THETA_ERRORS = sorted(
+    (obj for obj in vars(errors).values()
+     if isinstance(obj, type) and issubclass(obj, errors.ThetaError)),
+    key=lambda cls: cls.__name__,
+)
+MAPPED = [cls("boom") for cls in THETA_ERRORS] + [
+    ValueError("boom"), TypeError("boom"), KeyError("boom"), OSError("boom"),
+    json.JSONDecodeError("boom", "{", 0),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", MAPPED, ids=lambda e: type(e).__name__)
+    def test_documented_code(self, exc, monkeypatch, tmp_path):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_characteristics", boom)
+        out = tmp_path / "err.json"
+        rc = cli.main(["characteristics", "--level", "[[2]]", "-g", "1", "--out", str(out)])
+        assert rc == SPECIAL_CODES.get(type(exc), 2)
+        assert json.loads(out.read_text())["error"]["type"] == type(exc).__name__
+
+    def test_no_entry_is_shadowed(self):
+        # the first match wins, so a later entry must not subclass an earlier one
+        classes = [cls for cls, _ in cli.EXIT_CODES]
+        for i, later in enumerate(classes):
+            assert not any(issubclass(later, earlier) for earlier in classes[:i]), later
+
+    def test_residual_too_large_exits_4(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(THETA_PRODUCT))
+        out = tmp_path / "out.json"
+        rc = cli.main(["decompose", "--input", str(src), "--omega", OMEGA_I,
+                       "--tol", "1e-300", "--out", str(out)])
+        assert rc == 4
+        assert json.loads(out.read_text())["error"]["type"] == "ResidualTooLargeError"
+
+    def test_failed_verification_exits_1(self, tmp_path):
+        out = tmp_path / "report.json"
+        rc = cli.main(["verify", "--suite", "quasiperiodicity", "--tol", "1e-300",
+                       "--out", str(out)])
+        assert rc == 1
+        assert json.loads(out.read_text())["passed"] is False

@@ -13,10 +13,8 @@ from thetadecomp.decompose import (
     _eval_cfg,
     diff_poly_decompose,
     fit_in_basis,
-    fit_in_basis_sequential,
     level_sum,
     product_expand,
-    restrict_z0,
     verify_theorem3,
 )
 from thetadecomp.errors import (
@@ -103,16 +101,6 @@ class TestFitInBasis:
         ).value
         with pytest.raises(IllConditionedError):
             fit_in_basis(f, LEVEL2, 2, OMEGA, FitConfig(seed=0, sample_box=1e-9))
-
-    def test_sequential_mode_agrees(self):
-        rng = np.random.default_rng(7)
-        x = random_element(rng)
-        ecfg = _eval_cfg(LEVEL2, OMEGA, CFG.sample_box, 2)
-        f = lambda z, w: evaluate_element(x, OMEGA, z, w, ecfg).value
-        dec = fit_in_basis_sequential(f, LEVEL2, 2, OMEGA, CFG)
-        assert coeff_sup_diff(dec.element, x) < 1e-6
-        assert dec.residual < 1e-8
-
 
 class TestProductExpand:
     def test_level_doubling(self):
@@ -219,30 +207,45 @@ class TestDiffPolyDecompose:
         with pytest.raises(DimensionMismatchError):
             diff_poly_decompose(d, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
+    def test_nan_certificate_raises(self, monkeypatch):
+        # a NaN kernel must not pass as a certified residual of 0
+        from thetadecomp import decompose
+        from thetadecomp.evaluation import ThetaValue
+
+        nan = ThetaValue(value=complex(float("nan"), 0.0), tail_bound=0.0)
+        monkeypatch.setattr(decompose, "theta_series", lambda *args: nan)
+        with pytest.raises(ResidualTooLargeError, match="not finite"):
+            diff_poly_decompose(deriv(LEVEL2, [[0]], CHARS2[0]), OMEGA, CFG)
+
 
 class TestRestrictZ0:
+    """Restriction to Z = 0 is evaluate_element at Z = 0."""
+
     CFG_T = TruncationConfig(radius=8, tail_tol=1e-10)
+
+    def at_z0(self, x, w):
+        return evaluate_element(x, OMEGA, [[0.0]], w, self.CFG_T)
 
     def test_theta_value(self):
         x = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0]))
-        got = restrict_z0(x, OMEGA, [[0.0]], self.CFG_T)
+        got = self.at_z0(x, [[0.0]])
         assert abs(got.value - 1.0037348854877393) < 1e-10
 
     def test_odd_symmetry(self):
         x = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0]))
-        got = restrict_z0(x, OMEGA, [[0.0]], self.CFG_T)
+        got = self.at_z0(x, [[0.0]])
         assert abs(got.value) <= got.tail_bound + 1e-12
 
     def test_matches_derivative(self):
         x = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0]))
         w = np.array([[0.1 + 0.2j]])
-        got = restrict_z0(x, OMEGA, w, self.CFG_T)
+        got = self.at_z0(x, w)
         f = lambda ww: theta_series(LEVEL2, CHARS2[0], OMEGA, ww, self.CFG_T).value
         fd = wderiv_fd(f, w, MultiIndex.from_rows([[1]]))
         assert abs(got.value - fd) < 1e-6
 
     def test_empty_element(self):
-        got = restrict_z0(AlgebraElement.zero(), OMEGA, [[0.0]], self.CFG_T)
+        got = self.at_z0(AlgebraElement.zero(), [[0.0]])
         assert got.value == 0 and got.tail_bound == 0
 
 
