@@ -24,7 +24,7 @@ from .errors import (
     ThetaError,
     TruncationInsufficientError,
 )
-from .evaluation import TruncationConfig, aux_theta_series, choose_radius, theta_series
+from .evaluation import TAIL_TARGET, aux_theta_series, truncation_config
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -38,7 +38,7 @@ from .serialization import (
     decomposition_to_json,
     expr_from_json,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 # exception -> exit code; subclasses come before their bases, the first match wins
 EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
@@ -96,19 +96,16 @@ def cmd_eval(args) -> int:
     if args.kind == "theta" and (args.j or args.z):
         raise ValueError("--j and --z apply only to --kind aux")
 
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else TAIL_TARGET
     box = max(float(np.abs(w.imag).max()), float(np.abs(z).max()), 0.01)
-    radius = choose_radius(level, omega, box, tol, j.size)
-    cfg = TruncationConfig(radius=radius, tail_tol=tol)
-    if args.kind == "theta":
-        value = theta_series(level, char, omega, w, cfg)
-    else:
-        value = aux_theta_series(level, j, char, omega, z, w, cfg)
+    cfg = truncation_config(level, omega, box, j.size, tol)
+    # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series
+    value = aux_theta_series(level, j, char, omega, z, w, cfg)
     _emit(
         {
             "value": complex_to_json(value.value),
             "tail_bound": value.tail_bound,
-            "radius": radius,
+            "radius": cfg.radius,
         },
         args.out,
     )
@@ -164,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", parents=[common], help="run a built-in verification suite")
-    p.add_argument("--suite", choices=["quasiperiodicity", "commutators", "theorem3", "all"],
-                   required=True)
+    p.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -33,11 +33,11 @@ from .errors import (
     ResidualTooLargeError,
 )
 from .evaluation import (
-    TruncationConfig,
+    TAIL_TARGET,  # noqa: F401  (stays importable from here)
     aux_theta_series,
-    choose_radius,
+    shift_law_residual,
     theta_series,
-    transformation_factor,
+    truncation_config,
     wderiv_fd,
 )
 # the node classes stay importable from here
@@ -50,8 +50,9 @@ from .numerics import (
     validate_level,
 )
 
-TAIL_TARGET = 1e-12
 COND_LIMIT = 1e8
+SAMPLE_BOX = 0.4  # sample points have every real and imaginary part in [-SAMPLE_BOX, SAMPLE_BOX]
+OVERSAMPLE = 2.0  # fitted samples per basis symbol
 _MASK64 = (1 << 64) - 1
 
 # sample streams; labels keep the draws for different purposes independent
@@ -63,14 +64,10 @@ _STREAM_VERIFY = 2
 @dataclass(frozen=True)
 class FitConfig:
     seed: int = 0
-    oversample: float = 2.0
-    sample_box: float = 0.4
     fit_tol: float = 1e-8
     holdout: int = 16
 
     def __post_init__(self):
-        if self.oversample < 1:
-            raise ValueError("oversample must be >= 1")
         if not self.fit_tol > 0:
             raise ValueError("fit_tol must be positive")
         if self.holdout < 1:
@@ -89,16 +86,15 @@ def _rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed & _MASK64) + (label << 64)))
 
 
-def _sample_points(seed: int, label: int, count: int, h: int, g: int, box: float):
+def _box_sample(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex array with real and imaginary parts uniform in [-SAMPLE_BOX, SAMPLE_BOX]."""
+    box = SAMPLE_BOX
+    return rng.uniform(-box, box, shape) + 1j * rng.uniform(-box, box, shape)
+
+
+def _sample_points(seed: int, label: int, count: int, h: int, g: int):
     rng = _rng(seed, label)
-    z = rng.uniform(-box, box, (count, h, g)) + 1j * rng.uniform(-box, box, (count, h, g))
-    w = rng.uniform(-box, box, (count, h, g)) + 1j * rng.uniform(-box, box, (count, h, g))
-    return z, w
-
-
-def _eval_cfg(level: LevelMatrix, omega: PeriodMatrix, box: float, degree: int) -> TruncationConfig:
-    radius = choose_radius(level, omega, box, TAIL_TARGET, degree)
-    return TruncationConfig(radius=radius, tail_tol=TAIL_TARGET)
+    return _box_sample(rng, (count, h, g)), _box_sample(rng, (count, h, g))
 
 
 def candidate_basis(level: LevelMatrix, max_degree: int, omega: PeriodMatrix) -> list[BasisSymbol]:
@@ -119,28 +115,26 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
     span of the symbols with |J| <= max_degree.  Points are drawn uniformly
     from the sample box; the dense least-squares problem is solved by SVD,
     coefficients below 1e-12 are pruned, and the residual is the largest
-    mismatch on ``cfg.holdout`` points not used in the solve.
+    mismatch on ``cfg.holdout`` points not used in the solve.  Non-finite
+    samples raise ResidualTooLargeError before the solve.
     """
     h, g = level.h, omega.g
     basis = candidate_basis(level, max_degree, omega)
-    n_fit = math.ceil(cfg.oversample * len(basis))
+    n_fit = math.ceil(OVERSAMPLE * len(basis))
     total = n_fit + cfg.holdout
-    eval_cfg = _eval_cfg(level, omega, cfg.sample_box, max_degree)
+    eval_cfg = truncation_config(level, omega, SAMPLE_BOX, max_degree)
 
     conditioning = math.inf
     for seed in (cfg.seed, (cfg.seed + 1) & _MASK64):
-        z_pts, w_pts = _sample_points(seed, _STREAM_FIT, total, h, g, cfg.sample_box)
+        points = list(zip(*_sample_points(seed, _STREAM_FIT, total, h, g)))
         design = np.array(
-            [
-                [
-                    aux_theta_series(s.level, s.j, s.char, omega, z_pts[i], w_pts[i], eval_cfg).value
-                    for s in basis
-                ]
-                for i in range(total)
-            ],
+            [[aux_theta_series(s.level, s.j, s.char, omega, z, w, eval_cfg).value for s in basis]
+             for z, w in points],
             dtype=complex,
         )
-        rhs = np.array([f(z_pts[i], w_pts[i]) for i in range(total)], dtype=complex)
+        rhs = np.array([f(z, w) for z, w in points], dtype=complex)
+        if not (np.isfinite(design).all() and np.isfinite(rhs).all()):
+            raise ResidualTooLargeError("sampled basis or function values are not finite")
         coeffs, _, _, sv = np.linalg.lstsq(design[:n_fit], rhs[:n_fit], rcond=None)
         conditioning = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if conditioning <= COND_LIMIT:
@@ -198,8 +192,8 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
         raise DimensionMismatchError("product factors must each carry a single level")
     lvl = level_sum(lv1[0], lv2[0])
     degree = e1.degree() + e2.degree()
-    cfg1 = _eval_cfg(lv1[0], omega, cfg.sample_box, e1.degree())
-    cfg2 = _eval_cfg(lv2[0], omega, cfg.sample_box, e2.degree())
+    cfg1 = truncation_config(lv1[0], omega, SAMPLE_BOX, e1.degree())
+    cfg2 = truncation_config(lv2[0], omega, SAMPLE_BOX, e2.degree())
 
     def f(z, w):
         return (
@@ -238,26 +232,17 @@ def _decompose_node(expr, omega, cfg):
     return fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
 
 
-def _cfg_memo(omega: PeriodMatrix) -> Callable:
-    """``_eval_cfg`` memoised on (level, box, degree) for one call only.
-
-    PeriodMatrix hashes by identity, so a memo kept for the whole process
-    would hold every period matrix it was ever given.
-    """
-    return functools.cache(lambda level, box, degree: _eval_cfg(level, omega, box, degree))
-
-
 def _max_keep_nan(acc: float, x: float) -> float:
     """``max(acc, x)`` for residuals, except that a NaN is kept, never dropped."""
     return x if x > acc or math.isnan(x) else acc
 
 
-def _fd_mismatch(expr, elem: AlgebraElement, omega, w, cfg_of, box: float) -> float:
+def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> float:
     """|expression - element| at W, with every leaf and every symbol taken as a
     W-derivative of its plain theta series, computed by finite differences."""
 
     def theta_deriv(level, j, char):
-        cfg_t = cfg_of(level, box + 0.02, 0)
+        cfg_t = truncation_config(level, omega, SAMPLE_BOX + 0.02, 0)
         return wderiv_fd(lambda ww: theta_series(level, char, omega, ww, cfg_t).value, w, j)
 
     lhs = fold(expr, lambda d: theta_deriv(d.level, d.j, d.char), sum, math.prod, operator.mul)
@@ -265,11 +250,11 @@ def _fd_mismatch(expr, elem: AlgebraElement, omega, w, cfg_of, box: float) -> fl
     return abs(lhs - rhs)
 
 
-def _expr_aux_value(expr, omega, z, w, cfg_of, box: float) -> complex:
+def _expr_aux_value(expr, omega, z, w) -> complex:
     """Value of the expression at (Z, W) with every leaf read as its auxiliary series."""
 
     def leaf(d):
-        cfg_a = cfg_of(d.level, box, d.j.size)
+        cfg_a = truncation_config(d.level, omega, SAMPLE_BOX, d.j.size)
         return aux_theta_series(d.level, d.j, d.char, omega, z, w, cfg_a).value
 
     return fold(expr, leaf, sum, math.prod, operator.mul)
@@ -294,13 +279,10 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
         # blocks can leave cancellation residue below the noise floor
         element = element.prune(PRUNE_EPS)
 
-    _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g, cfg.sample_box)
-    cfg_of = _cfg_memo(omega)
-    residual = 0.0
-    for i in range(cfg.holdout):
-        residual = _max_keep_nan(
-            residual, _fd_mismatch(expr, element, omega, w_pts[i], cfg_of, cfg.sample_box)
-        )
+    _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
+    residual = functools.reduce(
+        _max_keep_nan, (_fd_mismatch(expr, element, omega, w) for w in w_pts), 0.0
+    )
     if not math.isfinite(residual):
         raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
     return Decomposition(element=element, residual=residual, conditioning=conditioning)
@@ -317,46 +299,40 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     with the summed level.
     """
     h, g = expr_shape(expr)
-    n, box = cfg.holdout, cfg.sample_box
-    z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, n, h, g, box)
-    cfg_of = _cfg_memo(omega)
+    box = SAMPLE_BOX
+    z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, cfg.holdout, h, g)
     degree = dec.element.degree()
+    components = [(lvl, dec.element.level_component(lvl)) for lvl in dec.element.levels()]
 
     max_z0 = 0.0
     max_sample = 0.0
-    for i in range(n):
-        z, w = z_pts[i], w_pts[i]
-        max_z0 = _max_keep_nan(max_z0, _fd_mismatch(expr, dec.element, omega, w, cfg_of, box))
-        lhs = _expr_aux_value(expr, omega, z, w, cfg_of, box)
+    for z, w in zip(z_pts, w_pts):
+        max_z0 = _max_keep_nan(max_z0, _fd_mismatch(expr, dec.element, omega, w))
+        lhs = _expr_aux_value(expr, omega, z, w)
         rhs = sum(
-            evaluate_element(
-                dec.element.level_component(lvl), omega, z, w, cfg_of(lvl, box, degree)
-            ).value
-            for lvl in dec.element.levels()
+            evaluate_element(comp, omega, z, w, truncation_config(lvl, omega, box, degree)).value
+            for lvl, comp in components
         )
         max_sample = _max_keep_nan(max_sample, abs(lhs - rhs))
 
     # shift-law residual of each level component of the output
-    im_reach = float(np.abs(omega.omega.imag).sum(axis=0).max())
     max_qp = 0.0
     rng = _rng(cfg.seed, _STREAM_VERIFY + 16)
-    for lvl in dec.element.levels():
-        comp = dec.element.level_component(lvl)
-        qp_cfg = cfg_of(lvl, box + im_reach + 1.0, comp.degree())
+    for lvl, comp in components:
+        qp_cfg = truncation_config(lvl, omega, box + omega.im_reach + 1.0, comp.degree())
+
+        def value(z, w, comp=comp, qp_cfg=qp_cfg):
+            return evaluate_element(comp, omega, z, w, qp_cfg).value
+
         for _ in range(4):
             z = rng.uniform(-box, box, (h, g)) * (1 + 0j)
-            w = rng.uniform(-box, box, (h, g)) + 1j * rng.uniform(-box, box, (h, g))
+            w = _box_sample(rng, (h, g))
             xi = rng.integers(-1, 2, (h, g)).astype(float)
             eta = rng.integers(-1, 2, (h, g)).astype(float)
-            shifted = evaluate_element(
-                comp, omega, z + xi, w + xi @ omega.omega + eta, qp_cfg
-            ).value
-            factor = transformation_factor(lvl, omega, w, xi)
-            base = evaluate_element(comp, omega, z, w, qp_cfg).value
-            max_qp = _max_keep_nan(max_qp, abs(shifted - factor * base) / max(1.0, abs(factor)))
+            max_qp = _max_keep_nan(max_qp, shift_law_residual(value, lvl, omega, z, w, xi, eta))
 
     return {
-        "points": n,
+        "points": cfg.holdout,
         "max_z0_residual": max_z0,
         "max_sample_residual": max_sample,
         "max_quasiperiod_residual": max_qp,

@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
 from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix
 
 RADIUS_CAP = 64
+TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
 
 
@@ -71,12 +73,11 @@ def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
         raise ValueError(
             f"Im(omega) too close to the boundary: min eigenvalue {omega.im_min_eig:.3e}"
         )
-    m_eigs = np.linalg.eigvalsh(level.as_array())
-    return float(m_eigs.min()) * omega.im_min_eig
+    return level.min_eig * omega.im_min_eig
 
 
 def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
-               z_sup: float, mv_norm: float, radius: int, hg: int) -> float:
+               z_sup: float, mv_norm: float, radius: int) -> float:
     """Upper bound for the omitted tail of the (possibly weighted) series.
 
     Shell s > radius of the sup-norm box contributes at most
@@ -86,7 +87,8 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     rho the maximum absolute row sum of the level matrix.
     """
     lam = _decay_rate(level, omega)
-    rho = float(np.abs(level.as_array()).sum(axis=1).max())
+    rho = level.row_sum_norm
+    hg = level.h * omega.g
     t_star = mv_norm / lam
     total = 0.0
     s = radius + 1
@@ -152,7 +154,7 @@ def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
     value = _aux_value(level, j, char, omega, z, w, cfg.radius)
     mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
     z_sup = float(np.abs(z).max()) if j.size else 0.0
-    bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius, h * g)
+    bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
     if bound > cfg.tail_tol:
         raise TruncationInsufficientError(
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
@@ -202,11 +204,23 @@ def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristi
     w = as_matrix(w, h, g)
     xi = _as_int_matrix(xi, h, g, "xi")
     eta = _as_int_matrix(eta, h, g, "eta")
-    shifted = aux_theta_series(level, j, char, omega, z + xi, w + xi @ omega.omega + eta, cfg)
-    base = aux_theta_series(level, j, char, omega, z, w, cfg)
+    return shift_law_residual(
+        lambda zz, ww: aux_theta_series(level, j, char, omega, zz, ww, cfg).value,
+        level, omega, z, w, xi, eta,
+    )
+
+
+def shift_law_residual(f: Callable, level: LevelMatrix, omega: PeriodMatrix,
+                       z, w, xi, eta) -> float:
+    """|f(Z+xi, W+xi*Omega+eta) - factor * f(Z,W)| / max(1, |factor|).
+
+    ``f(z, w) -> complex`` is any function that should obey the shift law of
+    ``level``: one series, or one level component of an element.
+    """
+    shifted = f(z + xi, w + xi @ omega.omega + eta)
+    base = f(z, w)
     factor = transformation_factor(level, omega, w, xi)
-    diff = abs(shifted.value - factor * base.value)
-    return diff / max(1.0, abs(factor))
+    return abs(shifted - factor * base) / max(1.0, abs(factor))
 
 
 def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic,
@@ -247,15 +261,27 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
-    h, g = level.h, omega.g
-    rho = float(np.abs(level.as_array()).sum(axis=1).max())
-    mv_norm = rho * w_box * math.sqrt(h * g)
+    mv_norm = level.row_sum_norm * w_box * math.sqrt(level.h * omega.g)
     for radius in range(1, RADIUS_CAP + 1):
-        if tail_bound(level, omega, degree, w_box, mv_norm, radius, h * g) <= tail_tol:
+        if tail_bound(level, omega, degree, w_box, mv_norm, radius) <= tail_tol:
             return radius
     raise RadiusUnachievableError(
         f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}"
     )
+
+
+def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float, degree: int,
+                      tol: float = TAIL_TARGET) -> TruncationConfig:
+    """The one evaluation setup: ``choose_radius`` for (box, tol, degree), memoised.
+
+    The memo is bounded; it keys on the period matrix by identity.
+    """
+    return _truncation_config(level, omega, box, degree, tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _truncation_config(level, omega, box, degree, tol) -> TruncationConfig:
+    return TruncationConfig(radius=choose_radius(level, omega, box, tol, degree), tail_tol=tol)
 
 
 def wderiv_fd(f, w, j: MultiIndex, base_step: float | None = None):

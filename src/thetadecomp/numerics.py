@@ -7,6 +7,7 @@ exact.  Floating point enters only in the evaluation modules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,9 +68,17 @@ def int_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class LevelMatrix:
-    """Positive symmetric even integral matrix with every entry nonzero."""
+    """Positive symmetric even integral matrix with every entry nonzero.
+
+    Its float array, least eigenvalue and row-sum norm are computed on first use.
+    """
 
     entries: Rows
 
@@ -81,7 +90,19 @@ class LevelMatrix:
         return int_det(self.entries)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
+        return self._array
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        return _read_only(np.array(self.entries, dtype=float))
+
+    @functools.cached_property
+    def min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self._array).min())
+
+    @functools.cached_property
+    def row_sum_norm(self) -> float:
+        return float(np.abs(self._array).sum(axis=1).max())
 
     def __str__(self):
         return str([list(r) for r in self.entries])
@@ -132,10 +153,11 @@ class PeriodMatrix:
             raise NotPositiveDefiniteError(
                 f"Im(omega) must be positive definite; min eigenvalue {eigs.min():.3e}"
             )
-        om.setflags(write=False)
-        self.omega = om
+        self.omega = _read_only(om)
         self.g = om.shape[0]
         self.im_min_eig = float(eigs.min())
+        # the most W -> W + xi*Omega with |xi| <= 1 entrywise moves an entry of Im W
+        self.im_reach = float(np.abs(om.imag).sum(axis=0).max())
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g})"
@@ -162,7 +184,11 @@ class Characteristic:
         return len(self.a[0])
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.a])
+        return self._array
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        return _read_only(np.array([[float(x) for x in row] for row in self.a]))
 
     def __str__(self):
         return "[" + "; ".join(",".join(str(x) for x in row) for row in self.a) + "]"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, BasisSymbol
+from .decompose import OVERSAMPLE, SAMPLE_BOX
 from .errors import DimensionMismatchError
 from .expr import DerivSymbol, Product, Scale, Sum, fold
 from .numerics import (
@@ -35,10 +36,6 @@ def complex_from_json(data) -> complex:
 
 def fraction_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
-
-
-def fraction_from_json(data) -> Fraction:
-    return Fraction(data["num"], data["den"])
 
 
 def int_matrix_to_json(rows) -> list:
@@ -131,8 +128,8 @@ def decomposition_to_json(dec, seed: int, config) -> dict:
         "conditioning": dec.conditioning,
         "seed": seed,
         "config": {
-            "oversample": config.oversample,
-            "sample_box": config.sample_box,
+            "oversample": OVERSAMPLE,
+            "sample_box": SAMPLE_BOX,
             "fit_tol": config.fit_tol,
             "holdout": config.holdout,
         },

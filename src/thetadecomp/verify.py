@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .algebra import (
     AlgebraElement,
     BasisSymbol,
@@ -30,21 +28,18 @@ from .algebra import (
     scaling_op,
 )
 from .decompose import (
+    SAMPLE_BOX,
     DerivSymbol,
     FitConfig,
     Product,
     Scale,
     Sum,
+    _box_sample,
     _rng,
     diff_poly_decompose,
     verify_theorem3,
 )
-from .evaluation import (
-    TruncationConfig,
-    choose_radius,
-    quasi_period_residual,
-    shift_operator_check,
-)
+from .evaluation import quasi_period_residual, shift_operator_check, truncation_config
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -54,25 +49,21 @@ from .numerics import (
 )
 
 QP_TOL = 1e-8
+QP_CASES = 100  # shift-law cases per configuration
 SHIFT_TOL = 1e-6
+SHIFT_CASES = 50  # ladder-identity cases per configuration
+COMMUTATOR_MAX_ORDER = 3  # the bracket table covers every symbol with |J| <= 3
+KERNEL_ELEMENTS = 200
 THEOREM3_TOL = 1e-5
+THEOREM3_HOLDOUT = 20
 UNIQUENESS_TOL = 1e-6
-SAMPLE_BOX = 0.4
 
 _SERIES_CONFIGS = (
-    {"name": "h1_level2", "level": [[2]], "omega": [[[0.0, 1.0]]]},
-    {"name": "h1_level4", "level": [[4]], "omega": [[[0.0, 1.0]]]},
-    {"name": "h2_hex", "level": [[2, 1], [1, 2]], "omega": [[[0.0, 1.0]]]},
-    {
-        "name": "g2_level2",
-        "level": [[2]],
-        "omega": [[[0.0, 1.0], [0.0, 0.3]], [[0.0, 0.3], [0.0, 2.0]]],
-    },
+    {"name": "h1_level2", "level": [[2]], "omega": [[1j]]},
+    {"name": "h1_level4", "level": [[4]], "omega": [[1j]]},
+    {"name": "h2_hex", "level": [[2, 1], [1, 2]], "omega": [[1j]]},
+    {"name": "g2_level2", "level": [[2]], "omega": [[1j, 0.3j], [0.3j, 2j]]},
 )
-
-
-def _omega_from_pairs(rows) -> PeriodMatrix:
-    return PeriodMatrix([[complex(re, im) for re, im in row] for row in rows])
 
 
 def _random_multi_index(rng, h, g, max_size):
@@ -80,33 +71,24 @@ def _random_multi_index(rng, h, g, max_size):
     return candidates[int(rng.integers(0, len(candidates)))]
 
 
-def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL,
-                               cases_per_config: int = 100,
-                               shift_tol: float = SHIFT_TOL,
-                               shift_cases: int = 50) -> dict:
+def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
     """Sampled residuals of the joint shift law and the raising identity."""
     configs_out = []
     passed = True
     for idx, spec_cfg in enumerate(_SERIES_CONFIGS):
         level = validate_level(spec_cfg["level"])
-        omega = _omega_from_pairs(spec_cfg["omega"])
+        omega = PeriodMatrix(spec_cfg["omega"])
         h, g = level.h, omega.g
         chars = enumerate_characteristics(level, g)
-        im_reach = float(np.abs(omega.omega.imag).sum(axis=0).max())
-        w_box = SAMPLE_BOX + im_reach
-        radius = choose_radius(level, omega, w_box + 1.0, 1e-12, 3)
-        cfg = TruncationConfig(radius=radius, tail_tol=1e-11)
+        # the box covers Z + xi and W + xi*Omega + eta; degree 3 covers J raised once
+        cfg = truncation_config(level, omega, SAMPLE_BOX + omega.im_reach + 1.0, 3)
         rng = _rng(seed, 32 + idx)
 
         max_qp = 0.0
         failures = []
-        for _ in range(cases_per_config):
-            w = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (h, g)) + 1j * rng.uniform(
-                -SAMPLE_BOX, SAMPLE_BOX, (h, g)
-            )
-            z = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (h, g)) + 1j * rng.uniform(
-                -SAMPLE_BOX, SAMPLE_BOX, (h, g)
-            )
+        for _ in range(QP_CASES):
+            w = _box_sample(rng, (h, g))
+            z = _box_sample(rng, (h, g))
             xi = rng.integers(-1, 2, (h, g)).astype(float)
             eta = rng.integers(-1, 2, (h, g)).astype(float)
             j = _random_multi_index(rng, h, g, 2)
@@ -119,20 +101,16 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL,
                 )
 
         max_shift = 0.0
-        for _ in range(shift_cases):
-            w = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (h, g)) + 1j * rng.uniform(
-                -SAMPLE_BOX, SAMPLE_BOX, (h, g)
-            )
-            z = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (h, g)) + 1j * rng.uniform(
-                -SAMPLE_BOX, SAMPLE_BOX, (h, g)
-            )
+        for _ in range(SHIFT_CASES):
+            w = _box_sample(rng, (h, g))
+            z = _box_sample(rng, (h, g))
             j = _random_multi_index(rng, h, g, 2)
             char = chars[int(rng.integers(0, len(chars)))]
             k = int(rng.integers(1, h + 1))
             a = int(rng.integers(1, g + 1))
             r = shift_operator_check(level, j, char, omega, z, w, k, a, cfg)
             max_shift = max(max_shift, r)
-            if r >= shift_tol:
+            if r >= SHIFT_TOL:
                 failures.append(
                     {"shift": [k, a], "j": [list(row) for row in j.j], "residual": r}
                 )
@@ -142,11 +120,11 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL,
         configs_out.append(
             {
                 "name": spec_cfg["name"],
-                "cases": cases_per_config,
-                "shift_cases": shift_cases,
+                "cases": QP_CASES,
+                "shift_cases": SHIFT_CASES,
                 "max_residual": max_qp,
                 "max_shift_residual": max_shift,
-                "radius": radius,
+                "radius": cfg.radius,
                 "passed": ok,
                 "failures": failures,
             }
@@ -154,7 +132,7 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL,
     return {
         "suite": "quasiperiodicity",
         "tolerance": tol,
-        "shift_tolerance": shift_tol,
+        "shift_tolerance": SHIFT_TOL,
         "passed": passed,
         "configs": configs_out,
     }
@@ -166,8 +144,7 @@ _ALGEBRA_CONFIGS = (
 )
 
 
-def run_commutator_suite(seed: int = 0, max_order: int = 3,
-                         kernel_elements: int = 200) -> dict:
+def run_commutator_suite(seed: int = 0) -> dict:
     """Exact bracket table, ladder action and the kernel characterization."""
     bracket_checks = 0
     bracket_violations = 0
@@ -186,7 +163,7 @@ def run_commutator_suite(seed: int = 0, max_order: int = 3,
             + list(itertools.combinations(lowerings, 2))
             + list(itertools.combinations(raisings, 2))
         )
-        for j in multi_indices_up_to(h, g, max_order):
+        for j in multi_indices_up_to(h, g, COMMUTATOR_MAX_ORDER):
             for ch in chars:
                 x = AlgebraElement.from_symbol(BasisSymbol(level, j, ch))
                 symbols_checked += 1
@@ -206,7 +183,7 @@ def run_commutator_suite(seed: int = 0, max_order: int = 3,
     rng = _rng(seed, 48)
     levels = [validate_level([[2]]), validate_level([[4]]), validate_level([[2, 1], [1, 2]])]
     kernel_disagreements = 0
-    for _ in range(kernel_elements):
+    for _ in range(KERNEL_ELEMENTS):
         level = levels[int(rng.integers(0, len(levels)))]
         h = level.h
         chars = enumerate_characteristics(level, 1)
@@ -229,7 +206,7 @@ def run_commutator_suite(seed: int = 0, max_order: int = 3,
         "symbols_checked": symbols_checked,
         "bracket_checks": bracket_checks,
         "bracket_violations": bracket_violations,
-        "kernel_elements": kernel_elements,
+        "kernel_elements": KERNEL_ELEMENTS,
         "kernel_disagreements": kernel_disagreements,
     }
 
@@ -252,27 +229,19 @@ def _theorem3_expressions():
     ]
 
 
-def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL,
-                       uniqueness_tol: float = UNIQUENESS_TOL,
-                       holdout: int = 20) -> dict:
+def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
     """Decompose the reference expression set and certify it independently."""
     omega = PeriodMatrix([[1j]])
     results = []
     passed = True
     for name, expr in _theorem3_expressions():
-        cfg = FitConfig(seed=seed, holdout=holdout)
+        cfg = FitConfig(seed=seed, holdout=THEOREM3_HOLDOUT)
         dec = diff_poly_decompose(expr, omega, cfg)
         report = verify_theorem3(expr, dec, omega, cfg)
-        cfg2 = FitConfig(seed=(seed + 1000003) & ((1 << 64) - 1), holdout=holdout)
+        cfg2 = FitConfig(seed=(seed + 1000003) & ((1 << 64) - 1), holdout=THEOREM3_HOLDOUT)
         dec2 = diff_poly_decompose(expr, omega, cfg2)
-        syms = set(dec.element.terms()) | set(dec2.element.terms())
-        seed_diff = max(
-            (
-                abs(dec.element.terms().get(s, 0) - dec2.element.terms().get(s, 0))
-                for s in syms
-            ),
-            default=0.0,
-        )
+        one, two = dec.element.terms(), dec2.element.terms()
+        seed_diff = max((abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)), default=0.0)
         kernel_ok = in_theta_subalgebra(dec.element) == all(
             s.j.size == 0 for s in dec.element.terms()
         )
@@ -280,7 +249,7 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL,
             dec.residual < tol
             and report["max_z0_residual"] < tol
             and report["max_quasiperiod_residual"] < 1e-6
-            and seed_diff < uniqueness_tol
+            and seed_diff < UNIQUENESS_TOL
             and kernel_ok
         )
         if name == "syntactic_zero":
@@ -302,24 +271,29 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL,
     return {
         "suite": "theorem3",
         "tolerance": tol,
-        "uniqueness_tolerance": uniqueness_tol,
+        "uniqueness_tolerance": UNIQUENESS_TOL,
         "passed": passed,
         "expressions": results,
     }
 
 
+SUITES = ("quasiperiodicity", "commutators", "theorem3")
+
+
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict:
+    """Run one named suite, or each of ``SUITES`` in turn for ``all``.
+
+    ``tol`` overrides the tolerance of the suites that have one; the
+    commutator checks are exact.
+    """
+    if name == "all":
+        suites = [run_suite(one, seed, tol) for one in SUITES]
+        return {"suite": "all", "seed": seed, "passed": all(s["passed"] for s in suites), "suites": suites}
+    override = {"tol": tol} if tol else {}
     if name == "quasiperiodicity":
-        return run_quasiperiodicity_suite(seed, **({"tol": tol} if tol else {}))
+        return run_quasiperiodicity_suite(seed, **override)
     if name == "commutators":
         return run_commutator_suite(seed)
     if name == "theorem3":
-        return run_theorem3_suite(seed, **({"tol": tol} if tol else {}))
-    if name == "all":
-        suites = [
-            run_quasiperiodicity_suite(seed, **({"tol": tol} if tol else {})),
-            run_commutator_suite(seed),
-            run_theorem3_suite(seed),
-        ]
-        return {"suite": "all", "seed": seed, "passed": all(s["passed"] for s in suites), "suites": suites}
+        return run_theorem3_suite(seed, **override)
     raise ValueError(f"unknown suite {name!r}")

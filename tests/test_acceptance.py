@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from thetadecomp.algebra import AlgebraElement, BasisSymbol, evaluate_element
-from thetadecomp.decompose import FitConfig, _eval_cfg, fit_in_basis
+from thetadecomp.decompose import FitConfig, fit_in_basis
+from thetadecomp.evaluation import truncation_config
 from thetadecomp.numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -42,7 +43,7 @@ def criterion(number, description):
 @pytest.fixture(scope="module")
 def qp_report():
     started = time.perf_counter()
-    report = run_quasiperiodicity_suite(seed=0, cases_per_config=100, shift_cases=50)
+    report = run_quasiperiodicity_suite(seed=0)
     return report, time.perf_counter() - started
 
 
@@ -55,7 +56,7 @@ def commutator_report():
 
 @pytest.fixture(scope="module")
 def theorem3_report():
-    return run_theorem3_suite(seed=0, holdout=20)
+    return run_theorem3_suite(seed=0)
 
 
 def test_criterion_1_dimension_counts():
@@ -114,7 +115,7 @@ def test_criterion_6_fit_round_trip():
             for ch in chars
         ]
         rng = np.random.default_rng(2024)
-        eval_cfg = _eval_cfg(level, omega, 0.4, 2)
+        eval_cfg = truncation_config(level, omega, 0.4, 2)
         for trial in range(50):
             n_terms = int(rng.integers(1, len(symbols) + 1))
             picked = rng.choice(len(symbols), size=n_terms, replace=False)

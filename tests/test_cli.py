@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from thetadecomp import cli, errors
+from thetadecomp import cli, errors, evaluation, verify
 
 OMEGA_I = "[[[0,1]]]"
 
@@ -102,6 +102,16 @@ class TestVerify:
     def test_unknown_suite_exits_2(self):
         out = run_cli("verify", "--suite", "nonsense")
         assert out.returncode == 2
+
+    def test_all_passes_tol_to_every_suite(self):
+        # "all" runs each named suite as --suite <name> would, the tolerance included
+        report = verify.run_suite("all", tol=1e-300)
+        by_name = {s["suite"]: s for s in report["suites"]}
+        assert list(by_name) == list(verify.SUITES)
+        assert by_name["theorem3"]["tolerance"] == 1e-300
+        assert by_name["theorem3"]["passed"] is False
+        assert by_name["quasiperiodicity"]["tolerance"] == 1e-300
+        assert report["passed"] is False
 
 
 class TestDecompose:
@@ -203,3 +213,15 @@ class TestExitCodes:
                        "--out", str(out)])
         assert rc == 1
         assert json.loads(out.read_text())["passed"] is False
+
+    def test_nonfinite_kernel_exits_4(self, monkeypatch, tmp_path):
+        # a NaN series value reaches the fit, which must refuse it before the solve
+        monkeypatch.setattr(evaluation, "_aux_value", lambda *args: complex(float("nan"), 0.0))
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(THETA_PRODUCT))
+        out = tmp_path / "out.json"
+        rc = cli.main(["decompose", "--input", str(src), "--omega", OMEGA_I, "--out", str(out)])
+        assert rc == 4
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "ResidualTooLargeError"
+        assert "not finite" in error["message"]

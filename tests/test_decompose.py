@@ -5,12 +5,12 @@ import pytest
 
 from thetadecomp.algebra import AlgebraElement, BasisSymbol, evaluate_element, in_theta_subalgebra
 from thetadecomp.decompose import (
+    SAMPLE_BOX,
     DerivSymbol,
     FitConfig,
     Product,
     Scale,
     Sum,
-    _eval_cfg,
     diff_poly_decompose,
     fit_in_basis,
     level_sum,
@@ -22,7 +22,7 @@ from thetadecomp.errors import (
     LevelSumInvalidError,
     ResidualTooLargeError,
 )
-from thetadecomp.evaluation import TruncationConfig, theta_series, wderiv_fd
+from thetadecomp.evaluation import TruncationConfig, theta_series, truncation_config, wderiv_fd
 from thetadecomp.numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -57,7 +57,7 @@ class TestFitInBasis:
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         x = random_element(rng)
-        ecfg = _eval_cfg(LEVEL2, OMEGA, CFG.sample_box, 2)
+        ecfg = truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, 2)
         f = lambda z, w: evaluate_element(x, OMEGA, z, w, ecfg).value
         dec = fit_in_basis(f, LEVEL2, 2, OMEGA, CFG)
         assert coeff_sup_diff(dec.element, x) < 1e-6
@@ -71,7 +71,7 @@ class TestFitInBasis:
 
     def test_basis_element_recovers_itself(self):
         s = BasisSymbol(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0])
-        ecfg = _eval_cfg(LEVEL2, OMEGA, CFG.sample_box, 1)
+        ecfg = truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, 1)
         f = lambda z, w: evaluate_element(
             AlgebraElement.from_symbol(s), OMEGA, z, w, ecfg
         ).value
@@ -82,25 +82,40 @@ class TestFitInBasis:
     def test_out_of_span_raises(self):
         # degree bound too small for the sampled function
         s = BasisSymbol(LEVEL2, MultiIndex.from_rows([[2]]), CHARS2[0])
-        ecfg = _eval_cfg(LEVEL2, OMEGA, CFG.sample_box, 2)
+        ecfg = truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, 2)
         f = lambda z, w: evaluate_element(
             AlgebraElement.from_symbol(s), OMEGA, z, w, ecfg
         ).value
         with pytest.raises(ResidualTooLargeError):
             fit_in_basis(f, LEVEL2, 1, OMEGA, CFG)
 
-    def test_degenerate_samples_rejected(self):
+    def test_degenerate_samples_rejected(self, monkeypatch):
         # a vanishingly small sample box collapses every row of the design
         # matrix to the same point; the guard must resample and then fail
+        from thetadecomp import decompose
         from thetadecomp.errors import IllConditionedError
 
-        ecfg = _eval_cfg(LEVEL2, OMEGA, 0.4, 2)
+        ecfg = truncation_config(LEVEL2, OMEGA, 0.4, 2)
         s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
         f = lambda z, w: evaluate_element(
             AlgebraElement.from_symbol(s), OMEGA, z, w, ecfg
         ).value
+        monkeypatch.setattr(decompose, "SAMPLE_BOX", 1e-9)
         with pytest.raises(IllConditionedError):
-            fit_in_basis(f, LEVEL2, 2, OMEGA, FitConfig(seed=0, sample_box=1e-9))
+            fit_in_basis(f, LEVEL2, 2, OMEGA, FitConfig(seed=0))
+
+    def test_nan_function_raises(self):
+        # a NaN right-hand side must not pass the holdout check as residual nan
+        with pytest.raises(ResidualTooLargeError, match="not finite"):
+            fit_in_basis(lambda z, w: complex(float("nan"), 0.0), LEVEL2, 1, OMEGA, CFG)
+
+    def test_nan_kernel_raises(self, monkeypatch):
+        # a NaN design matrix is rejected before the least-squares solve
+        from thetadecomp import evaluation
+
+        monkeypatch.setattr(evaluation, "_aux_value", lambda *args: complex(float("nan"), 0.0))
+        with pytest.raises(ResidualTooLargeError, match="not finite"):
+            fit_in_basis(lambda z, w: 1.0 + 0j, LEVEL2, 1, OMEGA, CFG)
 
 class TestProductExpand:
     def test_level_doubling(self):

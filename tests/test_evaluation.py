@@ -19,6 +19,7 @@ from thetadecomp.evaluation import (
     tail_bound,
     theta_series,
     transformation_factor,
+    truncation_config,
     wderiv_fd,
 )
 from thetadecomp.numerics import (
@@ -228,8 +229,15 @@ class TestChooseRadius:
                 2.0 * math.exp(-2.0 * math.pi * n * n + 2.0 * math.pi * 2.0 * w_box * n)
                 for n in range(radius + 1, radius + 60)
             )
-            certified = tail_bound(LEVEL2, OMEGA_I, 0, w_box, 2.0 * w_box, radius, 1)
+            certified = tail_bound(LEVEL2, OMEGA_I, 0, w_box, 2.0 * w_box, radius)
             assert certified >= true_tail
+
+    def test_truncation_config_is_the_memoised_choice(self):
+        cfg = truncation_config(HEX, OMEGA_I, 0.4, 1)
+        assert cfg == TruncationConfig(radius=choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 1),
+                                       tail_tol=1e-12)
+        assert truncation_config(HEX, OMEGA_I, 0.4, 1) is cfg
+        assert truncation_config(HEX, OMEGA_I, 0.4, 1, 1e-6).radius <= cfg.radius
 
     def test_unachievable(self):
         # an enormous W box keeps every shell below the cap in the growing

@@ -66,6 +66,20 @@ class TestValidateLevel:
         lvl = validate_level([[2, 1], [1, 2]])
         assert lvl.det() == 3
 
+    def test_derived_constants(self):
+        lvl = validate_level([[2, 1], [1, 2]])
+        assert lvl.min_eig == pytest.approx(1.0)
+        assert lvl.row_sum_norm == 3.0
+        assert lvl.as_array() is lvl.as_array()
+        assert not lvl.as_array().flags.writeable
+        # cached values never enter equality or hashing
+        assert lvl == LevelMatrix(lvl.entries) and hash(lvl) == hash(LevelMatrix(lvl.entries))
+
+    def test_period_matrix_reach(self):
+        om = PeriodMatrix([[1j, -0.3j], [-0.3j, 2j]])
+        assert om.im_reach == pytest.approx(2.3)
+        assert om.im_min_eig == pytest.approx(min(np.linalg.eigvalsh([[1, -0.3], [-0.3, 2]])))
+
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroEntryError):
             validate_level([[2, 0], [0, 2]])
