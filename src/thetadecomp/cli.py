@@ -122,7 +122,7 @@ def cmd_decompose(args) -> int:
     omega = _parse_omega(args.omega)
     raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     expr = expr_from_json(json.loads(raw))
-    cfg = FitConfig(seed=args.seed, **({"fit_tol": args.tol} if args.tol else {}))
+    cfg = FitConfig(seed=args.seed, **({"fit_tol": args.tol} if args.tol is not None else {}))
     dec = diff_poly_decompose(expr, omega, cfg)
     report = verify_theorem3(expr, dec, omega, cfg)
     payload = decomposition_to_json(dec, args.seed, cfg)

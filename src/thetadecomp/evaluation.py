@@ -1,6 +1,7 @@
 """Truncated evaluation of theta series and auxiliary theta series.
 
-The series are summed over the sup-norm lattice box |N_ka| <= radius.  Every
+The series are summed over the sup-norm lattice box |N_ka| <= radius, as one
+quadratic form whose (level, Omega, radius) part is computed once.  Every
 evaluation returns the value together with a certified bound on the omitted
 tail, derived from the Gaussian decay rate pi * lambda_min(M) * lambda_min(Im
 omega) with a polynomial-times-Gaussian envelope when a nonzero multi-index
@@ -13,7 +14,6 @@ double precision when the transformation factors grow exponentially.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +26,7 @@ from .errors import (
     RadiusUnachievableError,
     TruncationInsufficientError,
 )
-from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix
+from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _read_only
 
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
@@ -60,12 +60,10 @@ def as_matrix(x, h: int, g: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _lattice_box(h: int, g: int, radius: int) -> np.ndarray:
-    pts = np.array(
-        list(itertools.product(range(-radius, radius + 1), repeat=h * g)), dtype=float
-    )
-    box = pts.reshape(-1, h, g)
-    box.setflags(write=False)
-    return box
+    """The integer h x g matrices with entries in [-radius, radius], last entry fastest."""
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    grid = np.meshgrid(*([axis] * (h * g)), indexing="ij", copy=False)
+    return _read_only(np.stack(grid, axis=-1).reshape(-1, h, g))
 
 
 def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
@@ -112,19 +110,52 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     return max(total, 5e-324)
 
 
+@functools.lru_cache(maxsize=64)
+def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
+    """The part of the series exponent that depends on (level, Omega, radius) only.
+
+    With the cube flattened to n (P x hg) and Q = M kron Omega, returns n,
+    Q, M kron I and the per-point forms n^t (Im Q) n and n^t (Re Q) n, all
+    read-only; the last is None when Re Omega = 0.
+    """
+    n = _lattice_box(level.h, omega.g, radius).reshape(-1, level.h * omega.g)
+    m = level.as_array()
+    q = _read_only(np.kron(m, omega.omega))
+    m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
+
+    def form(part):
+        return _read_only(np.einsum("pi,ij,pj->p", n, part, n))
+
+    return n, q, m_kron_i, form(q.imag), form(q.real) if omega.omega.real.any() else None
+
+
 def _aux_value(level, j, char, omega, z, w, radius):
+    """The truncated series as one quadratic form X = n^t Q n + c.n + d on the cube.
+
+    Each term is exp(i pi X) times the monomial weight; only c, d and the
+    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.
+    """
+    n, q, m_kron_i, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     m = level.as_array()
     a = char.as_array()
-    box = _lattice_box(level.h, a.shape[1], radius)
-    b = box + a
-    quad = np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
-    lin = np.einsum("kl,la,pka->p", m, w, b)
-    phases = np.exp(np.pi * 1j * (quad + 2.0 * lin))
-    order = j.size
-    if order:
-        lam = np.einsum("kl,pla->pka", m.astype(complex), z[None, :, :] + b)
-        phases = np.prod(lam ** j.as_array()[None, :, :], axis=(1, 2)) * phases
-    return (2j * np.pi) ** order * complex(phases.sum())
+    qa = q @ a.ravel()
+    c = 2.0 * ((m @ w).ravel() + qa)
+    d = (c - qa) @ a.ravel()  # vec A^t Q vec A + 2 vec(MW) . vec A
+    im_x = n @ c.imag
+    im_x += n_imq_n
+    re_x = n @ c.real
+    if n_req_n is not None:
+        re_x += n_req_n
+    terms = np.exp(np.pi * (1j * (re_x + d.real) - (im_x + d.imag)))
+    if j.size:
+        # (M(Z+N+A))_ka = n . (M kron I)[ka] + (M(Z+A))_ka
+        offsets = (m @ (z + a)).ravel()
+        for i, power in enumerate(p for row in j.j for p in row):
+            if power:
+                lam = n @ m_kron_i[i] + offsets[i]
+                for _ in range(power):
+                    terms *= lam
+    return (2j * np.pi) ** j.size * complex(terms.sum())
 
 
 def _check_inputs(level, j, char, omega):
@@ -274,7 +305,7 @@ def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float, degre
                       tol: float = TAIL_TARGET) -> TruncationConfig:
     """The one evaluation setup: ``choose_radius`` for (box, tol, degree), memoised.
 
-    The memo is bounded; it keys on the period matrix by identity.
+    The memo is bounded; it keys on the period matrix by value.
     """
     return _truncation_config(level, omega, box, degree, tol)
 

@@ -138,7 +138,11 @@ def validate_level(m) -> LevelMatrix:
 
 
 class PeriodMatrix:
-    """A point of the Siegel upper half plane: symmetric with Im positive definite."""
+    """A point of the Siegel upper half plane: symmetric with Im positive definite.
+
+    Equality and hashing go by value, so memos keyed on a period matrix hit
+    across separate parses of the same Omega.
+    """
 
     _PD_TOL = 1e-12
 
@@ -158,6 +162,16 @@ class PeriodMatrix:
         self.im_min_eig = float(eigs.min())
         # the most W -> W + xi*Omega with |xi| <= 1 entrywise moves an entry of Im W
         self.im_reach = float(np.abs(om.imag).sum(axis=0).max())
+        self._key = (self.g, om.tobytes())
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodMatrix):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g})"

@@ -283,13 +283,15 @@ SUITES = ("quasiperiodicity", "commutators", "theorem3")
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict:
     """Run one named suite, or each of ``SUITES`` in turn for ``all``.
 
-    ``tol`` overrides the tolerance of the suites that have one; the
-    commutator checks are exact.
+    ``tol`` overrides the tolerance of the suites that have one and must be
+    positive; the commutator checks are exact.
     """
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if name == "all":
         suites = [run_suite(one, seed, tol) for one in SUITES]
         return {"suite": "all", "seed": seed, "passed": all(s["passed"] for s in suites), "suites": suites}
-    override = {"tol": tol} if tol else {}
+    override = {"tol": tol} if tol is not None else {}
     if name == "quasiperiodicity":
         return run_quasiperiodicity_suite(seed, **override)
     if name == "commutators":

@@ -214,6 +214,22 @@ class TestExitCodes:
         assert rc == 1
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8"])
+    def test_nonpositive_tol_exits_2(self, tol, tmp_path):
+        # a tolerance override of 0 is an override, not "no override", and is rejected
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(THETA_PRODUCT))
+        for argv in (["verify", "--suite", "quasiperiodicity"],
+                     ["decompose", "--input", str(src), "--omega", OMEGA_I]):
+            out = tmp_path / "err.json"
+            assert cli.main([*argv, f"--tol={tol}", "--out", str(out)]) == 2
+            assert json.loads(out.read_text())["error"]["type"] == "ValueError"
+
+    def test_run_suite_rejects_zero_tol(self):
+        for name in (*verify.SUITES, "all"):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                verify.run_suite(name, tol=0.0)
+
     def test_nonfinite_kernel_exits_4(self, monkeypatch, tmp_path):
         # a NaN series value reaches the fit, which must refuse it before the solve
         monkeypatch.setattr(evaluation, "_aux_value", lambda *args: complex(float("nan"), 0.0))

@@ -1,13 +1,18 @@
 """Series evaluation, certified tails, quasi-periodicity and shift-law residuals."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thetadecomp import evaluation
 from thetadecomp.errors import (
     DimensionMismatchError,
     RadiusUnachievableError,
+    ThetaError,
     TruncationInsufficientError,
 )
 from thetadecomp.evaluation import (
@@ -26,6 +31,7 @@ from thetadecomp.numerics import (
     MultiIndex,
     PeriodMatrix,
     enumerate_characteristics,
+    multi_indices_up_to,
     validate_level,
 )
 
@@ -239,6 +245,11 @@ class TestChooseRadius:
         assert truncation_config(HEX, OMEGA_I, 0.4, 1) is cfg
         assert truncation_config(HEX, OMEGA_I, 0.4, 1, 1e-6).radius <= cfg.radius
 
+    def test_memo_hits_across_parses_of_omega(self):
+        rows = [[1j, 0.3j], [0.3j, 2j]]
+        first = truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1)
+        assert truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1) is first
+
     def test_unachievable(self):
         # an enormous W box keeps every shell below the cap in the growing
         # regime of the envelope, so no admissible radius certifies the tail
@@ -269,3 +280,85 @@ class TestWDerivFD:
         v = aux_theta_series(LEVEL2, MultiIndex.from_rows([[1]]), ch, OMEGA_I,
                              np.zeros((1, 1)), w, CFG)
         assert abs(fd - v.value) < 1e-8
+
+
+def _admissible(rows):
+    try:
+        return validate_level(rows)
+    except ThetaError:
+        return None
+
+
+# every admissible level with h <= 2 and diagonal entries up to 6 or 4
+LEVELS = [
+    level
+    for level in map(_admissible, [[[2 * a]] for a in (1, 2, 3)] + [
+        [[2 * a, b], [b, 2 * c]] for a in (1, 2) for c in (1, 2) for b in (-3, -2, -1, 1, 2, 3)
+    ])
+    if level is not None
+]
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+unit = st.floats(-0.5, 0.5)
+
+
+def product_cube(h, g, radius):
+    """The lattice cube in itertools.product order, as an array of h x g matrices."""
+    return np.array(
+        list(itertools.product(range(-radius, radius + 1), repeat=h * g)), dtype=float
+    ).reshape(-1, h, g)
+
+
+def reference_terms(level, j, char, omega, z, w, radius):
+    """The summed terms, one lattice point at a time, by the direct einsum expression."""
+    m = level.as_array()
+    b = product_cube(level.h, omega.g, radius) + char.as_array()
+    quad = np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
+    lin = np.einsum("kl,la,pka->p", m, w, b)
+    lam = np.einsum("kl,pla->pka", m.astype(complex), z[None, :, :] + b)
+    weight = np.prod(lam ** j.as_array()[None, :, :], axis=(1, 2))
+    return (2j * np.pi) ** j.size * weight * np.exp(np.pi * 1j * (quad + 2.0 * lin))
+
+
+@st.composite
+def kernel_cases(draw):
+    level = draw(st.sampled_from(LEVELS))
+    g = draw(st.sampled_from((1, 2)))
+    h = level.h
+    re = np.array(draw(st.lists(unit, min_size=g * g, max_size=g * g))).reshape(g, g)
+    re[0, 0] = draw(st.sampled_from((-1, 1))) * draw(st.floats(0.05, 0.5))
+    im = np.diag(draw(st.lists(st.floats(0.8, 2.0), min_size=g, max_size=g)))
+    if g == 2:
+        im[0, 1] = draw(st.floats(-0.3, 0.3))
+    omega = PeriodMatrix(np.triu(re + 1j * im) + np.triu(re + 1j * im, 1).T)
+    char = draw(st.sampled_from(enumerate_characteristics(level, g)))
+    j = draw(st.sampled_from(multi_indices_up_to(h, g, 2)))
+
+    def point():
+        parts = np.array(draw(st.lists(unit, min_size=2 * h * g, max_size=2 * h * g)))
+        return (parts[: h * g] + 1j * parts[h * g:]).reshape(h, g)
+
+    return level, j, char, omega, point(), point(), draw(st.integers(1, 4))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("h,g,radius", [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 1, 2),
+                                            (2, 2, 1), (2, 2, 2), (1, 3, 1)])
+    def test_lattice_box_is_the_product_order(self, h, g, radius):
+        want = product_cube(h, g, radius)
+        got = evaluation._lattice_box(h, g, radius)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+    def test_real_form_skipped_for_imaginary_omega(self):
+        assert evaluation._quadratic_form(HEX, OMEGA_I, 3)[-1] is None
+
+    @PROPERTY
+    @given(kernel_cases())
+    def test_quadratic_form_matches_pointwise_terms(self, case):
+        level, j, char, omega, z, w, radius = case
+        terms = reference_terms(level, j, char, omega, z, w, radius)
+        got = evaluation._aux_value(level, j, char, omega, z, w, radius)
+        assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        memo = evaluation._quadratic_form(level, omega, radius)
+        assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
+        assert not any(arr.flags.writeable for arr in memo)

@@ -283,6 +283,13 @@ class TestPeriodMatrix:
         with pytest.raises(NotSymmetricError):
             PeriodMatrix([[1j, 0.2j], [0.3j, 2j]])
 
+    def test_equal_and_hash_by_value(self):
+        rows = [[0.1 + 1j, 0.3j], [0.3j, 2j]]
+        a, b = PeriodMatrix(rows), PeriodMatrix(rows)
+        assert a == b and hash(a) == hash(b)
+        assert a != PeriodMatrix([[0.1 + 1j, 0.3j], [0.3j, 2.5j]])
+        assert a != PeriodMatrix([[1j]]) and a != rows
+
     def test_not_positive(self):
         with pytest.raises(NotPositiveDefiniteError):
             PeriodMatrix([[-1j]])
