@@ -135,8 +135,8 @@ class AlgebraElement:
         """Largest |J| among the terms (0 for the zero element)."""
         return max((s.j.size for s in self._terms), default=0)
 
-    def prune(self, eps: float = PRUNE_EPS) -> "AlgebraElement":
-        return AlgebraElement({s: c for s, c in self._terms.items() if abs(c) > eps})
+    def prune(self) -> "AlgebraElement":
+        return AlgebraElement({s: c for s, c in self._terms.items() if abs(c) > PRUNE_EPS})
 
     def shape(self) -> tuple[int, int]:
         """Common (h, g) of the terms; raises if terms disagree."""

@@ -2,9 +2,13 @@
 
 All input and output is JSON.  Complex numbers are [re, im] pairs, complex
 matrices row-major arrays of such pairs, rationals {"num", "den"} objects.
-Exit codes: 0 ok, 1 verification failure; the error codes 2-5 (validation,
+Options: --out on every subcommand, --seed on verify and decompose, --tol on
+eval, verify and decompose (a negative value attached: --tol=-1e-8).  Exit
+codes: 0 ok, 1 verification failure; the error codes 2-5 (validation,
 truncation insufficient, residual too large or ill-conditioned, level-sum
-invalid) come from ``EXIT_CODES``, their one source.
+invalid) come from ``EXIT_CODES``, their one source.  Every failure prints a
+JSON error object and nothing on stderr; a usage error is a ValueError
+(exit 2), printed on stdout even when --out is given.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     ThetaError,
     TruncationInsufficientError,
 )
-from .evaluation import TAIL_TARGET, aux_theta_series, truncation_config
+from .evaluation import TAIL_TARGET, as_matrix, aux_theta_series, truncation_config
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -32,6 +36,7 @@ from .numerics import (
     validate_level,
 )
 from .serialization import (
+    char_by_index,
     characteristic_to_json,
     complex_matrix_from_json,
     complex_to_json,
@@ -62,17 +67,15 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _parse_omega(text) -> PeriodMatrix:
-    rows = json.loads(text)
-    return PeriodMatrix(complex_matrix_from_json(rows))
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, for main's one exit path; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _parse_complex_matrix(text, h, g):
-    rows = complex_matrix_from_json(json.loads(text))
-    arr = np.array(rows, dtype=complex)
-    if arr.shape != (h, g):
-        raise ValueError(f"expected a {h}x{g} complex matrix, got shape {arr.shape}")
-    return arr
+def _complex_matrix(text) -> list:
+    return complex_matrix_from_json(json.loads(text))
 
 
 def cmd_characteristics(args) -> int:
@@ -84,15 +87,12 @@ def cmd_characteristics(args) -> int:
 
 def cmd_eval(args) -> int:
     level = validate_level(json.loads(args.level))
-    omega = _parse_omega(args.omega)
+    omega = PeriodMatrix(_complex_matrix(args.omega))
     h, g = level.h, omega.g
-    chars = enumerate_characteristics(level, g)
-    if not 0 <= args.char_index < len(chars):
-        raise ValueError(f"char index {args.char_index} outside 0..{len(chars) - 1}")
-    char = chars[args.char_index]
-    w = _parse_complex_matrix(args.w, h, g)
+    char = char_by_index(level, g, args.char_index)
+    w = as_matrix(_complex_matrix(args.w), h, g)
     j = MultiIndex.from_rows(json.loads(args.j)) if args.j else MultiIndex.zeros(h, g)
-    z = _parse_complex_matrix(args.z, h, g) if args.z else np.zeros((h, g), dtype=complex)
+    z = as_matrix(_complex_matrix(args.z), h, g) if args.z else np.zeros((h, g), dtype=complex)
     if args.kind == "theta" and (args.j or args.z):
         raise ValueError("--j and --z apply only to --kind aux")
 
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    omega = _parse_omega(args.omega)
+    omega = PeriodMatrix(_complex_matrix(args.omega))
     raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     expr = expr_from_json(json.loads(raw))
     cfg = FitConfig(seed=args.seed, **({"fit_tol": args.tol} if args.tol is not None else {}))
@@ -132,25 +132,27 @@ def cmd_decompose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetadecomp",
         description="Evaluate theta series of matrix level and decompose "
         "differential polynomials of them into the canonical basis.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("characteristics", parents=[common],
+    p = sub.add_parser("characteristics", parents=[out],
                        help="enumerate the characteristics of a level matrix")
     p.add_argument("--level", required=True, help="integer matrix JSON, e.g. '[[2]]'")
     p.add_argument("-g", type=int, required=True, help="number of columns")
     p.set_defaults(func=cmd_characteristics)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a theta or auxiliary series")
+    p = sub.add_parser("eval", parents=[out, tol], help="evaluate a theta or auxiliary series")
     p.add_argument("--kind", choices=["theta", "aux"], required=True)
     p.add_argument("--level", required=True, help="integer matrix JSON")
     p.add_argument("--char-index", type=int, default=0)
@@ -160,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="complex matrix JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("verify", parents=[common], help="run a built-in verification suite")
+    p = sub.add_parser("verify", parents=[out, seed, tol], help="run a built-in verification suite")
     p.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[out, seed, tol],
                        help="decompose a differential polynomial expression")
     p.add_argument("--input", required=True, help="expression JSON path, or - for stdin")
     p.add_argument("--omega", required=True, help="complex matrix JSON, entries [re,im]")
@@ -173,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None  # a usage error leaves --out unread, so it reports on stdout
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args and args.out)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 

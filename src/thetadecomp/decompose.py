@@ -150,7 +150,7 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
     )
     pruned = np.where(keep, coeffs, 0.0)
     predicted = design[n_fit:] @ pruned
-    residual = float(np.abs(rhs[n_fit:] - predicted).max()) if cfg.holdout else 0.0
+    residual = float(np.abs(rhs[n_fit:] - predicted).max())
     if residual > cfg.fit_tol:
         raise ResidualTooLargeError(
             f"holdout residual {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}; "
@@ -226,7 +226,7 @@ def _decompose_node(expr, omega, cfg):
                     d = product_expand(acc.level_component(la), nxt.level_component(lb), omega, cfg)
                     out = out + d.element
                     cond = max(cond, d.conditioning)
-            acc = out.prune(PRUNE_EPS)
+            acc = out.prune()
         return acc, cond
 
     return fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
@@ -277,7 +277,7 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
     if conditioning > 0:
         # at least one product was fitted numerically: combinations of fitted
         # blocks can leave cancellation residue below the noise floor
-        element = element.prune(PRUNE_EPS)
+        element = element.prune()
 
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
     residual = functools.reduce(

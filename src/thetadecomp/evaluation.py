@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NotPositiveDefiniteError,
     RadiusUnachievableError,
     TruncationInsufficientError,
 )
@@ -31,6 +32,7 @@ from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _re
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
+SHIFT_CHECK_STEP = 1e-5  # central-difference step of shift_operator_check
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def _lattice_box(h: int, g: int, radius: int) -> np.ndarray:
 
 def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
     if omega.im_min_eig < _IM_OMEGA_FLOOR:
-        raise ValueError(
+        raise NotPositiveDefiniteError(
             f"Im(omega) too close to the boundary: min eigenvalue {omega.im_min_eig:.3e}"
         )
     return level.min_eig * omega.im_min_eig
@@ -256,12 +258,12 @@ def shift_law_residual(f: Callable, level: LevelMatrix, omega: PeriodMatrix,
 
 def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic,
                          omega: PeriodMatrix, z, w, k: int, a: int,
-                         cfg: TruncationConfig, step: float = 1e-5) -> float:
+                         cfg: TruncationConfig) -> float:
     """Residual of the ladder identity raising J by epsilon_{ka}.
 
     Compares the series at J+epsilon_{ka} against
     2 pi i (M Z)_{ka} * series(J) + d/dW_{ka} series(J), the derivative taken
-    as a central difference with the given step.  Scale-normalized like
+    as a central difference with step SHIFT_CHECK_STEP.  Scale-normalized like
     quasi_period_residual, since the finite-difference truncation error grows
     with the magnitude of the function.
     """
@@ -273,11 +275,11 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     lhs = aux_theta_series(level, j.bump(k, a, +1), char, omega, z, w, cfg).value
     base = aux_theta_series(level, j, char, omega, z, w, cfg).value
     dw = np.zeros((h, g), dtype=complex)
-    dw[k - 1, a - 1] = step
+    dw[k - 1, a - 1] = SHIFT_CHECK_STEP
     fd = (
         aux_theta_series(level, j, char, omega, z, w + dw, cfg).value
         - aux_theta_series(level, j, char, omega, z, w - dw, cfg).value
-    ) / (2.0 * step)
+    ) / (2.0 * SHIFT_CHECK_STEP)
     mz = (level.as_array() @ z)[k - 1, a - 1]
     rhs = 2j * np.pi * mz * base + fd
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -315,30 +317,28 @@ def _truncation_config(level, omega, box, degree, tol) -> TruncationConfig:
     return TruncationConfig(radius=choose_radius(level, omega, box, tol, degree), tail_tol=tol)
 
 
-def wderiv_fd(f, w, j: MultiIndex, base_step: float | None = None):
+def wderiv_fd(f, w, j: MultiIndex):
     """Mixed W-derivative of order J by Richardson-extrapolated central differences.
 
     ``f`` maps an (h,g) complex matrix to a complex number and is assumed
     holomorphic, so differences are taken along the real axis of each entry.
-    The per-level step defaults to 1e-3 / |J|; each level combines two step
-    sizes (h and h/2) into the standard fourth-order extrapolation.
+    Every level uses the step 1e-3 / |J| and combines two step sizes (h and
+    h/2) into the standard fourth-order extrapolation.
     """
-    order = j.size
-    if order == 0:
-        return f(w)
-    step = base_step if base_step is not None else 1e-3 / order
-    k, a = next(
-        (ki, ai) for ki, row in enumerate(j.j) for ai, x in enumerate(row) if x > 0
-    )
-    inner = j.bump(k + 1, a + 1, -1)
-    unit = np.zeros_like(np.asarray(w, dtype=complex))
-    unit[k, a] = 1.0
+    step = 1e-3 / max(j.size, 1)
 
-    def diff(hstep):
-        hi = wderiv_fd(f, w + hstep * unit, inner, base_step=step)
-        lo = wderiv_fd(f, w - hstep * unit, inner, base_step=step)
-        return (hi - lo) / (2.0 * hstep)
+    def deriv(w, j):
+        if j.size == 0:
+            return f(w)
+        k, a = next((ki, ai) for ki, row in enumerate(j.j) for ai, x in enumerate(row) if x > 0)
+        inner = j.bump(k + 1, a + 1, -1)
+        unit = np.zeros_like(np.asarray(w, dtype=complex))
+        unit[k, a] = 1.0
 
-    d1 = diff(step)
-    d2 = diff(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+        def diff(hstep):
+            return (deriv(w + hstep * unit, inner) - deriv(w - hstep * unit, inner)) / (2.0 * hstep)
+
+        d1 = diff(step)
+        return (4.0 * diff(step / 2.0) - d1) / 3.0
+
+    return deriv(w, j)

@@ -57,24 +57,33 @@ def characteristic_to_json(char: Characteristic) -> dict:
     }
 
 
-def _char_by_index(level: LevelMatrix, g: int, index: int) -> Characteristic:
+def char_by_index(level: LevelMatrix, g: int, index: int) -> Characteristic:
+    """Characteristic number ``index`` of (level, g); DimensionMismatchError if out of range."""
     chars = enumerate_characteristics(level, g)
     if not 0 <= index < len(chars):
-        raise DimensionMismatchError(
-            f"characteristic index {index} outside 0..{len(chars) - 1}"
-        )
+        raise DimensionMismatchError(f"characteristic index {index} outside 0..{len(chars) - 1}")
     return chars[index]
+
+
+def _symbol_to_json(sym) -> dict:
+    """The (level, j, char_index) fields of a basis or derivative symbol."""
+    return {
+        "level": int_matrix_to_json(sym.level.entries),
+        "j": int_matrix_to_json(sym.j.j),
+        "char_index": sym.char.index,
+    }
+
+
+def _symbol_from_json(data) -> tuple[LevelMatrix, MultiIndex, Characteristic]:
+    level = validate_level(data["level"])
+    j = MultiIndex.from_rows(data["j"])
+    return level, j, char_by_index(level, j.g, data["char_index"])
 
 
 def element_to_json(x: AlgebraElement) -> list:
     """Deterministically ordered term list of an element."""
     return [
-        {
-            "level": int_matrix_to_json(sym.level.entries),
-            "j": int_matrix_to_json(sym.j.j),
-            "char_index": sym.char.index,
-            "coeff": complex_to_json(coeff),
-        }
+        {**_symbol_to_json(sym), "coeff": complex_to_json(coeff)}
         for sym, coeff in x.sorted_terms()
     ]
 
@@ -82,10 +91,7 @@ def element_to_json(x: AlgebraElement) -> list:
 def element_from_json(data) -> AlgebraElement:
     terms = {}
     for item in data:
-        level = validate_level(item["level"])
-        j = MultiIndex.from_rows(item["j"])
-        char = _char_by_index(level, j.g, item["char_index"])
-        sym = BasisSymbol(level, j, char)
+        sym = BasisSymbol(*_symbol_from_json(item))
         terms[sym] = terms.get(sym, 0) + complex_from_json(item["coeff"])
     return AlgebraElement(terms)
 
@@ -93,12 +99,7 @@ def element_from_json(data) -> AlgebraElement:
 def expr_to_json(expr) -> dict:
     return fold(
         expr,
-        lambda d: {
-            "kind": "deriv",
-            "level": int_matrix_to_json(d.level.entries),
-            "j": int_matrix_to_json(d.j.j),
-            "char_index": d.char.index,
-        },
+        lambda d: {"kind": "deriv", **_symbol_to_json(d)},
         lambda children: {"kind": "sum", "children": children},
         lambda children: {"kind": "product", "children": children},
         lambda coeff, child: {"kind": "scale", "coeff": complex_to_json(coeff), "child": child},
@@ -108,10 +109,7 @@ def expr_to_json(expr) -> dict:
 def expr_from_json(data):
     kind = data.get("kind")
     if kind == "deriv":
-        level = validate_level(data["level"])
-        j = MultiIndex.from_rows(data["j"])
-        char = _char_by_index(level, j.g, data["char_index"])
-        return DerivSymbol(level, j, char)
+        return DerivSymbol(*_symbol_from_json(data))
     if kind == "sum":
         return Sum(tuple(expr_from_json(c) for c in data["children"]))
     if kind == "product":

@@ -1,6 +1,9 @@
 """Command-line interface: JSON output and the exit-code contract."""
 
+import argparse
+import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -89,6 +92,22 @@ class TestEval:
             "--omega", OMEGA_I, "--w", "[[[0,60]]]",
         )
         assert out.returncode == 3
+
+    def test_char_index_out_of_range_exits_2(self):
+        out = run_cli(
+            "eval", "--kind", "theta", "--level", "[[2]]", "--char-index", "2",
+            "--omega", OMEGA_I, "--w", "[[[0,0]]]",
+        )
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["error"]["type"] == "DimensionMismatchError"
+
+    def test_near_boundary_omega_exits_2(self):
+        out = run_cli(
+            "eval", "--kind", "theta", "--level", "[[2]]",
+            "--omega", "[[[0,0.0005]]]", "--w", "[[[0,0]]]",
+        )
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["error"]["type"] == "NotPositiveDefiniteError"
 
 
 class TestVerify:
@@ -241,3 +260,51 @@ class TestExitCodes:
         error = json.loads(out.read_text())["error"]
         assert error["type"] == "ResidualTooLargeError"
         assert "not finite" in error["message"]
+
+
+EVAL_THETA = ("eval", "--kind", "theta", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]")
+USAGE_ERRORS = {
+    "unknown-suite": ("verify", "--suite", "nope"),
+    "missing-omega": ("decompose", "--input", "-"),
+    "seed-not-int": ("verify", "--suite", "commutators", "--seed", "abc"),
+    "detached-negative-tol": ("verify", "--suite", "quasiperiodicity", "--tol", "-1e-8"),
+    "unknown-subcommand": ("nope",),
+    "characteristics-seed": ("characteristics", "--level", "[[2]]", "-g", "1", "--seed", "1"),
+    "characteristics-tol": ("characteristics", "--level", "[[2]]", "-g", "1", "--tol", "1e-8"),
+    "eval-seed": (*EVAL_THETA, "--seed", "1"),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_json_error_exit_2(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["error"]["type"] == "ValueError"
+
+    def test_reported_on_stdout_despite_out(self, tmp_path, capsys):
+        path = tmp_path / "err.json"
+        assert cli.main(["verify", "--suite", "nope", "--out", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+        assert not path.exists()
+
+    def test_help_exits_0(self):
+        out = run_cli("--help")
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: thetadecomp")
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(_subcommands()))
+def test_every_option_is_read(name):
+    # an option its command never reads would be accepted and silently ignored
+    sub = _subcommands()[name]
+    dests = {a.dest for a in sub._actions} - {"command", "func", "help"}
+    read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(sub.get_default("func"))))
+    assert dests == read

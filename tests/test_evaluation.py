@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thetadecomp import evaluation
 from thetadecomp.errors import (
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     RadiusUnachievableError,
     ThetaError,
     TruncationInsufficientError,
@@ -92,7 +93,7 @@ class TestThetaSeries:
 
     def test_near_boundary_omega_rejected(self):
         shallow = PeriodMatrix([[1e-4j]])
-        with pytest.raises(ValueError, match="boundary"):
+        with pytest.raises(NotPositiveDefiniteError, match="boundary"):
             theta_series(LEVEL2, chars(LEVEL2)[0], shallow, [[0.0]], CFG)
 
 
