@@ -12,6 +12,7 @@ values, so the certificates are independent of the solve.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .evaluation import (
     TAIL_TARGET,  # noqa: F401  (stays importable from here)
+    aux_theta_block,
     aux_theta_series,
     shift_law_residual,
     theta_series,
@@ -97,16 +99,6 @@ def _sample_points(seed: int, label: int, count: int, h: int, g: int):
     return _box_sample(rng, (count, h, g)), _box_sample(rng, (count, h, g))
 
 
-def candidate_basis(level: LevelMatrix, max_degree: int, omega: PeriodMatrix) -> list[BasisSymbol]:
-    """Symbols of one level with |J| <= max_degree: graded-lexicographic J, then characteristic."""
-    chars = enumerate_characteristics(level, omega.g)
-    return [
-        BasisSymbol(level, j, ch)
-        for j in multi_indices_up_to(level.h, omega.g, max_degree)
-        for ch in chars
-    ]
-
-
 def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
                  omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     """Express a sampled function in the candidate basis of one level.
@@ -119,19 +111,19 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
     samples raise ResidualTooLargeError before the solve.
     """
     h, g = level.h, omega.g
-    basis = candidate_basis(level, max_degree, omega)
-    n_fit = math.ceil(OVERSAMPLE * len(basis))
+    js = multi_indices_up_to(h, g, max_degree)
+    chars = enumerate_characteristics(level, g)
+    n_fit = math.ceil(OVERSAMPLE * len(js) * len(chars))
     total = n_fit + cfg.holdout
     eval_cfg = truncation_config(level, omega, SAMPLE_BOX, max_degree)
 
     conditioning = math.inf
     for seed in (cfg.seed, (cfg.seed + 1) & _MASK64):
         points = list(zip(*_sample_points(seed, _STREAM_FIT, total, h, g)))
-        design = np.array(
-            [[aux_theta_series(s.level, s.j, s.char, omega, z, w, eval_cfg).value for s in basis]
-             for z, w in points],
-            dtype=complex,
-        )
+        # one row per point: J first, then characteristic, one block call per J
+        design = np.array([np.concatenate([
+            aux_theta_block(level, j, chars, omega, z, w, eval_cfg)[0] for j in js
+        ]) for z, w in points])
         rhs = np.array([f(z, w) for z, w in points], dtype=complex)
         if not (np.isfinite(design).all() and np.isfinite(rhs).all()):
             raise ResidualTooLargeError("sampled basis or function values are not finite")
@@ -145,9 +137,9 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
         )
 
     keep = np.abs(coeffs) > PRUNE_EPS
-    element = AlgebraElement(
-        {s: complex(c) for s, c, k in zip(basis, coeffs, keep) if k}
-    )
+    columns = itertools.product(js, chars)
+    element = AlgebraElement({BasisSymbol(level, j, char): complex(c)
+                              for (j, char), c, k in zip(columns, coeffs, keep) if k})
     pruned = np.where(keep, coeffs, 0.0)
     predicted = design[n_fit:] @ pruned
     residual = float(np.abs(rhs[n_fit:] - predicted).max())

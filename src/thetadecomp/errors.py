@@ -61,5 +61,9 @@ class ResidualTooLargeError(ThetaError):
     """Holdout residual of a fit exceeds the configured tolerance."""
 
 
+class BudgetExceededError(ThetaError):
+    """The requested enumeration is larger than its fixed budget."""
+
+
 class LevelSumInvalidError(ThetaError):
     """Sum of two level matrices left the admissible set (zero entry)."""

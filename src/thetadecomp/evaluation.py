@@ -1,7 +1,8 @@
 """Truncated evaluation of theta series and auxiliary theta series.
 
 The series are summed over the sup-norm lattice box |N_ka| <= radius, as one
-quadratic form whose (level, Omega, radius) part is computed once.  Every
+quadratic form whose (level, Omega, radius) part is computed once; the
+characteristics of one level are an array axis of that sum.  Every
 evaluation returns the value together with a certified bound on the omitted
 tail, derived from the Gaussian decay rate pi * lambda_min(M) * lambda_min(Im
 omega) with a polynomial-times-Gaussian envelope when a nonzero multi-index
@@ -32,7 +33,7 @@ from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _re
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
-SHIFT_CHECK_STEP = 1e-5  # central-difference step of shift_operator_check
+BLOCK_TERMS = 1 << 16  # series terms one kernel call holds at most
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,6 @@ def as_matrix(x, h: int, g: int) -> np.ndarray:
     if arr.shape != (h, g):
         raise DimensionMismatchError(f"expected a {h}x{g} matrix, got shape {arr.shape}")
     return arr
-
-
-@functools.lru_cache(maxsize=64)
-def _lattice_box(h: int, g: int, radius: int) -> np.ndarray:
-    """The integer h x g matrices with entries in [-radius, radius], last entry fastest."""
-    axis = np.arange(-radius, radius + 1, dtype=float)
-    grid = np.meshgrid(*([axis] * (h * g)), indexing="ij", copy=False)
-    return _read_only(np.stack(grid, axis=-1).reshape(-1, h, g))
 
 
 def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
@@ -116,11 +109,13 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
 def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     """The part of the series exponent that depends on (level, Omega, radius) only.
 
-    With the cube flattened to n (P x hg) and Q = M kron Omega, returns n,
-    Q, M kron I and the per-point forms n^t (Im Q) n and n^t (Re Q) n, all
-    read-only; the last is None when Re Omega = 0.
+    With the cube |N_ka| <= radius flattened to n (P x hg, last entry fastest)
+    and Q = M kron Omega, returns n, Q, M kron I and the per-point forms
+    n^t (Im Q) n and n^t (Re Q) n, all read-only; the last is None when Re Omega = 0.
     """
-    n = _lattice_box(level.h, omega.g, radius).reshape(-1, level.h * omega.g)
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    grid = np.meshgrid(*([axis] * (level.h * omega.g)), indexing="ij", copy=False)
+    n = _read_only(np.stack(grid, axis=-1).reshape(-1, len(grid)))
     m = level.as_array()
     q = _read_only(np.kron(m, omega.omega))
     m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
@@ -131,44 +126,70 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     return n, q, m_kron_i, form(q.imag), form(q.real) if omega.omega.real.any() else None
 
 
-def _aux_value(level, j, char, omega, z, w, radius):
-    """The truncated series as one quadratic form X = n^t Q n + c.n + d on the cube.
+def _aux_value(level, j, chars, omega, z, w, radius):
+    """The truncated series per characteristic, as one quadratic form X = n^t Q n + c.n + d.
 
-    Each term is exp(i pi X) times the monomial weight; only c, d and the
-    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.
+    Each term is exp(i pi X) times the monomial weight; only the rows c, d and the
+    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The rows are
+    computed one characteristic at a time and the rest runs elementwise over the
+    C x P terms, so each value equals its one-characteristic value to the last bit.
     """
     n, q, m_kron_i, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     m = level.as_array()
-    a = char.as_array()
-    qa = q @ a.ravel()
-    c = 2.0 * ((m @ w).ravel() + qa)
-    d = (c - qa) @ a.ravel()  # vec A^t Q vec A + 2 vec(MW) . vec A
-    im_x = n @ c.imag
+    mw = (m @ w).ravel()
+    re_x = np.empty((len(chars), len(n)))
+    im_x = np.empty_like(re_x)
+    d = np.empty((len(chars), 1), dtype=complex)
+    for ci, char in enumerate(chars):
+        a = char.as_array().ravel()
+        qa = q @ a
+        c = 2.0 * (mw + qa)
+        d[ci] = (c - qa) @ a  # vec A^t Q vec A + 2 vec(MW) . vec A
+        np.matmul(n, c.imag, out=im_x[ci])
+        np.matmul(n, c.real, out=re_x[ci])
     im_x += n_imq_n
-    re_x = n @ c.real
     if n_req_n is not None:
         re_x += n_req_n
     terms = np.exp(np.pi * (1j * (re_x + d.real) - (im_x + d.imag)))
     if j.size:
         # (M(Z+N+A))_ka = n . (M kron I)[ka] + (M(Z+A))_ka
-        offsets = (m @ (z + a)).ravel()
+        offsets = np.array([(m @ (z + char.as_array())).ravel() for char in chars])
         for i, power in enumerate(p for row in j.j for p in row):
             if power:
-                lam = n @ m_kron_i[i] + offsets[i]
+                lam = n @ m_kron_i[i] + offsets[:, i, None]
                 for _ in range(power):
                     terms *= lam
-    return (2j * np.pi) ** j.size * complex(terms.sum())
+    return (2j * np.pi) ** j.size * terms.sum(axis=1)
 
 
-def _check_inputs(level, j, char, omega):
-    if char.level != level:
-        raise DimensionMismatchError("characteristic belongs to a different level matrix")
-    if j is not None and (j.h, j.g) != (level.h, omega.g):
-        raise DimensionMismatchError(
-            f"multi-index shape {j.h}x{j.g} does not match h={level.h}, g={omega.g}"
+def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
+                    z, w, cfg: TruncationConfig) -> tuple[np.ndarray, float]:
+    """The auxiliary series of one (level, J) at one point, for a list of characteristics.
+
+    Returns the values, in the order of ``chars``, and their one certified tail
+    bound, which depends on |J|, Z, W and the radius but not on the characteristic.
+    The characteristics are summed in slices of at most BLOCK_TERMS lattice terms;
+    each value is the one ``aux_theta_series`` gives, to the last bit.
+    """
+    h, g = level.h, omega.g
+    if (j.h, j.g) != (h, g):
+        raise DimensionMismatchError(f"multi-index shape {j.h}x{j.g} does not match h={h}, g={g}")
+    if any(char.level != level or char.g != g for char in chars):
+        raise DimensionMismatchError("characteristic does not match the level matrix and omega")
+    z = as_matrix(z, h, g)
+    w = as_matrix(w, h, g)
+    mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
+    z_sup = float(np.abs(z).max()) if j.size else 0.0
+    bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
+    if bound > cfg.tail_tol:
+        raise TruncationInsufficientError(
+            f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
-    if char.g != omega.g:
-        raise DimensionMismatchError("characteristic width does not match omega")
+    step = max(1, BLOCK_TERMS // (2 * cfg.radius + 1) ** (h * g))
+    values = np.empty(len(chars), dtype=complex)
+    for lo in range(0, len(chars), step):
+        values[lo:lo + step] = _aux_value(level, j, chars[lo:lo + step], omega, z, w, cfg.radius)
+    return values, bound
 
 
 def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
@@ -180,19 +201,8 @@ def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
     box, and certifies the tail.  At J = 0 the value is independent of Z and
     equals the plain theta series.
     """
-    _check_inputs(level, j, char, omega)
-    h, g = level.h, omega.g
-    z = as_matrix(z, h, g)
-    w = as_matrix(w, h, g)
-    value = _aux_value(level, j, char, omega, z, w, cfg.radius)
-    mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
-    z_sup = float(np.abs(z).max()) if j.size else 0.0
-    bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
-    if bound > cfg.tail_tol:
-        raise TruncationInsufficientError(
-            f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
-        )
-    return ThetaValue(value=value, tail_bound=bound)
+    values, bound = aux_theta_block(level, j, [char], omega, z, w, cfg)
+    return ThetaValue(value=complex(values[0]), tail_bound=bound)
 
 
 def theta_series(level: LevelMatrix, char: Characteristic, omega: PeriodMatrix,
@@ -263,9 +273,10 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
 
     Compares the series at J+epsilon_{ka} against
     2 pi i (M Z)_{ka} * series(J) + d/dW_{ka} series(J), the derivative taken
-    as a central difference with step SHIFT_CHECK_STEP.  Scale-normalized like
-    quasi_period_residual, since the finite-difference truncation error grows
-    with the magnitude of the function.
+    by ``wderiv_fd``, the Richardson-extrapolated central difference every
+    verification derivative uses.  Scale-normalized like quasi_period_residual,
+    since the finite-difference truncation error grows with the magnitude of
+    the function.
     """
     h, g = level.h, omega.g
     if not (1 <= k <= h and 1 <= a <= g):
@@ -274,12 +285,8 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     w = as_matrix(w, h, g)
     lhs = aux_theta_series(level, j.bump(k, a, +1), char, omega, z, w, cfg).value
     base = aux_theta_series(level, j, char, omega, z, w, cfg).value
-    dw = np.zeros((h, g), dtype=complex)
-    dw[k - 1, a - 1] = SHIFT_CHECK_STEP
-    fd = (
-        aux_theta_series(level, j, char, omega, z, w + dw, cfg).value
-        - aux_theta_series(level, j, char, omega, z, w - dw, cfg).value
-    ) / (2.0 * SHIFT_CHECK_STEP)
+    fd = wderiv_fd(lambda ww: aux_theta_series(level, j, char, omega, z, ww, cfg).value,
+                   w, MultiIndex.zeros(h, g).bump(k, a, +1))
     mz = (level.as_array() @ z)[k - 1, a - 1]
     rhs = 2j * np.pi * mz * base + fd
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

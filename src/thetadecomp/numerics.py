@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InvalidBinomError,
     NegativeEntryError,
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 Rows = tuple[tuple[int, ...], ...]
+CHARACTERISTIC_CAP = 1 << 16  # most characteristics one enumeration may build
 
 
 def _as_int_rows(m) -> Rows:
@@ -297,10 +299,13 @@ def enumerate_characteristics(level: LevelMatrix, g: int) -> list[Characteristic
     U*M*V = diag(d_1..d_h): residue r maps to the column V*(r_i/d_i) reduced
     into [0,1).  Matrices are enumerated lexicographically on the
     concatenated residue tuples (first column slowest), so the index of a
-    characteristic is stable across runs.
+    characteristic is stable across runs.  A list longer than
+    CHARACTERISTIC_CAP raises BudgetExceededError before anything is built.
     """
     if g < 1:
         raise DimensionMismatchError("g must be a positive integer")
+    if level.det() ** g > CHARACTERISTIC_CAP:
+        raise BudgetExceededError(f"{level.det()}^{g} characteristics exceed {CHARACTERISTIC_CAP}")
     h = level.h
     _, d, v = smith_normal_form(level.entries)
     diag = [d[i][i] for i in range(h)]

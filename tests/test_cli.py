@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,12 +15,13 @@ from thetadecomp import cli, errors, evaluation, verify
 OMEGA_I = "[[[0,1]]]"
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "thetadecomp.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -40,6 +42,13 @@ class TestCharacteristics:
         out = run_cli("characteristics", "--level", "[[2,1],[1,2]]", "-g", "2")
         assert out.returncode == 0
         assert len(json.loads(out.stdout)) == 9
+
+    def test_over_budget_exits_2(self):
+        started = time.perf_counter()
+        out = run_cli("characteristics", "--level", "[[2]]", "-g", "40", timeout=30)
+        assert time.perf_counter() - started < 1.0
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["error"]["type"] == "BudgetExceededError"
 
     def test_deterministic_bytes(self):
         a = run_cli("characteristics", "--level", "[[4]]", "-g", "1")
@@ -251,7 +260,8 @@ class TestExitCodes:
 
     def test_nonfinite_kernel_exits_4(self, monkeypatch, tmp_path):
         # a NaN series value reaches the fit, which must refuse it before the solve
-        monkeypatch.setattr(evaluation, "_aux_value", lambda *args: complex(float("nan"), 0.0))
+        monkeypatch.setattr(evaluation, "_aux_value",
+                            lambda level, j, chars, *rest: [complex(float("nan"), 0.0)] * len(chars))
         src = tmp_path / "in.json"
         src.write_text(json.dumps(THETA_PRODUCT))
         out = tmp_path / "out.json"

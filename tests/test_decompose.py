@@ -113,7 +113,8 @@ class TestFitInBasis:
         # a NaN design matrix is rejected before the least-squares solve
         from thetadecomp import evaluation
 
-        monkeypatch.setattr(evaluation, "_aux_value", lambda *args: complex(float("nan"), 0.0))
+        monkeypatch.setattr(evaluation, "_aux_value",
+                            lambda level, j, chars, *rest: [complex(float("nan"), 0.0)] * len(chars))
         with pytest.raises(ResidualTooLargeError, match="not finite"):
             fit_in_basis(lambda z, w: 1.0 + 0j, LEVEL2, 1, OMEGA, CFG)
 

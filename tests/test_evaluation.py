@@ -310,14 +310,23 @@ def product_cube(h, g, radius):
 
 
 def reference_terms(level, j, char, omega, z, w, radius):
-    """The summed terms, one lattice point at a time, by the direct einsum expression."""
+    """The summed terms, one lattice point at a time, by the direct einsum expression.
+
+    Also returns the size their roundoff scales with: |term|, but with each
+    monomial (M(Z+N+A))_ka taken as sum_l |M_kl| |Z+N+A|_la.  The two differ
+    where a monomial cancels, and a monomial that is 0 in exact arithmetic
+    comes out of either evaluation as a few units of roundoff.
+    """
     m = level.as_array()
     b = product_cube(level.h, omega.g, radius) + char.as_array()
     quad = np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
     lin = np.einsum("kl,la,pka->p", m, w, b)
     lam = np.einsum("kl,pla->pka", m.astype(complex), z[None, :, :] + b)
     weight = np.prod(lam ** j.as_array()[None, :, :], axis=(1, 2))
-    return (2j * np.pi) ** j.size * weight * np.exp(np.pi * 1j * (quad + 2.0 * lin))
+    gauss = np.exp(np.pi * 1j * (quad + 2.0 * lin))
+    lam_abs = np.einsum("kl,pla->pka", np.abs(m), np.abs(z[None, :, :] + b))
+    weight_abs = np.prod(lam_abs ** j.as_array()[None, :, :], axis=(1, 2))
+    return (2j * np.pi) ** j.size * weight * gauss, (2 * np.pi) ** j.size * weight_abs * np.abs(gauss)
 
 
 @st.composite
@@ -331,22 +340,22 @@ def kernel_cases(draw):
     if g == 2:
         im[0, 1] = draw(st.floats(-0.3, 0.3))
     omega = PeriodMatrix(np.triu(re + 1j * im) + np.triu(re + 1j * im, 1).T)
-    char = draw(st.sampled_from(enumerate_characteristics(level, g)))
     j = draw(st.sampled_from(multi_indices_up_to(h, g, 2)))
 
     def point():
         parts = np.array(draw(st.lists(unit, min_size=2 * h * g, max_size=2 * h * g)))
         return (parts[: h * g] + 1j * parts[h * g:]).reshape(h, g)
 
-    return level, j, char, omega, point(), point(), draw(st.integers(1, 4))
+    return level, j, omega, point(), point(), draw(st.integers(1, 4))
 
 
 class TestKernel:
     @pytest.mark.parametrize("h,g,radius", [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 1, 2),
                                             (2, 2, 1), (2, 2, 2), (1, 3, 1)])
     def test_lattice_box_is_the_product_order(self, h, g, radius):
-        want = product_cube(h, g, radius)
-        got = evaluation._lattice_box(h, g, radius)
+        want = product_cube(h, g, radius).reshape(-1, h * g)
+        level = {1: LEVEL2, 2: HEX}[h]
+        got = evaluation._quadratic_form(level, PeriodMatrix(1j * np.eye(g)), radius)[0]
         assert got.shape == want.shape and np.array_equal(got, want)
         assert not got.flags.writeable
 
@@ -356,10 +365,59 @@ class TestKernel:
     @PROPERTY
     @given(kernel_cases())
     def test_quadratic_form_matches_pointwise_terms(self, case):
-        level, j, char, omega, z, w, radius = case
-        terms = reference_terms(level, j, char, omega, z, w, radius)
-        got = evaluation._aux_value(level, j, char, omega, z, w, radius)
-        assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        # all characteristics of the level in one call; each value is its own
+        # one-characteristic value, to the bit
+        level, j, omega, z, w, radius = case
+        chars = enumerate_characteristics(level, omega.g)
+        got = evaluation._aux_value(level, j, chars, omega, z, w, radius)
+        assert len(got) == len(chars)
+        for char, value in zip(chars, got):
+            terms, scale = reference_terms(level, j, char, omega, z, w, radius)
+            assert abs(value - terms.sum()) <= 1e-13 * scale.sum()
+            assert value == evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
         memo = evaluation._quadratic_form(level, omega, radius)
         assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
         assert not any(arr.flags.writeable for arr in memo)
+
+    def test_block_slices_do_not_change_values(self, monkeypatch):
+        # 144 characteristics on a 14,641-point cube: 4 per slice by default
+        level = validate_level([[4, 2], [2, 4]])
+        omega = PeriodMatrix([[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]])
+        chars2 = enumerate_characteristics(level, 2)
+        z = np.array([[0.1 + 0.2j, -0.3j], [0.2, 0.1 - 0.1j]])
+        w = np.array([[0.05 - 0.1j, 0.2 + 0.3j], [-0.1, 0.3j]])
+        cfg = TruncationConfig(radius=5, tail_tol=1e-10)
+        j = MultiIndex.from_rows([[1, 0], [0, 1]])
+        blocks = []
+        for terms in (evaluation.BLOCK_TERMS, 1, 1 << 40):
+            monkeypatch.setattr(evaluation, "BLOCK_TERMS", terms)
+            blocks.append(evaluation.aux_theta_block(level, j, chars2, omega, z, w, cfg))
+        (values, bound), *others = blocks
+        assert len(values) == 144
+        for other_values, other_bound in others:
+            assert np.array_equal(values, other_values) and bound == other_bound
+
+    @pytest.mark.parametrize("radius", [1, 3, 4])
+    def test_block_bound_is_each_series_bound(self, radius):
+        chars2 = enumerate_characteristics(LEVEL2, 2)
+        omega = PeriodMatrix([[1j, 0.25], [0.25, 1.5j]])
+        z = np.full((1, 2), 0.3 + 0.1j)
+        w = np.array([[0.1 + 0.2j, -0.2 - 0.3j]])
+        cfg = TruncationConfig(radius=radius, tail_tol=1e-10)
+        for j in multi_indices_up_to(1, 2, 2):
+            try:
+                values, bound = evaluation.aux_theta_block(LEVEL2, j, chars2, omega, z, w, cfg)
+            except TruncationInsufficientError:
+                for char in chars2:
+                    with pytest.raises(TruncationInsufficientError):
+                        aux_theta_series(LEVEL2, j, char, omega, z, w, cfg)
+                continue
+            for char, value in zip(chars2, values):
+                one = aux_theta_series(LEVEL2, j, char, omega, z, w, cfg)
+                assert one.tail_bound == bound and one.value == value
+
+    def test_block_rejects_a_foreign_characteristic(self):
+        mixed = chars(LEVEL2) + chars(LEVEL4)[:1]
+        with pytest.raises(DimensionMismatchError):
+            evaluation.aux_theta_block(LEVEL2, MultiIndex.zeros(1, 1), mixed, OMEGA_I,
+                                       [[0.0]], [[0.0]], CFG)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thetadecomp import numerics
 from thetadecomp.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InvalidBinomError,
     NegativeEntryError,
@@ -124,6 +126,14 @@ class TestCharacteristics:
             (Fraction(1, 3), Fraction(1, 3)),
             (Fraction(2, 3), Fraction(2, 3)),
         }
+
+    def test_budget_is_checked_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(numerics, "CHARACTERISTIC_CAP", 4)
+        assert len(enumerate_characteristics(validate_level([[2]]), 2)) == 4
+        with pytest.raises(BudgetExceededError, match="2\\^3"):
+            enumerate_characteristics(validate_level([[2]]), 3)
+        with pytest.raises(BudgetExceededError):
+            enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)
 
     def test_count_is_det_to_the_g(self):
         assert len(enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)) == 9
