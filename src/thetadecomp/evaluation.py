@@ -186,10 +186,10 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
     step = max(1, BLOCK_TERMS // (2 * cfg.radius + 1) ** (h * g))
-    values = np.empty(len(chars), dtype=complex)
-    for lo in range(0, len(chars), step):
-        values[lo:lo + step] = _aux_value(level, j, chars[lo:lo + step], omega, z, w, cfg.radius)
-    return values, bound
+    if len(chars) <= step:
+        return _aux_value(level, j, chars, omega, z, w, cfg.radius), bound
+    return np.concatenate([_aux_value(level, j, chars[lo:lo + step], omega, z, w, cfg.radius)
+                           for lo in range(0, len(chars), step)]), bound
 
 
 def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,

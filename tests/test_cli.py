@@ -6,7 +6,6 @@ import json
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -44,9 +43,8 @@ class TestCharacteristics:
         assert len(json.loads(out.stdout)) == 9
 
     def test_over_budget_exits_2(self):
-        started = time.perf_counter()
+        # 2^40 characteristics: refused before enumerating, not enumerated until the timeout
         out = run_cli("characteristics", "--level", "[[2]]", "-g", "40", timeout=30)
-        assert time.perf_counter() - started < 1.0
         assert out.returncode == 2
         assert json.loads(out.stdout)["error"]["type"] == "BudgetExceededError"
 

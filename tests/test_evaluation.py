@@ -340,13 +340,14 @@ def kernel_cases(draw):
     if g == 2:
         im[0, 1] = draw(st.floats(-0.3, 0.3))
     omega = PeriodMatrix(np.triu(re + 1j * im) + np.triu(re + 1j * im, 1).T)
+    char = draw(st.sampled_from(enumerate_characteristics(level, g)))
     j = draw(st.sampled_from(multi_indices_up_to(h, g, 2)))
 
     def point():
         parts = np.array(draw(st.lists(unit, min_size=2 * h * g, max_size=2 * h * g)))
         return (parts[: h * g] + 1j * parts[h * g:]).reshape(h, g)
 
-    return level, j, omega, point(), point(), draw(st.integers(1, 4))
+    return level, j, char, omega, point(), point(), draw(st.integers(1, 4))
 
 
 class TestKernel:
@@ -365,16 +366,21 @@ class TestKernel:
     @PROPERTY
     @given(kernel_cases())
     def test_quadratic_form_matches_pointwise_terms(self, case):
-        # all characteristics of the level in one call; each value is its own
-        # one-characteristic value, to the bit
-        level, j, omega, z, w, radius = case
+        level, j, char, omega, z, w, radius = case
+        terms, _ = reference_terms(level, j, char, omega, z, w, radius)
+        got = evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
+        assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        # all characteristics of the level in one call: each value is its own
+        # one-characteristic value, to the bit.  Some other characteristic's
+        # monomial can cancel to 0 in exact arithmetic, so those are held to the
+        # roundoff scale of the terms rather than to the sum of their moduli.
         chars = enumerate_characteristics(level, omega.g)
-        got = evaluation._aux_value(level, j, chars, omega, z, w, radius)
-        assert len(got) == len(chars)
-        for char, value in zip(chars, got):
-            terms, scale = reference_terms(level, j, char, omega, z, w, radius)
+        block = evaluation._aux_value(level, j, chars, omega, z, w, radius)
+        assert len(block) == len(chars) and block[chars.index(char)] == got
+        for other, value in zip(chars, block):
+            terms, scale = reference_terms(level, j, other, omega, z, w, radius)
             assert abs(value - terms.sum()) <= 1e-13 * scale.sum()
-            assert value == evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
+            assert value == evaluation._aux_value(level, j, [other], omega, z, w, radius)[0]
         memo = evaluation._quadratic_form(level, omega, radius)
         assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
         assert not any(arr.flags.writeable for arr in memo)

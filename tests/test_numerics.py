@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,12 @@ class TestCharacteristics:
             enumerate_characteristics(validate_level([[2]]), 3)
         with pytest.raises(BudgetExceededError):
             enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)
+
+    def test_over_budget_is_refused_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="2\\^40"):
+            enumerate_characteristics(validate_level([[2]]), 40)
+        assert time.perf_counter() - started < 1.0
 
     def test_count_is_det_to_the_g(self):
         assert len(enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)) == 9
