@@ -8,12 +8,14 @@ codes: 0 ok, 1 verification failure; the error codes 2-5 (validation,
 truncation insufficient, residual too large or ill-conditioned, level-sum
 invalid) come from ``EXIT_CODES``, their one source.  Every failure prints a
 JSON error object and nothing on stderr; a usage error is a ValueError
-(exit 2), printed on stdout even when --out is given.
+(exit 2), printed on stdout even when --out is given.  A non-finite matrix
+entry is a ValueError, and eval refuses a non-finite series value (exit 3).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -75,7 +77,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_matrix(text) -> list:
-    return complex_matrix_from_json(json.loads(text))
+    rows = complex_matrix_from_json(json.loads(text))
+    if not all(cmath.isfinite(x) for row in rows for x in row):
+        raise ValueError(f"complex matrix {text} has a non-finite entry")
+    return rows
 
 
 def cmd_characteristics(args) -> int:
@@ -99,8 +104,14 @@ def cmd_eval(args) -> int:
     tol = args.tol if args.tol is not None else TAIL_TARGET
     box = max(float(np.abs(w.imag).max()), float(np.abs(z).max()), 0.01)
     cfg = truncation_config(level, omega, box, j.size, tol)
-    # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series
-    value = aux_theta_series(level, j, char, omega, z, w, cfg)
+    # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series;
+    # a sum that overflowed is refused below, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = aux_theta_series(level, j, char, omega, z, w, cfg)
+    if not cmath.isfinite(value.value):
+        raise TruncationInsufficientError(
+            f"series value {value.value} is not finite at radius {cfg.radius}; no bound certifies it"
+        )
     _emit(
         {
             "value": complex_to_json(value.value),

@@ -11,7 +11,6 @@ values, so the certificates are independent of the solve.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -61,6 +60,9 @@ _MASK64 = (1 << 64) - 1
 _STREAM_FIT = 0
 _STREAM_CERTIFY = 1
 _STREAM_VERIFY = 2
+_STREAM_VERIFY_SHIFT = 18  # verify_theorem3's shift-law cases
+_STREAM_QP_SUITE = 32  # plus the configuration index: the quasiperiodicity suite's cases
+_STREAM_KERNEL_SUITE = 48  # the commutator suite's kernel elements
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,9 @@ def _decompose_node(expr, omega, cfg):
     return fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
 
 
-def _max_keep_nan(acc: float, x: float) -> float:
-    """``max(acc, x)`` for residuals, except that a NaN is kept, never dropped."""
-    return x if x > acc or math.isnan(x) else acc
+def _worst(residuals) -> float:
+    """The largest residual: 0.0 for none, NaN if any is NaN (a case passes only if r < tol)."""
+    return float(np.max(residuals, initial=0.0))
 
 
 def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> float:
@@ -272,9 +274,7 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
         element = element.prune()
 
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
-    residual = functools.reduce(
-        _max_keep_nan, (_fd_mismatch(expr, element, omega, w) for w in w_pts), 0.0
-    )
+    residual = _worst([_fd_mismatch(expr, element, omega, w) for w in w_pts])
     if not math.isfinite(residual):
         raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
     return Decomposition(element=element, residual=residual, conditioning=conditioning)
@@ -296,20 +296,19 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     degree = dec.element.degree()
     components = [(lvl, dec.element.level_component(lvl)) for lvl in dec.element.levels()]
 
-    max_z0 = 0.0
-    max_sample = 0.0
+    z0, sample = [], []
     for z, w in zip(z_pts, w_pts):
-        max_z0 = _max_keep_nan(max_z0, _fd_mismatch(expr, dec.element, omega, w))
+        z0.append(_fd_mismatch(expr, dec.element, omega, w))
         lhs = _expr_aux_value(expr, omega, z, w)
         rhs = sum(
             evaluate_element(comp, omega, z, w, truncation_config(lvl, omega, box, degree)).value
             for lvl, comp in components
         )
-        max_sample = _max_keep_nan(max_sample, abs(lhs - rhs))
+        sample.append(abs(lhs - rhs))
 
     # shift-law residual of each level component of the output
-    max_qp = 0.0
-    rng = _rng(cfg.seed, _STREAM_VERIFY + 16)
+    qp = []
+    rng = _rng(cfg.seed, _STREAM_VERIFY_SHIFT)
     for lvl, comp in components:
         qp_cfg = truncation_config(lvl, omega, box + omega.im_reach + 1.0, comp.degree())
 
@@ -321,11 +320,11 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
             w = _box_sample(rng, (h, g))
             xi = rng.integers(-1, 2, (h, g)).astype(float)
             eta = rng.integers(-1, 2, (h, g)).astype(float)
-            max_qp = _max_keep_nan(max_qp, shift_law_residual(value, lvl, omega, z, w, xi, eta))
+            qp.append(shift_law_residual(value, lvl, omega, z, w, xi, eta))
 
     return {
         "points": cfg.holdout,
-        "max_z0_residual": max_z0,
-        "max_sample_residual": max_sample,
-        "max_quasiperiod_residual": max_qp,
+        "max_z0_residual": _worst(z0),
+        "max_sample_residual": _worst(sample),
+        "max_quasiperiod_residual": _worst(qp),
     }

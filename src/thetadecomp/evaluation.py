@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotPositiveDefiniteError,
@@ -34,6 +35,7 @@ RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
 BLOCK_TERMS = 1 << 16  # series terms one kernel call holds at most
+LATTICE_POINT_CAP = 1 << 20  # most points of one lattice cube
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,13 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     With the cube |N_ka| <= radius flattened to n (P x hg, last entry fastest)
     and Q = M kron Omega, returns n, Q, M kron I and the per-point forms
     n^t (Im Q) n and n^t (Re Q) n, all read-only; the last is None when Re Omega = 0.
+    A cube of more than LATTICE_POINT_CAP points raises BudgetExceededError unbuilt.
     """
+    points = (2 * radius + 1) ** (level.h * omega.g)
+    if points > LATTICE_POINT_CAP:
+        raise BudgetExceededError(
+            f"radius {radius} cube of {points} lattice points exceeds {LATTICE_POINT_CAP}"
+        )
     axis = np.arange(-radius, radius + 1, dtype=float)
     grid = np.meshgrid(*([axis] * (level.h * omega.g)), indexing="ij", copy=False)
     n = _read_only(np.stack(grid, axis=-1).reshape(-1, len(grid)))

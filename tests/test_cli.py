@@ -3,15 +3,19 @@
 import argparse
 import inspect
 import json
+import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thetadecomp import cli, errors, evaluation, verify
 
 OMEGA_I = "[[[0,1]]]"
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_seed0.json"
 
 
 def run_cli(*args, stdin=None, timeout=None):
@@ -116,6 +120,34 @@ class TestEval:
         assert out.returncode == 2
         assert json.loads(out.stdout)["error"]["type"] == "NotPositiveDefiniteError"
 
+    def test_over_lattice_budget_exits_2(self):
+        # hex at g=2 with Im Omega = 0.2 I needs radius 27: a 9,150,625-point cube
+        out = run_cli(
+            "eval", "--kind", "theta", "--level", "[[2,1],[1,2]]",
+            "--omega", "[[[0,0.2],[0,0]],[[0,0],[0,0.2]]]",
+            "--w", "[[[0,0.4],[0,0.4]],[[0,0.4],[0,0.4]]]", timeout=60,
+        )
+        assert out.returncode == 2 and out.stderr == ""
+        assert json.loads(out.stdout)["error"]["type"] == "BudgetExceededError"
+
+    @pytest.mark.parametrize("w,z", [("[[[NaN,0]]]", "[[[0,0]]]"), ("[[[0,0]]]", "[[[0,Infinity]]]"),
+                                     ("[[[0,1e400]]]", "[[[0,0]]]")])
+    def test_nonfinite_input_exits_2(self, w, z):
+        out = run_cli("eval", "--kind", "aux", "--level", "[[2]]", "--omega", OMEGA_I, "--w", w, "--z", z)
+        assert out.returncode == 2 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "ValueError" and "non-finite" in error["message"]
+
+    def test_nonfinite_value_exits_3(self):
+        # far from the real axis the sum overflows although its tail bound is 1.2e-68
+        out = run_cli(
+            "eval", "--kind", "theta", "--level", "[[2]]",
+            "--omega", OMEGA_I, "--w", "[[[0,12]]]",
+        )
+        assert out.returncode == 3 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "TruncationInsufficientError" and "not finite" in error["message"]
+
 
 class TestVerify:
     def test_commutators_pass(self):
@@ -138,6 +170,23 @@ class TestVerify:
         assert by_name["theorem3"]["passed"] is False
         assert by_name["quasiperiodicity"]["tolerance"] == 1e-300
         assert report["passed"] is False
+
+    def test_report_matches_the_golden_file(self, tmp_path):
+        # a change that alters this report on purpose regenerates the file and says so
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+    def test_nan_kernel_fails_the_quasiperiodicity_suite(self, monkeypatch):
+        # a NaN residual fails its case and is the configuration's maximum, never 0
+        monkeypatch.setattr(evaluation, "_aux_value",
+                            lambda level, j, chars, *rest: np.full(len(chars), complex("nan+nanj")))
+        report = verify.run_quasiperiodicity_suite(0)
+        assert report["passed"] is False
+        for config in report["configs"]:
+            assert math.isnan(config["max_residual"]) and math.isnan(config["max_shift_residual"])
+            assert len(config["failures"]) == verify.QP_CASES + verify.SHIFT_CASES
+            assert config["passed"] is False
 
 
 class TestDecompose:

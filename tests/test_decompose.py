@@ -14,6 +14,7 @@ from thetadecomp.decompose import (
     diff_poly_decompose,
     fit_in_basis,
     level_sum,
+    _worst,
     product_expand,
     verify_theorem3,
 )
@@ -204,6 +205,15 @@ class TestDiffPolyDecompose:
         dec = diff_poly_decompose(expr, OMEGA, CFG)
         assert dec.element.is_zero()
         assert dec.residual < 1e-7
+        # the zero element has no level component, so no shift-law case
+        assert verify_theorem3(expr, dec, OMEGA, CFG)["max_quasiperiod_residual"] == 0.0
+
+    def test_worst_keeps_nan(self):
+        nan = float("nan")
+        assert _worst([]) == 0.0 and type(_worst([])) is float
+        assert _worst([0.5, 2.0, 1.0]) == 2.0 and type(_worst([0.5, 2.0])) is float
+        for residuals in ([nan], [1.0, nan], [nan, 1.0], [0.0, nan, 3.0]):
+            assert np.isnan(_worst(residuals))
 
     def test_two_seed_uniqueness(self):
         expr = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[0])))

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from thetadecomp import evaluation
 from thetadecomp.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     RadiusUnachievableError,
@@ -421,6 +424,27 @@ class TestKernel:
             for char, value in zip(chars2, values):
                 one = aux_theta_series(LEVEL2, j, char, omega, z, w, cfg)
                 assert one.tail_bound == bound and one.value == value
+
+    def test_over_budget_cube_is_refused_unbuilt(self):
+        # hex at g=2 with Im Omega = 0.2 I: the chosen radius 27 is a 55^4-point cube
+        omega = PeriodMatrix([[0.2j, 0], [0, 0.2j]])
+        cfg = truncation_config(HEX, omega, 0.4, 0)
+        assert (2 * cfg.radius + 1) ** 4 > evaluation.LATTICE_POINT_CAP
+        w = np.full((2, 2), 0.4j)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceededError):
+                theta_series(HEX, chars(HEX, 2)[0], omega, w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1.0
+        assert peak < 1 << 20
+        # a radius the caller sets is held to the same cap: 1201^2 points at g=1
+        with pytest.raises(BudgetExceededError):
+            theta_series(HEX, chars(HEX)[0], OMEGA_I, [[0.0], [0.0]],
+                         TruncationConfig(radius=600, tail_tol=1.0))
 
     def test_block_rejects_a_foreign_characteristic(self):
         mixed = chars(LEVEL2) + chars(LEVEL4)[:1]
