@@ -10,6 +10,8 @@ invalid) come from ``EXIT_CODES``, their one source.  Every failure prints a
 JSON error object and nothing on stderr; a usage error is a ValueError
 (exit 2), printed on stdout even when --out is given.  A non-finite matrix
 entry is a ValueError, and eval refuses a non-finite series value (exit 3).
+Every report is strict JSON: a non-finite number in it (a NaN residual of a
+failing verify case) is written as the string "NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,8 +64,19 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 )
 
 
+def _finite_json(x):
+    """``x`` with each non-finite float as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(x)  # json's own names for the three values
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    return x
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

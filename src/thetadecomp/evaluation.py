@@ -1,14 +1,18 @@
 """Truncated evaluation of theta series and auxiliary theta series.
 
-The series are summed over the sup-norm lattice box |N_ka| <= radius, as one
+The series are summed over the points of the sup-norm lattice box
+|N_ka| <= radius that lie in the Gaussian ellipsoid
+sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, as one
 quadratic form whose (level, Omega, radius) part is computed once; the
 characteristics of one level are an array axis of that sum.  Every
 evaluation returns the value together with a certified bound on the omitted
-tail, derived from the Gaussian decay rate pi * lambda_min(M) * lambda_min(Im
-omega) with a polynomial-times-Gaussian envelope when a nonzero multi-index
-is present.  Residual checks for the quasi-periodicity and shift-operator
-laws are scale-normalized: the raw difference is divided by the magnitude of
-the quantities compared (floored at 1), which keeps the checks meaningful in
+tail, derived from the Gaussian decay rate pi * lambda, with
+lambda = lambda_min(M) * lambda_min(Im omega), and a polynomial-times-Gaussian
+envelope when a nonzero multi-index is present: the shells outside the box,
+plus one term for the box points outside the ellipsoid (see ``tail_bound``).
+Residual checks for the quasi-periodicity and shift-operator laws are
+scale-normalized: the raw difference is divided by the magnitude of the
+quantities compared (floored at 1), which keeps the checks meaningful in
 double precision when the transformation factors grow exponentially.
 """
 
@@ -80,23 +84,32 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     with t ranging over the Frobenius norms compatible with the shell
     (t >= s-1, since characteristics live in [0,1)), lam the decay rate and
     rho the maximum absolute row sum of the level matrix.
+
+    One more term bounds the cube points ``_quadratic_form`` drops.  A dropped
+    n has sqrt(q(n)) > sqrt(lam)*radius + alpha, where q(x) = x^t (M kron Im Omega) x
+    and alpha^2 = sum_ij |(M kron Im Omega)_ij| >= q(A) for every characteristic A.
+    So x = n + A has u = sqrt(q(x)/lam) > radius and |x| <= u, and its term is at
+    most (2*pi*rho*(z_sup+radius+1))^degree * exp(-pi*lam*u^2 + 2*pi*mv*u); at most
+    (2*radius+1)^(hg) points are dropped, and the envelope is taken at
+    u = max(radius, mv/lam).
     """
     lam = _decay_rate(level, omega)
     rho = level.row_sum_norm
     hg = level.h * omega.g
     t_star = mv_norm / lam
-    total = 0.0
-    s = radius + 1
-    while True:
-        count = (2 * s + 1) ** hg - (2 * s - 1) ** hg
-        t = max(s - 1.0, t_star)
+
+    def envelope(count, s, t):
         expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t
         if expo > 700.0:
             return math.inf
         if expo < -700.0:
-            shell = 0.0
-        else:
-            shell = count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
+            return 0.0
+        return count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
+
+    total = envelope((2 * radius + 1) ** hg, radius, max(radius, t_star))
+    s = radius + 1
+    while total < math.inf:
+        shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, max(s - 1.0, t_star))
         total += shell
         if s - 1.0 > t_star and (shell == 0.0 or shell < total * 1e-18):
             break
@@ -111,10 +124,13 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
 def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     """The part of the series exponent that depends on (level, Omega, radius) only.
 
-    With the cube |N_ka| <= radius flattened to n (P x hg, last entry fastest)
-    and Q = M kron Omega, returns n, Q, M kron I and the per-point forms
-    n^t (Im Q) n and n^t (Re Q) n, all read-only; the last is None when Re Omega = 0.
-    A cube of more than LATTICE_POINT_CAP points raises BudgetExceededError unbuilt.
+    With Q = M kron Omega and q(n) = n^t (Im Q) n, keeps the points n of the cube
+    |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha (lam the decay rate,
+    alpha^2 = sum_ij |(Im Q)_ij|), flattened to n (P x hg) in the cube's order, last
+    entry fastest; ``tail_bound`` certifies the points dropped.  Returns n, Q,
+    M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
+    last is None when Re Omega = 0.  A cube of more than LATTICE_POINT_CAP
+    points raises BudgetExceededError unbuilt.
     """
     points = (2 * radius + 1) ** (level.h * omega.g)
     if points > LATTICE_POINT_CAP:
@@ -123,15 +139,23 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
         )
     axis = np.arange(-radius, radius + 1, dtype=float)
     grid = np.meshgrid(*([axis] * (level.h * omega.g)), indexing="ij", copy=False)
-    n = _read_only(np.stack(grid, axis=-1).reshape(-1, len(grid)))
+    cube = np.stack(grid, axis=-1).reshape(-1, len(grid))
     m = level.as_array()
     q = _read_only(np.kron(m, omega.omega))
     m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
 
-    def form(part):
-        return _read_only(np.einsum("pi,ij,pj->p", n, part, n))
+    def form(points, part):
+        return np.einsum("pi,ij,pj->p", points, part, points)
 
-    return n, q, m_kron_i, form(q.imag), form(q.real) if omega.omega.real.any() else None
+    n_imq_n = form(cube, q.imag)
+    # q(n) errs by about (hg)^2 eps alpha^2 radius^2, below 1e-9 of cut^2 on every cube
+    # under the cap (radius <= 511 once hg >= 2; cut > alpha radius at hg = 1); the
+    # slack resolves that roundoff toward keeping a point
+    cut = math.sqrt(_decay_rate(level, omega)) * radius + math.sqrt(np.abs(q.imag).sum())
+    keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
+    n = _read_only(cube[keep])
+    n_req_n = _read_only(form(n, q.real)) if omega.omega.real.any() else None
+    return n, q, m_kron_i, _read_only(n_imq_n[keep]), n_req_n
 
 
 def _aux_value(level, j, chars, omega, z, w, radius):
@@ -193,7 +217,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         raise TruncationInsufficientError(
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
-    step = max(1, BLOCK_TERMS // (2 * cfg.radius + 1) ** (h * g))
+    step = max(1, BLOCK_TERMS // len(_quadratic_form(level, omega, cfg.radius)[0]))
     if len(chars) <= step:
         return _aux_value(level, j, chars, omega, z, w, cfg.radius), bound
     return np.concatenate([_aux_value(level, j, chars[lo:lo + step], omega, z, w, cfg.radius)

@@ -188,6 +188,18 @@ class TestVerify:
             assert len(config["failures"]) == verify.QP_CASES + verify.SHIFT_CASES
             assert config["passed"] is False
 
+    def test_nan_report_is_strict_json(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(evaluation, "_aux_value",
+                            lambda level, j, chars, *rest: np.full(len(chars), complex("nan+nanj")))
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "quasiperiodicity", "--out", str(out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert all(c["max_residual"] == "NaN" for c in report["configs"])
+
 
 class TestDecompose:
     def test_single_symbol(self):

@@ -357,10 +357,16 @@ class TestKernel:
     @pytest.mark.parametrize("h,g,radius", [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 1, 2),
                                             (2, 2, 1), (2, 2, 2), (1, 3, 1)])
     def test_lattice_box_is_the_product_order(self, h, g, radius):
-        want = product_cube(h, g, radius).reshape(-1, h * g)
+        # the memo keeps the cube points n with sqrt(q(n)) <= sqrt(lam) R + alpha, in
+        # product order; only hex at radius 2 drops any here
+        cube = product_cube(h, g, radius).reshape(-1, h * g)
         level = {1: LEVEL2, 2: HEX}[h]
+        im_q = np.kron(level.as_array(), np.eye(g))
+        cut = math.sqrt(np.linalg.eigvalsh(im_q)[0]) * radius + math.sqrt(np.abs(im_q).sum())
+        keep = np.einsum("pi,ij,pj->p", cube, im_q, cube) <= cut * cut
+        assert keep.all() == ((h, radius) != (2, 2))
         got = evaluation._quadratic_form(level, PeriodMatrix(1j * np.eye(g)), radius)[0]
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == cube[keep].shape and np.array_equal(got, cube[keep])
         assert not got.flags.writeable
 
     def test_real_form_skipped_for_imaginary_omega(self):
@@ -387,6 +393,32 @@ class TestKernel:
         memo = evaluation._quadratic_form(level, omega, radius)
         assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
         assert not any(arr.flags.writeable for arr in memo)
+
+    def test_dropped_points_are_within_the_tail_bound(self):
+        # the cut cube's sum at R against the full cube's at R + 2: both tails, plus
+        # gamma_n * sum|terms| of roundoff for each sum (Higham, eq. 4.4)
+        dropped = []
+
+        @PROPERTY
+        @given(kernel_cases())
+        def check(case):
+            level, j, char, omega, z, w, radius = case
+            z_sup = float(np.abs(z).max()) if j.size else 0.0
+            mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
+            got = evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
+            allowance = 0.0
+            for r in (radius, radius + 2):
+                terms, scale = reference_terms(level, j, char, omega, z, w, r)
+                nu = len(terms) * np.finfo(float).eps / 2
+                allowance += tail_bound(level, omega, j.size, z_sup, mv_norm, r)
+                allowance += nu / (1 - nu) * scale.sum()
+            # terms are now the full cube's at radius + 2
+            assert abs(got - terms.sum()) <= allowance
+            kept = len(evaluation._quadratic_form(level, omega, radius)[0])
+            dropped.append(kept < (2 * radius + 1) ** (level.h * omega.g))
+
+        check()
+        assert any(dropped)
 
     def test_block_slices_do_not_change_values(self, monkeypatch):
         # 144 characteristics on a 14,641-point cube: 4 per slice by default
