@@ -15,13 +15,14 @@ identities on integer inputs are exact, not tolerance-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError
-from .evaluation import ThetaValue, TruncationConfig, aux_theta_series
+from .evaluation import ThetaValue, TruncationConfig, aux_theta_block
 from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix
 
 PRUNE_EPS = 1e-12  # numeric pruning threshold used by the fitting engine
@@ -244,11 +245,14 @@ def in_theta_subalgebra(x: AlgebraElement) -> bool:
 
 def evaluate_element(x: AlgebraElement, omega: PeriodMatrix, z, w,
                      cfg: TruncationConfig) -> ThetaValue:
-    """Numeric value of an element: coefficient-weighted sum of its series."""
+    """Numeric value of an element: coefficient-weighted sum of its series, read
+    as one kernel block per (level, J) run of the sorted terms."""
     value = 0j
     tail = 0.0
-    for sym, coeff in x.sorted_terms():
-        v = aux_theta_series(sym.level, sym.j, sym.char, omega, z, w, cfg)
-        value += complex(coeff) * v.value
-        tail += abs(coeff) * v.tail_bound
+    for (level, j), run in itertools.groupby(x.sorted_terms(), lambda t: (t[0].level, t[0].j)):
+        run = list(run)
+        values, bound = aux_theta_block(level, j, [s.char for s, _ in run], omega, z, w, cfg)
+        for (_, coeff), v in zip(run, values):
+            value += complex(coeff) * complex(v)
+            tail += abs(coeff) * bound
     return ThetaValue(value=value, tail_bound=tail)

@@ -11,6 +11,7 @@ values, so the certificates are independent of the solve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -53,6 +54,7 @@ from .numerics import (
 
 COND_LIMIT = 1e8
 SAMPLE_BOX = 0.4  # sample points have every real and imaginary part in [-SAMPLE_BOX, SAMPLE_BOX]
+CERTIFY_BOX = SAMPLE_BOX + 0.02  # margin for the fd stencil, which moves Re W by at most 1e-3
 OVERSAMPLE = 2.0  # fitted samples per basis symbol
 _MASK64 = (1 << 64) - 1
 
@@ -83,6 +85,11 @@ class Decomposition:
     element: AlgebraElement
     residual: float
     conditioning: float
+
+
+def _shift_box(omega: PeriodMatrix) -> float:
+    """The box of a shift-law check: it covers Z + xi and W + xi*Omega + eta, |xi|, |eta| <= 1."""
+    return SAMPLE_BOX + omega.im_reach + 1.0
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -199,10 +206,10 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
 
 
 def _decompose_node(expr, omega, cfg):
-    """Symbol-level decomposition; returns (element, max conditioning)."""
+    """Symbol-level decomposition, uncertified; returns (element, max conditioning)."""
 
-    def leaf(d):
-        return AlgebraElement.from_symbol(BasisSymbol(d.level, d.j, d.char)), 0.0
+    def leaf(sym):
+        return AlgebraElement.from_symbol(sym), 0.0
 
     def add(parts):
         return sum((e for e, _ in parts), AlgebraElement.zero()), max(c for _, c in parts)
@@ -223,7 +230,10 @@ def _decompose_node(expr, omega, cfg):
             acc = out.prune()
         return acc, cond
 
-    return fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
+    element, cond = fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
+    # once a product was fitted numerically, combinations of fitted blocks can
+    # leave cancellation residue below the noise floor
+    return (element.prune() if cond > 0 else element), cond
 
 
 def _worst(residuals) -> float:
@@ -232,15 +242,17 @@ def _worst(residuals) -> float:
 
 
 def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> float:
-    """|expression - element| at W, with every leaf and every symbol taken as a
-    W-derivative of its plain theta series, computed by finite differences."""
+    """|expression - element| at W, every leaf and symbol read as a W-derivative of its
+    plain theta series by finite differences, taken once per distinct symbol."""
 
-    def theta_deriv(level, j, char):
-        cfg_t = truncation_config(level, omega, SAMPLE_BOX + 0.02, 0)
-        return wderiv_fd(lambda ww: theta_series(level, char, omega, ww, cfg_t).value, w, j)
+    @functools.cache
+    def theta_deriv(sym):
+        cfg_t = truncation_config(sym.level, omega, CERTIFY_BOX, 0)
+        return wderiv_fd(lambda ww: theta_series(sym.level, sym.char, omega, ww, cfg_t).value,
+                         w, sym.j)
 
-    lhs = fold(expr, lambda d: theta_deriv(d.level, d.j, d.char), sum, math.prod, operator.mul)
-    rhs = sum(complex(c) * theta_deriv(s.level, s.j, s.char) for s, c in elem.sorted_terms())
+    lhs = fold(expr, theta_deriv, sum, math.prod, operator.mul)
+    rhs = sum(complex(c) * theta_deriv(s) for s, c in elem.sorted_terms())
     return abs(lhs - rhs)
 
 
@@ -268,11 +280,6 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
     if g != omega.g:
         raise DimensionMismatchError("expression width does not match omega")
     element, conditioning = _decompose_node(expr, omega, cfg)
-    if conditioning > 0:
-        # at least one product was fitted numerically: combinations of fitted
-        # blocks can leave cancellation residue below the noise floor
-        element = element.prune()
-
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
     residual = _worst([_fd_mismatch(expr, element, omega, w) for w in w_pts])
     if not math.isfinite(residual):
@@ -310,7 +317,7 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     qp = []
     rng = _rng(cfg.seed, _STREAM_VERIFY_SHIFT)
     for lvl, comp in components:
-        qp_cfg = truncation_config(lvl, omega, box + omega.im_reach + 1.0, comp.degree())
+        qp_cfg = truncation_config(lvl, omega, _shift_box(omega), comp.degree())
 
         def value(z, w, comp=comp, qp_cfg=qp_cfg):
             return evaluate_element(comp, omega, z, w, qp_cfg).value

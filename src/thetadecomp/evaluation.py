@@ -75,6 +75,14 @@ def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
     return level.min_eig * omega.im_min_eig
 
 
+@functools.lru_cache(maxsize=64)
+def _cut_constants(level: LevelMatrix, omega: PeriodMatrix) -> tuple[float, float]:
+    """sqrt(lam) and alpha of the ellipsoid cut: lam the decay rate, the least
+    eigenvalue of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|."""
+    p = np.kron(level.as_array(), omega.omega).imag
+    return math.sqrt(_decay_rate(level, omega)), math.sqrt(np.abs(p).sum())
+
+
 def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
                z_sup: float, mv_norm: float, radius: int) -> float:
     """Upper bound for the omitted tail of the (possibly weighted) series.
@@ -89,14 +97,18 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     n has sqrt(q(n)) > sqrt(lam)*radius + alpha, where q(x) = x^t (M kron Im Omega) x
     and alpha^2 = sum_ij |(M kron Im Omega)_ij| >= q(A) for every characteristic A.
     So x = n + A has u = sqrt(q(x)/lam) > radius and |x| <= u, and its term is at
-    most (2*pi*rho*(z_sup+radius+1))^degree * exp(-pi*lam*u^2 + 2*pi*mv*u); at most
-    (2*radius+1)^(hg) points are dropped, and the envelope is taken at
-    u = max(radius, mv/lam).
+    most (2*pi*rho*(z_sup+radius+1))^degree * exp(-pi*lam*u^2 + 2*pi*mv*u), the
+    envelope taken at u = max(radius, mv/lam).  Every n with |n|_inf <= r0 =
+    min(radius, floor(1 + radius*sqrt(lam)/alpha)) has sqrt(q(n)) <= r0*alpha
+    <= sqrt(lam)*radius + alpha and is kept, so at most (2*radius+1)^(hg) -
+    (2*r0+1)^(hg) points are dropped: none at hg = 1, where alpha = sqrt(lam).
     """
     lam = _decay_rate(level, omega)
     rho = level.row_sum_norm
     hg = level.h * omega.g
     t_star = mv_norm / lam
+    sqrt_lam, alpha = _cut_constants(level, omega)
+    r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
 
     def envelope(count, s, t):
         expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t
@@ -106,7 +118,7 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
             return 0.0
         return count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
 
-    total = envelope((2 * radius + 1) ** hg, radius, max(radius, t_star))
+    total = envelope((2 * radius + 1) ** hg - (2 * r0 + 1) ** hg, radius, max(radius, t_star))
     s = radius + 1
     while total < math.inf:
         shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, max(s - 1.0, t_star))
@@ -150,8 +162,9 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     n_imq_n = form(cube, q.imag)
     # q(n) errs by about (hg)^2 eps alpha^2 radius^2, below 1e-9 of cut^2 on every cube
     # under the cap (radius <= 511 once hg >= 2; cut > alpha radius at hg = 1); the
-    # slack resolves that roundoff toward keeping a point
-    cut = math.sqrt(_decay_rate(level, omega)) * radius + math.sqrt(np.abs(q.imag).sum())
+    # slack resolves that roundoff, and that of tail_bound's floor, toward keeping a point
+    sqrt_lam, alpha = _cut_constants(level, omega)
+    cut = sqrt_lam * radius + alpha
     keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
     n = _read_only(cube[keep])
     n_req_n = _read_only(form(n, q.real)) if omega.omega.real.any() else None

@@ -1,9 +1,11 @@
 """Expression trees of differential polynomials in theta series.
 
-A tree has derivative leaves (one W-derivative of one theta series) joined by
-sums, products and scalings.  Every walk over a tree -- its shape, its
-decomposition, its values and its JSON encoding -- is one call to ``fold``,
-so the node types are dispatched on in this module only.
+A tree has derivative leaves joined by sums, products and scalings.  A leaf,
+one W-derivative of one theta series, is the algebra's ``BasisSymbol``
+(``DerivSymbol`` is another name for it), checked when it is built.  Every
+walk over a tree -- its shape, its decomposition, its values and its JSON
+encoding -- is one call to ``fold``, so the node types are dispatched on in
+this module only.
 """
 
 from __future__ import annotations
@@ -11,17 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from .algebra import BasisSymbol
 from .errors import DimensionMismatchError
-from .numerics import Characteristic, LevelMatrix, MultiIndex
 
-
-@dataclass(frozen=True)
-class DerivSymbol:
-    """Leaf of an expression tree: one derivative of one theta series."""
-
-    level: LevelMatrix
-    j: MultiIndex
-    char: Characteristic
+DerivSymbol = BasisSymbol  # the name expression leaves are built under
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class Scale:
     child: object
 
 
-DiffPolyExpr = Union[DerivSymbol, Sum, Product, Scale]
+DiffPolyExpr = Union[BasisSymbol, Sum, Product, Scale]
 
 
 def fold(expr, leaf: Callable, add: Callable, mul: Callable, scale: Callable):
@@ -52,7 +47,7 @@ def fold(expr, leaf: Callable, add: Callable, mul: Callable, scale: Callable):
     """
 
     def go(node):
-        if isinstance(node, DerivSymbol):
+        if isinstance(node, BasisSymbol):
             return leaf(node)
         if isinstance(node, Sum):
             return add([go(c) for c in node.children])
@@ -74,5 +69,5 @@ def _common_shape(shapes):
 
 def expr_shape(expr) -> tuple[int, int]:
     """Common (h, g) of the leaves; raises if they disagree."""
-    return fold(expr, lambda d: (d.level.h, d.char.g), _common_shape, _common_shape,
+    return fold(expr, lambda d: (d.h, d.g), _common_shape, _common_shape,
                 lambda _, shape: shape)

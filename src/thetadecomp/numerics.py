@@ -353,9 +353,9 @@ class MultiIndex:
     def g(self) -> int:
         return len(self.j[0])
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
-        """Total order |J|."""
+        """Total order |J|, computed on first use."""
         return sum(sum(row) for row in self.j)
 
     def factorial(self) -> int:

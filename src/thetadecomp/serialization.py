@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, BasisSymbol
 from .decompose import OVERSAMPLE, SAMPLE_BOX
 from .errors import DimensionMismatchError
-from .expr import DerivSymbol, Product, Scale, Sum, fold
+from .expr import Product, Scale, Sum, fold
 from .numerics import (
     Characteristic,
     LevelMatrix,
@@ -65,8 +65,8 @@ def char_by_index(level: LevelMatrix, g: int, index: int) -> Characteristic:
     return chars[index]
 
 
-def _symbol_to_json(sym) -> dict:
-    """The (level, j, char_index) fields of a basis or derivative symbol."""
+def _symbol_to_json(sym: BasisSymbol) -> dict:
+    """The (level, j, char_index) fields of a basis symbol."""
     return {
         "level": int_matrix_to_json(sym.level.entries),
         "j": int_matrix_to_json(sym.j.j),
@@ -74,10 +74,10 @@ def _symbol_to_json(sym) -> dict:
     }
 
 
-def _symbol_from_json(data) -> tuple[LevelMatrix, MultiIndex, Characteristic]:
+def _symbol_from_json(data) -> BasisSymbol:
     level = validate_level(data["level"])
     j = MultiIndex.from_rows(data["j"])
-    return level, j, char_by_index(level, j.g, data["char_index"])
+    return BasisSymbol(level, j, char_by_index(level, j.g, data["char_index"]))
 
 
 def element_to_json(x: AlgebraElement) -> list:
@@ -91,7 +91,7 @@ def element_to_json(x: AlgebraElement) -> list:
 def element_from_json(data) -> AlgebraElement:
     terms = {}
     for item in data:
-        sym = BasisSymbol(*_symbol_from_json(item))
+        sym = _symbol_from_json(item)
         terms[sym] = terms.get(sym, 0) + complex_from_json(item["coeff"])
     return AlgebraElement(terms)
 
@@ -109,7 +109,7 @@ def expr_to_json(expr) -> dict:
 def expr_from_json(data):
     kind = data.get("kind")
     if kind == "deriv":
-        return DerivSymbol(*_symbol_from_json(data))
+        return _symbol_from_json(data)
     if kind == "sum":
         return Sum(tuple(expr_from_json(c) for c in data["children"]))
     if kind == "product":

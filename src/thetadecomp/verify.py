@@ -30,14 +30,16 @@ from .decompose import (
     _MASK64,
     _STREAM_KERNEL_SUITE,
     _STREAM_QP_SUITE,
-    SAMPLE_BOX,
+    SAMPLE_BOX,  # noqa: F401  (stays importable from here)
     DerivSymbol,
     FitConfig,
     Product,
     Scale,
     Sum,
     _box_sample,
+    _decompose_node,
     _rng,
+    _shift_box,
     _worst,
     diff_poly_decompose,
     verify_theorem3,
@@ -58,6 +60,7 @@ SHIFT_CASES = 50  # ladder-identity cases per configuration
 COMMUTATOR_MAX_ORDER = 3  # the bracket table covers every symbol with |J| <= 3
 KERNEL_ELEMENTS = 200
 THEOREM3_TOL = 1e-5
+THEOREM3_SHIFT_TOL = 1e-6  # the output's shift law holds for any coefficients: roundoff only
 THEOREM3_HOLDOUT = 20
 UNIQUENESS_TOL = 1e-6
 
@@ -83,8 +86,7 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
         omega = PeriodMatrix(spec_cfg["omega"])
         h, g = level.h, omega.g
         chars = enumerate_characteristics(level, g)
-        # the box covers Z + xi and W + xi*Omega + eta; degree 3 covers J raised once
-        cfg = truncation_config(level, omega, SAMPLE_BOX + omega.im_reach + 1.0, 3)
+        cfg = truncation_config(level, omega, _shift_box(omega), 3)  # degree 3: J raised once
         rng = _rng(seed, _STREAM_QP_SUITE + idx)
 
         qp = []  # (j, char, residual)
@@ -227,9 +229,9 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
         cfg = FitConfig(seed=seed, holdout=THEOREM3_HOLDOUT)
         dec = diff_poly_decompose(expr, omega, cfg)
         report = verify_theorem3(expr, dec, omega, cfg)
+        # the second seed's coefficients only; its certificate would be discarded
         cfg2 = FitConfig(seed=(seed + 1000003) & _MASK64, holdout=THEOREM3_HOLDOUT)
-        dec2 = diff_poly_decompose(expr, omega, cfg2)
-        one, two = dec.element.terms(), dec2.element.terms()
+        one, two = dec.element.terms(), _decompose_node(expr, omega, cfg2)[0].terms()
         seed_diff = max((abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)), default=0.0)
         kernel_ok = in_theta_subalgebra(dec.element) == all(
             s.j.size == 0 for s in dec.element.terms()
@@ -237,7 +239,7 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
         ok = (
             dec.residual < tol
             and report["max_z0_residual"] < tol
-            and report["max_quasiperiod_residual"] < 1e-6
+            and report["max_quasiperiod_residual"] < THEOREM3_SHIFT_TOL
             and seed_diff < UNIQUENESS_TOL
             and kernel_ok
         )

@@ -258,6 +258,39 @@ class TestEvaluateElement:
         assert got.value == direct.value
         assert got.tail_bound == direct.tail_bound
 
+    def test_one_block_per_level_and_multi_index(self, monkeypatch):
+        from thetadecomp import algebra
+        from thetadecomp.evaluation import aux_theta_block, aux_theta_series
+
+        # three levels, several (level, J) runs of one to three characteristics
+        x = AlgebraElement({
+            sym(LEVEL2, [[1]], 1): 0.5 - 1j, sym(LEVEL2, [[1]], 0): 2,
+            sym(LEVEL2, [[0]], 1): -1.5j, sym(LEVEL4, [[2]], 3): 0.25,
+            sym(LEVEL4, [[2]], 0): 1 + 1j, sym(LEVEL4, [[2]], 2): -3,
+            sym(LEVEL4, [[0]], 1): 0.75, sym(LEVEL2, [[2]], 0): 1j,
+        })
+        z = np.array([[0.2 + 0.1j]])
+        w = np.array([[0.1 - 0.2j]])
+        value, tail = 0j, 0.0
+        for s, coeff in x.sorted_terms():
+            one = aux_theta_series(s.level, s.j, s.char, self.OMEGA, z, w, self.CFG)
+            value += complex(coeff) * one.value
+            tail += abs(coeff) * one.tail_bound
+        calls = []
+
+        def counted(level, j, chars, *args):
+            calls.append((level, j, [c.index for c in chars]))
+            return aux_theta_block(level, j, chars, *args)
+
+        monkeypatch.setattr(algebra, "aux_theta_block", counted)
+        got = evaluate_element(x, self.OMEGA, z, w, self.CFG)
+        assert got.value == value and got.tail_bound == tail
+        # one call per run, in the order of the sorted terms
+        assert [(level, j.size, c) for level, j, c in calls] == [
+            (LEVEL2, 0, [1]), (LEVEL2, 1, [0, 1]), (LEVEL2, 2, [0]),
+            (LEVEL4, 0, [1]), (LEVEL4, 2, [0, 2, 3]),
+        ]
+
     def test_difference_cancels_exactly(self):
         s = sym(LEVEL2, [[1]])
         x = AlgebraElement.from_symbol(s, coeff=1.0)

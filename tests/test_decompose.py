@@ -233,6 +233,61 @@ class TestDiffPolyDecompose:
         with pytest.raises(DimensionMismatchError):
             diff_poly_decompose(d, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
+    def test_certificate_differentiates_each_symbol_once(self, monkeypatch):
+        from thetadecomp import decompose
+
+        calls = []
+
+        def counted(f, w, j):
+            calls.append(j)
+            return wderiv_fd(f, w, j)
+
+        d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[0]) for k in range(3))
+        w = np.array([[0.1 + 0.2j]])
+        element = AlgebraElement({d0: 0.5, d1: 1j})
+        cases = [
+            (d2, AlgebraElement.from_symbol(d2), 1),  # single_j2: leaf and term are one symbol
+            (Sum((Product((d0, d2)), Scale(-1.0, Product((d1, d1))))), element, 3),  # wronskian
+        ]
+        for expr, elem, distinct in cases:
+            calls.clear()
+            monkeypatch.setattr(decompose, "wderiv_fd", counted)
+            got = decompose._fd_mismatch(expr, elem, OMEGA, w)
+            assert len(calls) == distinct
+            monkeypatch.undo()
+            # the value is the one a derivative per occurrence gives
+            cfg_t = truncation_config(LEVEL2, OMEGA, decompose.CERTIFY_BOX, 0)
+            fd = {s: wderiv_fd(lambda ww: theta_series(LEVEL2, s.char, OMEGA, ww, cfg_t).value,
+                               w, s.j) for s in (d0, d1, d2)}
+            lhs = fd[d2] if expr is d2 else fd[d0] * fd[d2] + -1.0 * (fd[d1] * fd[d1])
+            rhs = sum(complex(c) * fd[s] for s, c in elem.sorted_terms())
+            assert got == abs(lhs - rhs)
+
+    def test_theorem3_suite_certifies_only_what_it_reports(self, monkeypatch):
+        # per expression: the decomposition's certificate and verify_theorem3's z0
+        # residuals, THEOREM3_HOLDOUT points each; the second seed is fitted, not certified
+        from thetadecomp import decompose, verify
+
+        calls = []
+        certify = decompose._fd_mismatch
+
+        def counted(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(decompose, "_fd_mismatch", counted)
+        report = verify.run_theorem3_suite(seed=0)
+        assert report["passed"]
+        assert len(calls) == 6 * 2 * verify.THEOREM3_HOLDOUT
+
+    def test_uncertified_node_is_the_pruned_element(self):
+        from thetadecomp.decompose import _decompose_node
+
+        expr = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[0])))
+        element, cond = _decompose_node(expr, OMEGA, CFG)
+        assert cond > 0 and element == element.prune()
+        assert element == diff_poly_decompose(expr, OMEGA, CFG).element
+
     def test_nan_certificate_raises(self, monkeypatch):
         # a NaN kernel must not pass as a certified residual of 0
         from thetadecomp import decompose

@@ -420,6 +420,26 @@ class TestKernel:
         check()
         assert any(dropped)
 
+    @PROPERTY
+    @given(kernel_cases())
+    def test_memo_holds_the_sub_cube_tail_bound_counts_as_kept(self, case):
+        # tail_bound counts only the points outside |n| <= r0 as droppable
+        level, _, _, omega, _, _, radius = case
+        sqrt_lam, alpha = evaluation._cut_constants(level, omega)
+        im_q = np.kron(level.as_array(), omega.omega.imag)
+        assert sqrt_lam == pytest.approx(math.sqrt(np.linalg.eigvalsh(im_q)[0]), rel=1e-12)
+        assert alpha == pytest.approx(math.sqrt(np.abs(im_q).sum()), rel=1e-12)
+        r0 = min(radius, math.floor(1 + radius * sqrt_lam / alpha))
+        kept = {tuple(n) for n in evaluation._quadratic_form(level, omega, radius)[0]}
+        sub_cube = product_cube(level.h, omega.g, r0).reshape(-1, level.h * omega.g)
+        assert all(tuple(n) in kept for n in sub_cube)
+
+    def test_nothing_is_dropped_at_hg_one(self):
+        # alpha = sqrt(lam) at h*g = 1, so the cut keeps the whole cube and adds no term
+        assert choose_radius(LEVEL4, OMEGA_I, 0.42, 1e-12, 0) == 2
+        for radius in (1, 2, 5):
+            assert len(evaluation._quadratic_form(LEVEL4, OMEGA_I, radius)[0]) == 2 * radius + 1
+
     def test_block_slices_do_not_change_values(self, monkeypatch):
         # 144 characteristics on a 14,641-point cube: 4 per slice by default
         level = validate_level([[4, 2], [2, 4]])

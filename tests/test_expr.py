@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetadecomp import expr as expr_module
+from thetadecomp.algebra import BasisSymbol
 from thetadecomp.errors import DimensionMismatchError
 from thetadecomp.expr import DerivSymbol, Product, Scale, Sum, expr_shape, fold
-from thetadecomp.numerics import enumerate_characteristics, multi_indices_up_to, validate_level
+from thetadecomp.numerics import (
+    MultiIndex,
+    enumerate_characteristics,
+    multi_indices_up_to,
+    validate_level,
+)
 from thetadecomp.serialization import expr_from_json, expr_to_json
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -79,3 +86,24 @@ def test_non_node_leaf_raises(expr, junk, node):
         expr_shape(bad)
     with pytest.raises(TypeError, match="not an expression node"):
         expr_to_json(bad)
+
+
+def test_leaves_are_basis_symbols():
+    assert DerivSymbol is BasisSymbol
+    classes = {name for name, obj in vars(expr_module).items()
+               if isinstance(obj, type) and obj.__module__ == expr_module.__name__}
+    assert classes == {"Sum", "Product", "Scale"}
+
+
+def test_leaf_is_checked_when_built():
+    level2, level4 = validate_level([[2]]), validate_level([[4]])
+    char2 = enumerate_characteristics(level2, 1)[0]
+    with pytest.raises(DimensionMismatchError):
+        DerivSymbol(level2, MultiIndex.zeros(1, 1), enumerate_characteristics(level4, 1)[1])
+    with pytest.raises(DimensionMismatchError):
+        DerivSymbol(level2, MultiIndex.zeros(2, 1), char2)
+    with pytest.raises(DimensionMismatchError):
+        DerivSymbol(level2, MultiIndex.zeros(1, 2), char2)
+    # the JSON codec builds the same checked symbol
+    with pytest.raises(DimensionMismatchError):
+        expr_from_json({"kind": "deriv", "level": [[2]], "j": [[0], [1]], "char_index": 0})

@@ -227,6 +227,12 @@ class TestMultiIndex:
         assert j.size == 3
         assert j.factorial() == 2
 
+    def test_size_is_computed_once_and_stays_out_of_equality(self):
+        a, b = MultiIndex.from_rows([[2, 1], [0, 3]]), MultiIndex.from_rows([[2, 1], [0, 3]])
+        assert a.size == 6 and "size" in vars(a) and "size" not in vars(b)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != MultiIndex.from_rows([[3, 0], [0, 3]])
+
     def test_bump(self):
         j = MultiIndex.zeros(1, 2)
         assert j.bump(1, 1, +1).j == ((1, 0),)
