@@ -245,14 +245,15 @@ def in_theta_subalgebra(x: AlgebraElement) -> bool:
 
 def evaluate_element(x: AlgebraElement, omega: PeriodMatrix, z, w,
                      cfg: TruncationConfig) -> ThetaValue:
-    """Numeric value of an element: coefficient-weighted sum of its series, read
-    as one kernel block per (level, J) run of the sorted terms."""
+    """Numeric value of an element at one (h, g) point, or S values at a stack (S, h, g):
+    coefficient-weighted sum of its series, one kernel block per (level, J) run of the
+    sorted terms, with one tail bound that covers every point."""
     value = 0j
     tail = 0.0
     for (level, j), run in itertools.groupby(x.sorted_terms(), lambda t: (t[0].level, t[0].j)):
         run = list(run)
         values, bound = aux_theta_block(level, j, [s.char for s, _ in run], omega, z, w, cfg)
-        for (_, coeff), v in zip(run, values):
-            value += complex(coeff) * complex(v)
+        for i, (_, coeff) in enumerate(run):
+            value = value + complex(coeff) * values[..., i]
             tail += abs(coeff) * bound
-    return ThetaValue(value=value, tail_bound=tail)
+    return ThetaValue(value=complex(value) if np.ndim(value) == 0 else value, tail_bound=tail)

@@ -36,9 +36,7 @@ from .errors import (
 from .evaluation import (
     TAIL_TARGET,  # noqa: F401  (stays importable from here)
     aux_theta_block,
-    aux_theta_series,
     shift_law_residual,
-    theta_series,
     truncation_config,
     wderiv_fd,
 )
@@ -46,6 +44,7 @@ from .evaluation import (
 from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
 from .numerics import (
     LevelMatrix,
+    MultiIndex,
     PeriodMatrix,
     enumerate_characteristics,
     multi_indices_up_to,
@@ -112,9 +111,10 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
                  omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     """Express a sampled function in the candidate basis of one level.
 
-    ``f(z, w) -> complex`` must be deterministic and is assumed to lie in the
-    span of the symbols with |J| <= max_degree.  Points are drawn uniformly
-    from the sample box; the dense least-squares problem is solved by SVD,
+    ``f(z, w)`` maps stacks of points, shape (S, h, g), to S values (a scalar broadcasts),
+    must be deterministic and is assumed to lie in the span of the symbols with
+    |J| <= max_degree.  Points are drawn uniformly from the sample box; ``f`` is called
+    once on all of them, the kernel once per J.  The least-squares problem is solved by SVD,
     coefficients below 1e-12 are pruned, and the residual is the largest
     mismatch on ``cfg.holdout`` points not used in the solve.  Non-finite
     samples raise ResidualTooLargeError before the solve.
@@ -128,12 +128,10 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
 
     conditioning = math.inf
     for seed in (cfg.seed, (cfg.seed + 1) & _MASK64):
-        points = list(zip(*_sample_points(seed, _STREAM_FIT, total, h, g)))
+        z, w = _sample_points(seed, _STREAM_FIT, total, h, g)
         # one row per point: J first, then characteristic, one block call per J
-        design = np.array([np.concatenate([
-            aux_theta_block(level, j, chars, omega, z, w, eval_cfg)[0] for j in js
-        ]) for z, w in points])
-        rhs = np.array([f(z, w) for z, w in points], dtype=complex)
+        design = np.hstack([aux_theta_block(level, j, chars, omega, z, w, eval_cfg)[0] for j in js])
+        rhs = np.broadcast_to(np.asarray(f(z, w), dtype=complex), total)
         if not (np.isfinite(design).all() and np.isfinite(rhs).all()):
             raise ResidualTooLargeError("sampled basis or function values are not finite")
         coeffs, _, _, sv = np.linalg.lstsq(design[:n_fit], rhs[:n_fit], rcond=None)
@@ -241,29 +239,21 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> float:
-    """|expression - element| at W, every leaf and symbol read as a W-derivative of its
-    plain theta series by finite differences, taken once per distinct symbol."""
+def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> np.ndarray:
+    """|expression - element| at each W of the stack w (S x h x g), every leaf and symbol
+    read as a W-derivative of its plain theta series by finite differences, taken once
+    per distinct symbol: one kernel call on the stencils of all S points."""
 
     @functools.cache
     def theta_deriv(sym):
         cfg_t = truncation_config(sym.level, omega, CERTIFY_BOX, 0)
-        return wderiv_fd(lambda ww: theta_series(sym.level, sym.char, omega, ww, cfg_t).value,
-                         w, sym.j)
+        j0 = MultiIndex.zeros(sym.h, sym.g)
+        return wderiv_fd(lambda ww: aux_theta_block(sym.level, j0, [sym.char], omega, np.zeros_like(ww),
+                                                    ww, cfg_t)[0][:, 0], w, sym.j)
 
     lhs = fold(expr, theta_deriv, sum, math.prod, operator.mul)
     rhs = sum(complex(c) * theta_deriv(s) for s, c in elem.sorted_terms())
-    return abs(lhs - rhs)
-
-
-def _expr_aux_value(expr, omega, z, w) -> complex:
-    """Value of the expression at (Z, W) with every leaf read as its auxiliary series."""
-
-    def leaf(d):
-        cfg_a = truncation_config(d.level, omega, SAMPLE_BOX, d.j.size)
-        return aux_theta_series(d.level, d.j, d.char, omega, z, w, cfg_a).value
-
-    return fold(expr, leaf, sum, math.prod, operator.mul)
+    return np.abs(lhs - rhs)
 
 
 def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
@@ -281,7 +271,7 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
         raise DimensionMismatchError("expression width does not match omega")
     element, conditioning = _decompose_node(expr, omega, cfg)
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
-    residual = _worst([_fd_mismatch(expr, element, omega, w) for w in w_pts])
+    residual = _worst(_fd_mismatch(expr, element, omega, w_pts))
     if not math.isfinite(residual):
         raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
     return Decomposition(element=element, residual=residual, conditioning=conditioning)
@@ -303,15 +293,18 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     degree = dec.element.degree()
     components = [(lvl, dec.element.level_component(lvl)) for lvl in dec.element.levels()]
 
-    z0, sample = [], []
-    for z, w in zip(z_pts, w_pts):
-        z0.append(_fd_mismatch(expr, dec.element, omega, w))
-        lhs = _expr_aux_value(expr, omega, z, w)
-        rhs = sum(
-            evaluate_element(comp, omega, z, w, truncation_config(lvl, omega, box, degree)).value
-            for lvl, comp in components
-        )
-        sample.append(abs(lhs - rhs))
+    @functools.cache
+    def aux(d):  # a leaf read as its auxiliary series
+        cfg_a = truncation_config(d.level, omega, box, d.j.size)
+        return aux_theta_block(d.level, d.j, [d.char], omega, z_pts, w_pts, cfg_a)[0][:, 0]
+
+    z0 = _fd_mismatch(expr, dec.element, omega, w_pts)
+    lhs = fold(expr, aux, sum, math.prod, operator.mul)
+    rhs = sum(
+        evaluate_element(comp, omega, z_pts, w_pts, truncation_config(lvl, omega, box, degree)).value
+        for lvl, comp in components
+    )
+    sample = np.abs(lhs - rhs)
 
     # shift-law residual of each level component of the output
     qp = []
@@ -322,12 +315,10 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
         def value(z, w, comp=comp, qp_cfg=qp_cfg):
             return evaluate_element(comp, omega, z, w, qp_cfg).value
 
-        for _ in range(4):
-            z = rng.uniform(-box, box, (h, g)) * (1 + 0j)
-            w = _box_sample(rng, (h, g))
-            xi = rng.integers(-1, 2, (h, g)).astype(float)
-            eta = rng.integers(-1, 2, (h, g)).astype(float)
-            qp.append(shift_law_residual(value, lvl, omega, z, w, xi, eta))
+        cases = [(rng.uniform(-box, box, (h, g)) * (1 + 0j), _box_sample(rng, (h, g)),
+                  rng.integers(-1, 2, (h, g)).astype(float), rng.integers(-1, 2, (h, g)).astype(float))
+                 for _ in range(4)]
+        qp.extend(shift_law_residual(value, lvl, omega, *map(np.array, zip(*cases))))
 
     return {
         "points": cfg.holdout,

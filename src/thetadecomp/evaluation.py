@@ -38,7 +38,7 @@ from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _re
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
-BLOCK_TERMS = 1 << 16  # series terms one kernel call holds at most
+BLOCK_TERMS = 1 << 12  # S x C x P series terms one kernel pass holds at most
 LATTICE_POINT_CAP = 1 << 20  # most points of one lattice cube
 
 
@@ -139,7 +139,8 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     With Q = M kron Omega and q(n) = n^t (Im Q) n, keeps the points n of the cube
     |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha (lam the decay rate,
     alpha^2 = sum_ij |(Im Q)_ij|), flattened to n (P x hg) in the cube's order, last
-    entry fastest; ``tail_bound`` certifies the points dropped.  Returns n, Q,
+    entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
+    of a C-ordered hg x P array, the layout the kernel's phase product reads.  Returns n, Q,
     M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
     last is None when Re Omega = 0.  A cube of more than LATTICE_POINT_CAP
     points raises BudgetExceededError unbuilt.
@@ -166,75 +167,85 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     sqrt_lam, alpha = _cut_constants(level, omega)
     cut = sqrt_lam * radius + alpha
     keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
-    n = _read_only(cube[keep])
+    n = _read_only(np.ascontiguousarray(cube[keep].T)).T
     n_req_n = _read_only(form(n, q.real)) if omega.omega.real.any() else None
     return n, q, m_kron_i, _read_only(n_imq_n[keep]), n_req_n
 
 
 def _aux_value(level, j, chars, omega, z, w, radius):
-    """The truncated series per characteristic, as one quadratic form X = n^t Q n + c.n + d.
+    """The truncated series at (..., h, g) points Z, W for C characteristics, as one
+    quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
     Each term is exp(i pi X) times the monomial weight; only the rows c, d and the
-    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The rows are
-    computed one characteristic at a time and the rest runs elementwise over the
-    C x P terms, so each value equals its one-characteristic value to the last bit.
+    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The phase rows of all
+    S x C pairs are one matrix product, and the rest runs over the S x C x P terms.
     """
     n, q, m_kron_i, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
+    h, g = level.h, omega.g
+    lead = np.shape(w)[:-2]
+    z = np.reshape(z, (-1, 1, h, g))
+    w = np.reshape(w, (-1, 1, h, g))
     m = level.as_array()
-    mw = (m @ w).ravel()
-    re_x = np.empty((len(chars), len(n)))
-    im_x = np.empty_like(re_x)
-    d = np.empty((len(chars), 1), dtype=complex)
-    for ci, char in enumerate(chars):
-        a = char.as_array().ravel()
-        qa = q @ a
-        c = 2.0 * (mw + qa)
-        d[ci] = (c - qa) @ a  # vec A^t Q vec A + 2 vec(MW) . vec A
-        np.matmul(n, c.imag, out=im_x[ci])
-        np.matmul(n, c.real, out=re_x[ci])
+    a = np.array([char.as_array().ravel() for char in chars])
+    qa = (q * a[:, None, :]).sum(axis=-1)  # Q vec A, one row per characteristic
+    c = 2.0 * ((m @ w).reshape(len(w), 1, -1) + qa)  # S x C x hg
+    d = (c - qa)[..., None, :] @ a[:, :, None]  # vec A^t Q vec A + 2 vec(MW) . vec A, S x C x 1
+    re_x, im_x = (np.stack((c.real, c.imag)).reshape(-1, h * g) @ n.T).reshape(2, *c.shape[:2], -1)
     im_x += n_imq_n
     if n_req_n is not None:
         re_x += n_req_n
-    terms = np.exp(np.pi * (1j * (re_x + d.real) - (im_x + d.imag)))
+    terms = np.empty(re_x.shape, dtype=complex)  # exp(i pi X), X built in place
+    np.multiply(im_x + d.imag[..., 0], -np.pi, out=terms.real)
+    np.multiply(re_x + d.real[..., 0], np.pi, out=terms.imag)
+    np.exp(terms, out=terms)
     if j.size:
         # (M(Z+N+A))_ka = n . (M kron I)[ka] + (M(Z+A))_ka
-        offsets = np.array([(m @ (z + char.as_array())).ravel() for char in chars])
+        offsets = (m @ (z + a.reshape(-1, h, g))).reshape(c.shape)
         for i, power in enumerate(p for row in j.j for p in row):
             if power:
-                lam = n @ m_kron_i[i] + offsets[:, i, None]
+                lam = m_kron_i[i] @ n.T + offsets[..., i, None]
                 for _ in range(power):
                     terms *= lam
-    return (2j * np.pi) ** j.size * terms.sum(axis=1)
+    return ((2j * np.pi) ** j.size * terms.sum(axis=-1)).reshape(*lead, len(chars))
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
                     z, w, cfg: TruncationConfig) -> tuple[np.ndarray, float]:
-    """The auxiliary series of one (level, J) at one point, for a list of characteristics.
+    """The auxiliary series of one (level, J) at one (h, g) point or a stack of S points,
+    shape (S, h, g), for a list of characteristics: values of shape (C,) or (S, C).
 
-    Returns the values, in the order of ``chars``, and their one certified tail
-    bound, which depends on |J|, Z, W and the radius but not on the characteristic.
-    The characteristics are summed in slices of at most BLOCK_TERMS lattice terms;
-    each value is the one ``aux_theta_series`` gives, to the last bit.
+    The stack has one certified tail bound, ``tail_bound`` at its largest |Z| entry and
+    largest ||M Im W||_F: every envelope term grows with both, so it covers each point,
+    and one point gets its own bound.  Passes hold at most BLOCK_TERMS S x C x P terms,
+    slicing the points, or the characteristics where one point is over the budget.
     """
     h, g = level.h, omega.g
     if (j.h, j.g) != (h, g):
         raise DimensionMismatchError(f"multi-index shape {j.h}x{j.g} does not match h={h}, g={g}")
     if any(char.level != level or char.g != g for char in chars):
         raise DimensionMismatchError("characteristic does not match the level matrix and omega")
-    z = as_matrix(z, h, g)
-    w = as_matrix(w, h, g)
-    mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if z.shape != w.shape or w.shape[-2:] != (h, g) or w.ndim not in (2, 3):
+        raise DimensionMismatchError(f"Z, W must share a shape {h}x{g} or Sx{h}x{g}: {z.shape}, {w.shape}")
+    stacked = w.ndim == 3
+    z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
+    mv = level.as_array() @ w.imag
+    mv_norm = float(np.sqrt((mv * mv).sum(axis=(1, 2)).max()))
     z_sup = float(np.abs(z).max()) if j.size else 0.0
     bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
     if bound > cfg.tail_tol:
         raise TruncationInsufficientError(
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
-    step = max(1, BLOCK_TERMS // len(_quadratic_form(level, omega, cfg.radius)[0]))
-    if len(chars) <= step:
-        return _aux_value(level, j, chars, omega, z, w, cfg.radius), bound
-    return np.concatenate([_aux_value(level, j, chars[lo:lo + step], omega, z, w, cfg.radius)
-                           for lo in range(0, len(chars), step)]), bound
+    points = len(_quadratic_form(level, omega, cfg.radius)[0])
+    c_step = max(1, min(len(chars), BLOCK_TERMS // points))
+    s_step = max(1, BLOCK_TERMS // (c_step * points))
+    values = np.empty((len(w), len(chars)), dtype=complex)
+    for s in range(0, len(w), s_step):
+        for lo in range(0, len(chars), c_step):
+            values[s:s + s_step, lo:lo + c_step] = _aux_value(
+                level, j, chars[lo:lo + c_step], omega, z[s:s + s_step], w[s:s + s_step], cfg.radius)
+    return (values if stacked else values[0]), bound
 
 
 def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
@@ -258,12 +269,14 @@ def theta_series(level: LevelMatrix, char: Characteristic, omega: PeriodMatrix,
     return aux_theta_series(level, j0, char, omega, zeros, w, cfg)
 
 
-def transformation_factor(level: LevelMatrix, omega: PeriodMatrix, w, xi) -> complex:
-    """exp{-pi i sigma(M(xi Omega xi^t + 2 W xi^t))}, the quasi-periodicity factor."""
+def transformation_factor(level: LevelMatrix, omega: PeriodMatrix, w, xi):
+    """exp{-pi i sigma(M(xi Omega xi^t + 2 W xi^t))}, the quasi-periodicity factor, at
+    one point or at each point of a stack."""
     m = level.as_array()
-    quad = np.einsum("kl,la,ab,kb->", m, xi, omega.omega, xi)
-    lin = np.einsum("kl,la,ka->", m, w, xi)
-    return complex(np.exp(-np.pi * 1j * (quad + 2.0 * lin)))
+    quad = np.einsum("kl,...la,ab,...kb->...", m, xi, omega.omega, xi)
+    lin = np.einsum("kl,...la,...ka->...", m, w, xi)
+    factor = np.exp(-np.pi * 1j * (quad + 2.0 * lin))
+    return complex(factor) if factor.ndim == 0 else factor
 
 
 def _as_int_matrix(x, h, g, name):
@@ -292,23 +305,24 @@ def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristi
     w = as_matrix(w, h, g)
     xi = _as_int_matrix(xi, h, g, "xi")
     eta = _as_int_matrix(eta, h, g, "eta")
-    return shift_law_residual(
+    return float(shift_law_residual(
         lambda zz, ww: aux_theta_series(level, j, char, omega, zz, ww, cfg).value,
         level, omega, z, w, xi, eta,
-    )
+    ))
 
 
 def shift_law_residual(f: Callable, level: LevelMatrix, omega: PeriodMatrix,
-                       z, w, xi, eta) -> float:
-    """|f(Z+xi, W+xi*Omega+eta) - factor * f(Z,W)| / max(1, |factor|).
+                       z, w, xi, eta):
+    """|f(Z+xi, W+xi*Omega+eta) - factor * f(Z,W)| / max(1, |factor|), for one (h, g)
+    case or a stack of them, shape (S, h, g), with ``f`` called once per side.
 
-    ``f(z, w) -> complex`` is any function that should obey the shift law of
-    ``level``: one series, or one level component of an element.
+    ``f(z, w)`` is any function that should obey the shift law of ``level``: one
+    series, or one level component of an element.
     """
     shifted = f(z + xi, w + xi @ omega.omega + eta)
     base = f(z, w)
     factor = transformation_factor(level, omega, w, xi)
-    return abs(shifted - factor * base) / max(1.0, abs(factor))
+    return abs(shifted - factor * base) / np.maximum(1.0, abs(factor))
 
 
 def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic,
@@ -330,8 +344,8 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     w = as_matrix(w, h, g)
     lhs = aux_theta_series(level, j.bump(k, a, +1), char, omega, z, w, cfg).value
     base = aux_theta_series(level, j, char, omega, z, w, cfg).value
-    fd = wderiv_fd(lambda ww: aux_theta_series(level, j, char, omega, z, ww, cfg).value,
-                   w, MultiIndex.zeros(h, g).bump(k, a, +1))
+    fd = wderiv_fd(lambda ww: aux_theta_block(level, j, [char], omega, np.broadcast_to(z, ww.shape),
+                                              ww, cfg)[0][:, 0], w, MultiIndex.zeros(h, g).bump(k, a, +1))
     mz = (level.as_array() @ z)[k - 1, a - 1]
     rhs = 2j * np.pi * mz * base + fd
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -372,25 +386,25 @@ def _truncation_config(level, omega, box, degree, tol) -> TruncationConfig:
 def wderiv_fd(f, w, j: MultiIndex):
     """Mixed W-derivative of order J by Richardson-extrapolated central differences.
 
-    ``f`` maps an (h,g) complex matrix to a complex number and is assumed
-    holomorphic, so differences are taken along the real axis of each entry.
-    Every level uses the step 1e-3 / |J| and combines two step sizes (h and
-    h/2) into the standard fourth-order extrapolation.
+    ``f`` maps a stack of (h,g) complex matrices to their values (a scalar broadcasts)
+    and is assumed holomorphic, so differences are taken along the real axis of each
+    entry.  ``w`` is one (h,g) point or a stack (S, h, g), with one derivative per point.
+    Every level uses the step 1e-3 / |J| and combines two step sizes (h and h/2) into
+    the standard fourth-order extrapolation: 4^|J| stencil points per W, and one call
+    of ``f`` on the stencils of all of them.
     """
     step = 1e-3 / max(j.size, 1)
-
-    def deriv(w, j):
-        if j.size == 0:
-            return f(w)
-        k, a = next((ki, ai) for ki, row in enumerate(j.j) for ai, x in enumerate(row) if x > 0)
-        inner = j.bump(k + 1, a + 1, -1)
-        unit = np.zeros_like(np.asarray(w, dtype=complex))
+    w = np.asarray(w, dtype=complex)
+    shape = w.shape[-2:]
+    stencil = w.reshape(-1, 1, *shape)
+    offsets = np.array([step, -step, step / 2.0, -step / 2.0])[:, None, None]
+    for k, a in ((k, a) for k, row in enumerate(j.j) for a, x in enumerate(row) for _ in range(x)):
+        unit = np.zeros(shape, dtype=complex)
         unit[k, a] = 1.0
-
-        def diff(hstep):
-            return (deriv(w + hstep * unit, inner) - deriv(w - hstep * unit, inner)) / (2.0 * hstep)
-
-        d1 = diff(step)
-        return (4.0 * diff(step / 2.0) - d1) / 3.0
-
-    return deriv(w, j)
+        stencil = (stencil[:, :, None] + offsets * unit).reshape(len(stencil), -1, *shape)
+    flat = stencil.reshape(-1, *shape)
+    values = np.broadcast_to(f(flat), len(flat)).reshape(len(stencil), *[4] * j.size)
+    for _ in range(j.size):  # the last axis is the innermost difference
+        d1 = (values[..., 0] - values[..., 1]) / (2.0 * step)
+        values = (4.0 * ((values[..., 2] - values[..., 3]) / step) - d1) / 3.0
+    return values if w.ndim == 3 else values[0]

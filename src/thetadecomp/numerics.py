@@ -84,6 +84,12 @@ class LevelMatrix:
 
     entries: Rows
 
+    def __post_init__(self):  # hashed once: levels key the evaluation memos and every symbol
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def h(self) -> int:
         return len(self.entries)

@@ -291,6 +291,20 @@ class TestEvaluateElement:
             (LEVEL4, 0, [1]), (LEVEL4, 2, [0, 2, 3]),
         ]
 
+    def test_stack_is_its_points(self):
+        # stacked Z and W give one value per point, and one bound that covers each
+        x = AlgebraElement({sym(LEVEL2, [[1]], 1): 0.5 - 1j, sym(LEVEL2, [[0]], 0): 2,
+                            sym(LEVEL4, [[2]], 3): 0.25, sym(LEVEL4, [[2]], 0): 1 + 1j})
+        rng = np.random.default_rng(2)
+        z, w = rng.uniform(-0.4, 0.4, (2, 6, 1, 1)) + 1j * rng.uniform(-0.4, 0.4, (2, 6, 1, 1))
+        got = evaluate_element(x, self.OMEGA, z, w, self.CFG)
+        assert got.value.shape == (6,)
+        for s in range(6):
+            one = evaluate_element(x, self.OMEGA, z[s], w[s], self.CFG)
+            assert isinstance(one.value, complex)
+            assert abs(got.value[s] - one.value) <= 1e-14 * abs(one.value)
+            assert one.tail_bound <= got.tail_bound
+
     def test_difference_cancels_exactly(self):
         s = sym(LEVEL2, [[1]])
         x = AlgebraElement.from_symbol(s, coeff=1.0)

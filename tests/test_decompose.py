@@ -23,7 +23,13 @@ from thetadecomp.errors import (
     LevelSumInvalidError,
     ResidualTooLargeError,
 )
-from thetadecomp.evaluation import TruncationConfig, theta_series, truncation_config, wderiv_fd
+from thetadecomp.evaluation import (
+    TruncationConfig,
+    aux_theta_block,
+    theta_series,
+    truncation_config,
+    wderiv_fd,
+)
 from thetadecomp.numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -33,6 +39,7 @@ from thetadecomp.numerics import (
 
 LEVEL2 = validate_level([[2]])
 LEVEL4 = validate_level([[4]])
+HEX = validate_level([[2, 1], [1, 2]])
 OMEGA = PeriodMatrix([[1j]])
 CHARS2 = enumerate_characteristics(LEVEL2, 1)
 CHARS4 = enumerate_characteristics(LEVEL4, 1)
@@ -64,6 +71,21 @@ class TestFitInBasis:
         assert coeff_sup_diff(dec.element, x) < 1e-6
         assert dec.residual < 1e-8
         assert dec.conditioning < 1e8
+
+    def test_f_is_called_once_on_the_stacks(self):
+        # f sees the n_fit + holdout points of a seed as one stack
+        x = random_element(np.random.default_rng(5), max_degree=1)
+        ecfg = truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, 1)
+        shapes = []
+
+        def f(z, w):
+            shapes.append((z.shape, w.shape))
+            return evaluate_element(x, OMEGA, z, w, ecfg).value
+
+        dec = fit_in_basis(f, LEVEL2, 1, OMEGA, CFG)
+        total = 2 * 2 * 2 + CFG.holdout  # OVERSAMPLE x (2 multi-indices x 2 characteristics)
+        assert shapes == [((total, 1, 1), (total, 1, 1))]
+        assert coeff_sup_diff(dec.element, x) < 1e-6
 
     def test_zero_function(self):
         dec = fit_in_basis(lambda z, w: 0j, LEVEL2, 2, OMEGA, CFG)
@@ -243,7 +265,7 @@ class TestDiffPolyDecompose:
             return wderiv_fd(f, w, j)
 
         d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[0]) for k in range(3))
-        w = np.array([[0.1 + 0.2j]])
+        w = np.array([[[0.1 + 0.2j]], [[-0.3 + 0.05j]]])  # two certificate points, one stack
         element = AlgebraElement({d0: 0.5, d1: 1j})
         cases = [
             (d2, AlgebraElement.from_symbol(d2), 1),  # single_j2: leaf and term are one symbol
@@ -255,30 +277,32 @@ class TestDiffPolyDecompose:
             got = decompose._fd_mismatch(expr, elem, OMEGA, w)
             assert len(calls) == distinct
             monkeypatch.undo()
-            # the value is the one a derivative per occurrence gives
+            # the value is the one a derivative per occurrence gives, one residual per point
             cfg_t = truncation_config(LEVEL2, OMEGA, decompose.CERTIFY_BOX, 0)
-            fd = {s: wderiv_fd(lambda ww: theta_series(LEVEL2, s.char, OMEGA, ww, cfg_t).value,
+            fd = {s: wderiv_fd(lambda ww: aux_theta_block(LEVEL2, MultiIndex.zeros(1, 1), [s.char], OMEGA,
+                                                          np.zeros_like(ww), ww, cfg_t)[0][:, 0],
                                w, s.j) for s in (d0, d1, d2)}
             lhs = fd[d2] if expr is d2 else fd[d0] * fd[d2] + -1.0 * (fd[d1] * fd[d1])
             rhs = sum(complex(c) * fd[s] for s, c in elem.sorted_terms())
-            assert got == abs(lhs - rhs)
+            assert np.array_equal(got, np.abs(lhs - rhs))
 
     def test_theorem3_suite_certifies_only_what_it_reports(self, monkeypatch):
         # per expression: the decomposition's certificate and verify_theorem3's z0
-        # residuals, THEOREM3_HOLDOUT points each; the second seed is fitted, not certified
+        # residuals, one stack of THEOREM3_HOLDOUT points each; the second seed is
+        # fitted, not certified
         from thetadecomp import decompose, verify
 
-        calls = []
+        points = []
         certify = decompose._fd_mismatch
 
-        def counted(*args):
-            calls.append(args)
-            return certify(*args)
+        def counted(expr, elem, omega, w):
+            points.append(len(w))
+            return certify(expr, elem, omega, w)
 
         monkeypatch.setattr(decompose, "_fd_mismatch", counted)
         report = verify.run_theorem3_suite(seed=0)
         assert report["passed"]
-        assert len(calls) == 6 * 2 * verify.THEOREM3_HOLDOUT
+        assert points == [verify.THEOREM3_HOLDOUT] * (6 * 2)
 
     def test_uncertified_node_is_the_pruned_element(self):
         from thetadecomp.decompose import _decompose_node
@@ -290,13 +314,33 @@ class TestDiffPolyDecompose:
 
     def test_nan_certificate_raises(self, monkeypatch):
         # a NaN kernel must not pass as a certified residual of 0
-        from thetadecomp import decompose
-        from thetadecomp.evaluation import ThetaValue
+        from thetadecomp import evaluation
 
-        nan = ThetaValue(value=complex(float("nan"), 0.0), tail_bound=0.0)
-        monkeypatch.setattr(decompose, "theta_series", lambda *args: nan)
+        monkeypatch.setattr(evaluation, "_aux_value",
+                            lambda level, j, chars, *rest: np.full(len(chars), complex("nan")))
         with pytest.raises(ResidualTooLargeError, match="not finite"):
             diff_poly_decompose(deriv(LEVEL2, [[0]], CHARS2[0]), OMEGA, CFG)
+
+    def test_kernel_calls_of_a_hex_product(self, monkeypatch):
+        # one hex g=1 degree-1 product: 5 calls to fit (3 design blocks, f's 2 factors),
+        # then one stacked call per distinct symbol of each certificate point stack.
+        # Point by point it took 808.
+        from thetadecomp import algebra, decompose, evaluation
+
+        calls = []
+        block = evaluation.aux_theta_block
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        for module in (algebra, decompose, evaluation):
+            monkeypatch.setattr(module, "aux_theta_block", counted)
+        hexc = enumerate_characteristics(HEX, 1)
+        expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
+        dec = diff_poly_decompose(expr, OMEGA, CFG)
+        assert dec.residual < 1e-7 and len(dec.element) == 6
+        assert len(calls) == 13
 
 
 class TestRestrictZ0:
@@ -321,7 +365,8 @@ class TestRestrictZ0:
         x = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0]))
         w = np.array([[0.1 + 0.2j]])
         got = self.at_z0(x, w)
-        f = lambda ww: theta_series(LEVEL2, CHARS2[0], OMEGA, ww, self.CFG_T).value
+        theta = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0]))
+        f = lambda ww: evaluate_element(theta, OMEGA, np.zeros_like(ww), ww, self.CFG_T).value
         fd = wderiv_fd(f, w, MultiIndex.from_rows([[1]]))
         assert abs(got.value - fd) < 1e-6
 

@@ -38,6 +38,7 @@ from thetadecomp.numerics import (
     multi_indices_up_to,
     validate_level,
 )
+from thetadecomp.verify import SHIFT_TOL, THEOREM3_TOL
 
 LEVEL2 = validate_level([[2]])
 LEVEL4 = validate_level([[4]])
@@ -261,29 +262,101 @@ class TestChooseRadius:
             choose_radius(LEVEL2, OMEGA_I, 50.0, 1e-12, 0)
 
 
+def stacked_theta(level, char, omega, cfg):
+    """The theta series as a stacked callable: (S, h, g) points to S values."""
+    j0 = MultiIndex.zeros(level.h, omega.g)
+    return lambda ww: evaluation.aux_theta_block(level, j0, [char], omega, np.zeros_like(ww),
+                                                 ww, cfg)[0][:, 0]
+
+
 class TestWDerivFD:
     def test_first_derivative_of_polynomial(self):
-        f = lambda w: (w[0, 0] ** 3 + 2 * w[0, 0])
+        f = lambda w: w[:, 0, 0] ** 3 + 2 * w[:, 0, 0]
         got = wderiv_fd(f, np.array([[0.3 + 0.1j]]), MultiIndex.from_rows([[1]]))
         want = 3 * (0.3 + 0.1j) ** 2 + 2
         assert abs(got - want) < 1e-10
 
     def test_mixed_second_derivative(self):
-        f = lambda w: w[0, 0] ** 2 * w[0, 1] ** 3
+        f = lambda w: w[:, 0, 0] ** 2 * w[:, 0, 1] ** 3
         w = np.array([[0.2 + 0.1j, -0.3 + 0.2j]])
         got = wderiv_fd(f, w, MultiIndex.from_rows([[1, 2]]))
         want = 2 * w[0, 0] * 6 * w[0, 1]
         assert abs(got - want) < 1e-7
 
+    def test_stack_is_one_call_on_every_stencil(self):
+        # 4^|J| stencil points per W, all W in one call; each derivative is the one-point one
+        calls = []
+
+        def f(w):
+            calls.append(w.shape)
+            return w[:, 0, 0] ** 2 * w[:, 0, 1] ** 3
+
+        ws = np.array([[[0.2 + 0.1j, -0.3 + 0.2j]], [[0.1, 0.3j]], [[-0.2j, 0.25]]])
+        j = MultiIndex.from_rows([[1, 2]])
+        got = wderiv_fd(f, ws, j)
+        assert calls == [(3 * 4 ** 3, 1, 2)] and got.shape == (3,)
+        for w, value in zip(ws, got):
+            assert value == wderiv_fd(f, w, j)
+
+    @pytest.mark.parametrize("rows", [[[1, 0]], [[0, 2]], [[2, 1]], [[1, 1], [1, 0]]])
+    def test_stencil_is_the_one_point_recursion(self, rows):
+        # reference: the recursion that took one difference at a time, point by point.
+        # Same stencil points and f values; numpy's complex division rounds differently
+        # from Python's, by a few ulps of the values, amplified by 1/step per order.
+        def recursion(f, w, j):
+            step = 1e-3 / max(j.size, 1)
+
+            def deriv(w, j):
+                if j.size == 0:
+                    return f(w)
+                k, a = next((k, a) for k, row in enumerate(j.j) for a, x in enumerate(row) if x)
+                unit = np.zeros_like(w)
+                unit[k, a] = 1.0
+                inner = j.bump(k + 1, a + 1, -1)
+                diff = lambda hs: (deriv(w + hs * unit, inner) - deriv(w - hs * unit, inner)) / (2 * hs)
+                d1 = diff(step)
+                return (4.0 * diff(step / 2.0) - d1) / 3.0
+
+            return deriv(w, j)
+
+        j = MultiIndex.from_rows(rows)
+        h, g = j.h, j.g
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=(h, g)) + 1j * rng.normal(size=(h, g))
+        one = lambda w: complex(np.exp((c * w).sum()) * w[0, 0] ** 3)
+        ws = rng.uniform(-0.4, 0.4, (4, h, g)) + 1j * rng.uniform(-0.4, 0.4, (4, h, g))
+        got = wderiv_fd(lambda stack: np.array([one(w) for w in stack]), ws, j)
+        step = 1e-3 / j.size
+        scale = max(abs(one(w + 1e-3)) for w in ws)
+        for w, value in zip(ws, got):
+            assert abs(value - recursion(one, w, j)) <= 8 * np.finfo(float).eps * scale / step ** j.size
+
     def test_against_series_derivative(self):
         # (d/dW) theta equals the J=1 auxiliary series at Z=0
         ch = chars(LEVEL2)[0]
         w = np.array([[0.1 + 0.2j]])
-        f = lambda ww: theta_series(LEVEL2, ch, OMEGA_I, ww, CFG).value
-        fd = wderiv_fd(f, w, MultiIndex.from_rows([[1]]))
+        fd = wderiv_fd(stacked_theta(LEVEL2, ch, OMEGA_I, CFG), w, MultiIndex.from_rows([[1]]))
         v = aux_theta_series(LEVEL2, MultiIndex.from_rows([[1]]), ch, OMEGA_I,
                              np.zeros((1, 1)), w, CFG)
         assert abs(fd - v.value) < 1e-8
+
+    @pytest.mark.parametrize("rows,tol", [([[1], [0]], SHIFT_TOL), ([[0], [1]], SHIFT_TOL),
+                                          ([[1], [1]], THEOREM3_TOL), ([[2], [0]], THEOREM3_TOL),
+                                          ([[0], [2]], THEOREM3_TOL)])
+    def test_hex_stack_against_the_exact_derivative(self, rows, tol):
+        # the exact W-derivative of order J of the hex g=1 series is the auxiliary series
+        # at Z = 0.  Held to the gates the derivative serves, scale-normalized as they are:
+        # the ladder check at |J| = 1, the fd certificate at |J| = 2.  Measured: 5.7e-11
+        # and 5.8e-9.
+        omega = PeriodMatrix([[0.25 + 1j]])
+        cfg = truncation_config(HEX, omega, 0.42, 2)
+        j = MultiIndex.from_rows(rows)
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-0.4, 0.4, (5, 2, 1)) + 1j * rng.uniform(-0.4, 0.4, (5, 2, 1))
+        for char in chars(HEX):
+            fd = wderiv_fd(stacked_theta(HEX, char, omega, cfg), w, j)
+            exact = evaluation.aux_theta_block(HEX, j, [char], omega, np.zeros_like(w), w, cfg)[0][:, 0]
+            assert np.all(np.abs(fd - exact) <= tol * np.maximum(1.0, np.abs(exact)))
 
 
 def _admissible(rows):
@@ -441,7 +514,7 @@ class TestKernel:
             assert len(evaluation._quadratic_form(LEVEL4, OMEGA_I, radius)[0]) == 2 * radius + 1
 
     def test_block_slices_do_not_change_values(self, monkeypatch):
-        # 144 characteristics on a 14,641-point cube: 4 per slice by default
+        # 144 characteristics x 6,235 kept points of a 14,641-point cube: one per slice by default
         level = validate_level([[4, 2], [2, 4]])
         omega = PeriodMatrix([[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]])
         chars2 = enumerate_characteristics(level, 2)
@@ -476,6 +549,54 @@ class TestKernel:
             for char, value in zip(chars2, values):
                 one = aux_theta_series(LEVEL2, j, char, omega, z, w, cfg)
                 assert one.tail_bound == bound and one.value == value
+
+    @pytest.mark.parametrize("rows,g,omega,radius,count", [
+        # 60 points x 3 characteristics x 121 kept points: the points are sliced
+        ([[2, 1], [1, 2]], 1, [[0.25 + 1j]], 6, 60),
+        # one point of 144 characteristics x 3,343 kept points is over the budget: the
+        # characteristics are sliced (the radius is too small to certify; the slices are tested)
+        ([[4, 2], [2, 4]], 2, [[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]], 4, 2),
+    ])
+    def test_stack_over_the_budget_is_its_points(self, monkeypatch, rows, g, omega, radius, count):
+        level, omega = validate_level(rows), PeriodMatrix(omega)
+        chars_ = enumerate_characteristics(level, g)
+        cfg = TruncationConfig(radius=radius, tail_tol=1e6)
+        rng = np.random.default_rng(3)
+        z, w = (rng.uniform(-0.4, 0.4, (2, count, level.h, g))
+                + 1j * rng.uniform(-0.4, 0.4, (2, count, level.h, g)))
+        j = MultiIndex.zeros(level.h, g).bump(1, 1, +1)
+        points = len(evaluation._quadratic_form(level, omega, radius)[0])
+        assert count * len(chars_) * points > evaluation.BLOCK_TERMS
+        passes = []
+        kernel = evaluation._aux_value
+
+        def recorded(level, j, chars, omega, z, w, radius):
+            passes.append(len(z) * len(chars) * points)
+            return kernel(level, j, chars, omega, z, w, radius)
+
+        monkeypatch.setattr(evaluation, "_aux_value", recorded)
+        values, bound = evaluation.aux_theta_block(level, j, chars_, omega, z, w, cfg)
+        assert values.shape == (count, len(chars_)) and len(passes) > 1
+        assert max(passes) <= evaluation.BLOCK_TERMS and sum(passes) == values.size * points
+        for s in range(count):
+            one, one_bound = evaluation.aux_theta_block(level, j, chars_, omega, z[s], w[s], cfg)
+            assert np.all(np.abs(values[s] - one) <= 1e-14 * np.abs(one))
+            assert one_bound <= bound
+
+    @PROPERTY
+    @given(kernel_cases(), st.lists(st.tuples(unit, unit, unit, unit), min_size=0, max_size=3))
+    def test_stack_bound_covers_each_point(self, case, shifts):
+        # the stack's one bound is at least each point's own, and is it for one point
+        level, j, char, omega, z, w, radius = case
+        cfg = TruncationConfig(radius=radius, tail_tol=math.inf)
+        zs = np.array([z] + [z * (1 + dz) + dw for dz, dw, *_ in shifts])
+        ws = np.array([w] + [w * (1 + 1j * dz) + 1j * dw for *_, dz, dw in shifts])
+        _, bound = evaluation.aux_theta_block(level, j, [char], omega, zs, ws, cfg)
+        singles = [evaluation.aux_theta_block(level, j, [char], omega, zz, ww, cfg)[1]
+                   for zz, ww in zip(zs, ws)]
+        assert all(bound >= one for one in singles)
+        if len(zs) == 1:
+            assert bound == singles[0]
 
     def test_over_budget_cube_is_refused_unbuilt(self):
         # hex at g=2 with Im Omega = 0.2 I: the chosen radius 27 is a 55^4-point cube

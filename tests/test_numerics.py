@@ -78,6 +78,16 @@ class TestValidateLevel:
         # cached values never enter equality or hashing
         assert lvl == LevelMatrix(lvl.entries) and hash(lvl) == hash(LevelMatrix(lvl.entries))
 
+    def test_hash_is_computed_once(self):
+        # equal levels built separately are equal, hash equal, and share evaluation memos
+        from thetadecomp import evaluation
+
+        a, b = validate_level([[4, 2], [2, 4]]), validate_level([[4, 2], [2, 4]])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert vars(a)["_hash"] == hash(a) == hash((a.entries,))
+        omega = PeriodMatrix([[1j, 0.25], [0.25, 1.5j]])
+        assert evaluation._quadratic_form(a, omega, 2) is evaluation._quadratic_form(b, omega, 2)
+
     def test_period_matrix_reach(self):
         om = PeriodMatrix([[1j, -0.3j], [-0.3j, 2j]])
         assert om.im_reach == pytest.approx(2.3)
