@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -157,6 +158,13 @@ def cmd_decompose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  ``main`` dispatches on the subcommand to
+    the ``cmd_*`` function of this module it names, looked up at call time."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="thetadecomp",
         description="Evaluate theta series of matrix level and decompose "
@@ -175,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the characteristics of a level matrix")
     p.add_argument("--level", required=True, help="integer matrix JSON, e.g. '[[2]]'")
     p.add_argument("-g", type=int, required=True, help="number of columns")
-    p.set_defaults(func=cmd_characteristics)
 
     p = sub.add_parser("eval", parents=[out, tol], help="evaluate a theta or auxiliary series")
     p.add_argument("--kind", choices=["theta", "aux"], required=True)
@@ -185,17 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True, help="complex matrix JSON, entries [re,im]")
     p.add_argument("--z", default=None, help="complex matrix JSON (aux only)")
     p.add_argument("--w", required=True, help="complex matrix JSON")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", parents=[out, seed, tol], help="run a built-in verification suite")
     p.add_argument("--suite", choices=[*SUITES, "all"], required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", parents=[out, seed, tol],
                        help="decompose a differential polynomial expression")
     p.add_argument("--input", required=True, help="expression JSON path, or - for stdin")
     p.add_argument("--omega", required=True, help="complex matrix JSON, entries [re,im]")
-    p.set_defaults(func=cmd_decompose)
     return parser
 
 
@@ -203,7 +207,7 @@ def main(argv=None) -> int:
     args = None  # a usage error leaves --out unread, so it reports on stdout
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args and args.out)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

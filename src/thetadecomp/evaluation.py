@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +39,7 @@ from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _re
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
 _IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
-BLOCK_TERMS = 1 << 12  # S x C x P series terms one kernel pass holds at most
+BLOCK_TERMS = 1 << 14  # S x C x P series terms one kernel pass holds at most
 LATTICE_POINT_CAP = 1 << 20  # most points of one lattice cube
 
 
@@ -75,12 +76,16 @@ def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
     return level.min_eig * omega.im_min_eig
 
 
-@functools.lru_cache(maxsize=64)
-def _cut_constants(level: LevelMatrix, omega: PeriodMatrix) -> tuple[float, float]:
-    """sqrt(lam) and alpha of the ellipsoid cut: lam the decay rate, the least
-    eigenvalue of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|."""
+@functools.lru_cache(maxsize=1024)
+def _cut_constants(level: LevelMatrix, omega: PeriodMatrix, radius: int) -> tuple[float, float, int]:
+    """sqrt(lam) and alpha of the ellipsoid cut, lam the decay rate, the least eigenvalue
+    of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|; and the number of points of the
+    radius cube the cut may drop, those outside |n| <= r0 (see ``tail_bound``)."""
     p = np.kron(level.as_array(), omega.omega).imag
-    return math.sqrt(_decay_rate(level, omega)), math.sqrt(np.abs(p).sum())
+    sqrt_lam, alpha = math.sqrt(_decay_rate(level, omega)), math.sqrt(np.abs(p).sum())
+    r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
+    hg = level.h * omega.g
+    return sqrt_lam, alpha, (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
 
 
 def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
@@ -102,13 +107,16 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     min(radius, floor(1 + radius*sqrt(lam)/alpha)) has sqrt(q(n)) <= r0*alpha
     <= sqrt(lam)*radius + alpha and is kept, so at most (2*radius+1)^(hg) -
     (2*r0+1)^(hg) points are dropped: none at hg = 1, where alpha = sqrt(lam).
+
+    The total is returned times 1 + eps (eps = 2^-52): the kept terms that the
+    kernel prunes as too small to matter sum to at most eps times it (see
+    ``aux_theta_block``).
     """
     lam = _decay_rate(level, omega)
     rho = level.row_sum_norm
     hg = level.h * omega.g
     t_star = mv_norm / lam
-    sqrt_lam, alpha = _cut_constants(level, omega)
-    r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
+    dropped = _cut_constants(level, omega, radius)[2]
 
     def envelope(count, s, t):
         expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t
@@ -118,7 +126,7 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
             return 0.0
         return count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
 
-    total = envelope((2 * radius + 1) ** hg - (2 * r0 + 1) ** hg, radius, max(radius, t_star))
+    total = envelope(dropped, radius, max(radius, t_star))
     s = radius + 1
     while total < math.inf:
         shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, max(s - 1.0, t_star))
@@ -129,7 +137,7 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
             break
         s += 1
     # the true tail is strictly positive; never report a certified bound of zero
-    return max(total, 5e-324)
+    return max(total, 5e-324) * (1.0 + sys.float_info.epsilon)
 
 
 @functools.lru_cache(maxsize=64)
@@ -140,8 +148,8 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha (lam the decay rate,
     alpha^2 = sum_ij |(Im Q)_ij|), flattened to n (P x hg) in the cube's order, last
     entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
-    of a C-ordered hg x P array, the layout the kernel's phase product reads.  Returns n, Q,
-    M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
+    of a C-ordered hg x P array, the layout the kernel's exponent product reads.  Returns n,
+    Q, M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
     last is None when Re Omega = 0.  A cube of more than LATTICE_POINT_CAP
     points raises BudgetExceededError unbuilt.
     """
@@ -164,7 +172,7 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     # q(n) errs by about (hg)^2 eps alpha^2 radius^2, below 1e-9 of cut^2 on every cube
     # under the cap (radius <= 511 once hg >= 2; cut > alpha radius at hg = 1); the
     # slack resolves that roundoff, and that of tail_bound's floor, toward keeping a point
-    sqrt_lam, alpha = _cut_constants(level, omega)
+    sqrt_lam, alpha, _ = _cut_constants(level, omega, radius)
     cut = sqrt_lam * radius + alpha
     keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
     n = _read_only(np.ascontiguousarray(cube[keep].T)).T
@@ -172,41 +180,54 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     return n, q, m_kron_i, _read_only(n_imq_n[keep]), n_req_n
 
 
-def _aux_value(level, j, chars, omega, z, w, radius):
+def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     """The truncated series at (..., h, g) points Z, W for C characteristics, as one
     quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
     Each term is exp(i pi X) times the monomial weight; only the rows c, d and the
-    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The phase rows of all
-    S x C pairs are one matrix product, and the rest runs over the S x C x P terms.
+    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The exponent rows of all
+    S x C pairs are one matrix product.  A term's exponential has modulus exp(-pi Im X), so
+    one comparison prunes the terms where -pi Im X < log_floor (a NaN is kept; the default
+    prunes none), and the exp, the monomials and the sums run over the kept terms only,
+    each sum in P order.
     """
     n, q, m_kron_i, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     h, g = level.h, omega.g
-    lead = np.shape(w)[:-2]
-    z = np.reshape(z, (-1, 1, h, g))
-    w = np.reshape(w, (-1, 1, h, g))
+    lead = w.shape[:-2]
+    w = w.reshape(-1, 1, h, g)
     m = level.as_array()
     a = np.array([char.as_array().ravel() for char in chars])
     qa = (q * a[:, None, :]).sum(axis=-1)  # Q vec A, one row per characteristic
     c = 2.0 * ((m @ w).reshape(len(w), 1, -1) + qa)  # S x C x hg
-    d = (c - qa)[..., None, :] @ a[:, :, None]  # vec A^t Q vec A + 2 vec(MW) . vec A, S x C x 1
-    re_x, im_x = (np.stack((c.real, c.imag)).reshape(-1, h * g) @ n.T).reshape(2, *c.shape[:2], -1)
+    d = ((c - qa)[..., None, :] @ a[:, :, None]).ravel()  # vec A^t Q vec A + 2 vec(MW) . vec A
+    rows = len(d)
+    re_x, im_x = (np.concatenate((c.real, c.imag)).reshape(-1, h * g) @ n.T).reshape(2, rows, -1)
     im_x += n_imq_n
+    im_x += d.imag[:, None]
+    kept = np.flatnonzero(~(im_x > log_floor / -np.pi))
+    row = kept // len(n)
+    phase = re_x.ravel()[kept] + d.real[row]
+    if n_req_n is not None or j.size:
+        p = kept - row * len(n)
     if n_req_n is not None:
-        re_x += n_req_n
-    terms = np.empty(re_x.shape, dtype=complex)  # exp(i pi X), X built in place
-    np.multiply(im_x + d.imag[..., 0], -np.pi, out=terms.real)
-    np.multiply(re_x + d.real[..., 0], np.pi, out=terms.imag)
+        phase += n_req_n[p]
+    terms = np.empty(len(kept), dtype=complex)  # exp(i pi X) of the kept terms
+    np.multiply(im_x.ravel()[kept], -np.pi, out=terms.real)
+    np.multiply(phase, np.pi, out=terms.imag)
     np.exp(terms, out=terms)
     if j.size:
-        # (M(Z+N+A))_ka = n . (M kron I)[ka] + (M(Z+A))_ka
-        offsets = (m @ (z + a.reshape(-1, h, g))).reshape(c.shape)
-        for i, power in enumerate(p for row in j.j for p in row):
+        # (M(Z+N+A))_ka = (M N)_ka + (M(Z+A))_ka; M N is integral, so exact in any order
+        mn = n[p] @ m_kron_i.T
+        offsets = (m @ (z.reshape(-1, 1, h, g) + a.reshape(-1, h, g))).reshape(rows, -1)
+        for i, power in enumerate(x for jrow in j.j for x in jrow):
             if power:
-                lam = m_kron_i[i] @ n.T + offsets[..., i, None]
+                lam = mn[:, i] + offsets[row, i]
                 for _ in range(power):
                     terms *= lam
-    return ((2j * np.pi) ** j.size * terms.sum(axis=-1)).reshape(*lead, len(chars))
+        terms *= (2j * np.pi) ** j.size
+    sums = np.zeros(rows, dtype=complex)
+    np.add.at(sums, row, terms)  # in P order within each value
+    return sums.reshape(*lead, len(chars))
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -216,8 +237,10 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
 
     The stack has one certified tail bound, ``tail_bound`` at its largest |Z| entry and
     largest ||M Im W||_F: every envelope term grows with both, so it covers each point,
-    and one point gets its own bound.  Passes hold at most BLOCK_TERMS S x C x P terms,
-    slicing the points, or the characteristics where one point is over the budget.
+    and one point gets its own bound.  The kernel prunes the terms below a floor set from
+    that bound, so that together they stay within its eps share (see ``tail_bound``).
+    Passes hold at most BLOCK_TERMS S x C x P terms, slicing the points, or the
+    characteristics where one point is over the budget.
     """
     h, g = level.h, omega.g
     if (j.h, j.g) != (h, g):
@@ -238,13 +261,22 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
     points = len(_quadratic_form(level, omega, cfg.radius)[0])
+    # Each pruned term is below eps * bound / (2P) once weighted by at most
+    # (2 pi rho (z_sup + radius + 1))^|J|, and a value has fewer than P of them: they stay
+    # within the bound's eps share, the factor 2 covering the exponent's roundoff.  In logs,
+    # so that the least bound, 5e-324, has a floor; an infinite or NaN bound prunes nothing.
+    log_floor = -math.inf
+    if bound < math.inf:
+        log_floor = (math.log(bound) + math.log(sys.float_info.epsilon / (2 * points))
+                     - j.size * math.log(2.0 * math.pi * level.row_sum_norm * (z_sup + cfg.radius + 1.0)))
     c_step = max(1, min(len(chars), BLOCK_TERMS // points))
     s_step = max(1, BLOCK_TERMS // (c_step * points))
     values = np.empty((len(w), len(chars)), dtype=complex)
     for s in range(0, len(w), s_step):
         for lo in range(0, len(chars), c_step):
             values[s:s + s_step, lo:lo + c_step] = _aux_value(
-                level, j, chars[lo:lo + c_step], omega, z[s:s + s_step], w[s:s + s_step], cfg.radius)
+                level, j, chars[lo:lo + c_step], omega, z[s:s + s_step], w[s:s + s_step], cfg.radius,
+                log_floor)
     return (values if stacked else values[0]), bound
 
 

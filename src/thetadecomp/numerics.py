@@ -298,20 +298,26 @@ def smith_normal_form(m):
     return u, d, v
 
 
-def enumerate_characteristics(level: LevelMatrix, g: int) -> list[Characteristic]:
+def enumerate_characteristics(level: LevelMatrix, g: int) -> tuple[Characteristic, ...]:
     """All (det M)^g canonical characteristics of a level matrix, in a fixed order.
 
     Columns range over the residue system derived from the Smith normal form
     U*M*V = diag(d_1..d_h): residue r maps to the column V*(r_i/d_i) reduced
     into [0,1).  Matrices are enumerated lexicographically on the
     concatenated residue tuples (first column slowest), so the index of a
-    characteristic is stable across runs.  A list longer than
-    CHARACTERISTIC_CAP raises BudgetExceededError before anything is built.
+    characteristic is stable across runs.  More than CHARACTERISTIC_CAP
+    characteristics raise BudgetExceededError before anything is built.  The
+    tuple is built once per (level, g) and shared by every caller.
     """
     if g < 1:
         raise DimensionMismatchError("g must be a positive integer")
     if level.det() ** g > CHARACTERISTIC_CAP:
         raise BudgetExceededError(f"{level.det()}^{g} characteristics exceed {CHARACTERISTIC_CAP}")
+    return _characteristics(level, g)
+
+
+@functools.lru_cache(maxsize=64)
+def _characteristics(level: LevelMatrix, g: int) -> tuple[Characteristic, ...]:
     h = level.h
     _, d, v = smith_normal_form(level.entries)
     diag = [d[i][i] for i in range(h)]
@@ -328,7 +334,7 @@ def enumerate_characteristics(level: LevelMatrix, g: int) -> list[Characteristic
     for idx, cols in enumerate(itertools.product(columns, repeat=g)):
         a = tuple(tuple(cols[c][i] for c in range(g)) for i in range(h))
         out.append(Characteristic(level=level, a=a, index=idx))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,6 @@ def _subcommands():
 def test_every_option_is_read(name):
     # an option its command never reads would be accepted and silently ignored
     sub = _subcommands()[name]
-    dests = {a.dest for a in sub._actions} - {"command", "func", "help"}
-    read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(sub.get_default("func"))))
+    dests = {a.dest for a in sub._actions} - {"command", "help"}
+    read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(getattr(cli, f"cmd_{name}"))))
     assert dests == read

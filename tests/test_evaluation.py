@@ -493,16 +493,71 @@ class TestKernel:
         check()
         assert any(dropped)
 
+    def test_pruned_terms_are_within_the_bound(self, monkeypatch):
+        # the block prunes the terms under its floor; against the kernel's unpruned sum it
+        # may differ by their total, at most eps * bound, plus the roundoff gamma_n *
+        # sum|terms| of the two sums (n = 2P bounds both); the cases add W + xi Omega
+        eps = np.finfo(float).eps
+        floors, pruned = [], []
+        kernel = evaluation._aux_value
+
+        def recorded(*args):
+            floors.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(evaluation, "_aux_value", recorded)
+
+        @PROPERTY
+        @given(kernel_cases(), st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4))
+        def check(case, xi):
+            level, j, char, omega, z, w, radius = case
+            h, g = level.h, omega.g
+            w = w + np.array(xi[: h * g], dtype=float).reshape(h, g) @ omega.omega
+            cfg = TruncationConfig(radius=radius, tail_tol=1e300)
+            all_chars = enumerate_characteristics(level, g)
+            try:
+                block, bound = evaluation.aux_theta_block(level, j, all_chars, omega, z, w, cfg)
+                one, one_bound = evaluation.aux_theta_block(level, j, [char], omega, z, w, cfg)
+            except TruncationInsufficientError:
+                return
+            assert one_bound == bound and one[0] == block[all_chars.index(char)]
+            full = kernel(level, j, [char], omega, z, w, radius)[0]
+            _, scale = reference_terms(level, j, char, omega, z, w, radius)
+            nu = len(scale) * eps  # n u, with n = 2 * len(scale) >= 2P and u = eps / 2
+            assert abs(one[0] - full) <= eps * bound + nu / (1 - nu) * scale.sum()
+            # the exponentials exp(-pi Im X) of the kept points, against the floor
+            n = evaluation._quadratic_form(level, omega, radius)[0].reshape(-1, h, g)
+            b = n + char.as_array()
+            m = level.as_array()
+            im_x = (np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
+                    + 2.0 * np.einsum("kl,la,pka->p", m, w, b)).imag
+            pruned.append(bool((-np.pi * im_x < floors[-1]).any()))
+
+        check()
+        assert any(pruned)
+
+    def test_floor_of_the_least_bound(self):
+        # a tail that underflows gives the least bound, 5e-324; its floor is taken in logs
+        cfg = TruncationConfig(radius=30, tail_tol=1e-300)
+        z = w = np.array([[0.1 + 0.2j]])
+        for j in (MultiIndex.zeros(1, 1), MultiIndex.from_rows([[2]])):
+            values, bound = evaluation.aux_theta_block(LEVEL2, j, chars(LEVEL2), OMEGA_I, z, w, cfg)
+            assert bound == 5e-324
+            full = evaluation._aux_value(LEVEL2, j, chars(LEVEL2), OMEGA_I, z, w, 30)
+            assert np.array_equal(values, full)
+
     @PROPERTY
     @given(kernel_cases())
     def test_memo_holds_the_sub_cube_tail_bound_counts_as_kept(self, case):
         # tail_bound counts only the points outside |n| <= r0 as droppable
         level, _, _, omega, _, _, radius = case
-        sqrt_lam, alpha = evaluation._cut_constants(level, omega)
+        sqrt_lam, alpha, dropped = evaluation._cut_constants(level, omega, radius)
         im_q = np.kron(level.as_array(), omega.omega.imag)
         assert sqrt_lam == pytest.approx(math.sqrt(np.linalg.eigvalsh(im_q)[0]), rel=1e-12)
         assert alpha == pytest.approx(math.sqrt(np.abs(im_q).sum()), rel=1e-12)
         r0 = min(radius, math.floor(1 + radius * sqrt_lam / alpha))
+        hg = level.h * omega.g
+        assert dropped == (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
         kept = {tuple(n) for n in evaluation._quadratic_form(level, omega, radius)[0]}
         sub_cube = product_cube(level.h, omega.g, r0).reshape(-1, level.h * omega.g)
         assert all(tuple(n) in kept for n in sub_cube)
@@ -514,7 +569,7 @@ class TestKernel:
             assert len(evaluation._quadratic_form(LEVEL4, OMEGA_I, radius)[0]) == 2 * radius + 1
 
     def test_block_slices_do_not_change_values(self, monkeypatch):
-        # 144 characteristics x 6,235 kept points of a 14,641-point cube: one per slice by default
+        # 144 characteristics x 6,235 kept points of a 14,641-point cube: two per slice by default
         level = validate_level([[4, 2], [2, 4]])
         omega = PeriodMatrix([[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]])
         chars2 = enumerate_characteristics(level, 2)
@@ -570,9 +625,9 @@ class TestKernel:
         passes = []
         kernel = evaluation._aux_value
 
-        def recorded(level, j, chars, omega, z, w, radius):
+        def recorded(level, j, chars, omega, z, w, radius, log_floor):
             passes.append(len(z) * len(chars) * points)
-            return kernel(level, j, chars, omega, z, w, radius)
+            return kernel(level, j, chars, omega, z, w, radius, log_floor)
 
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
         values, bound = evaluation.aux_theta_block(level, j, chars_, omega, z, w, cfg)
