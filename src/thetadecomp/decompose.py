@@ -1,12 +1,14 @@
 """Decomposition of differential polynomials into the canonical symbol basis.
 
-The engine realizes the basis property numerically: any product or derivative
-combination of theta series is sampled at random interior points and fitted
-against the candidate symbols of the appropriate level by a dense
-least-squares solve (orthogonal factorization via SVD), with the residual
-measured on points held out of the solve.  Derivative checks always use
-nested central differences of the plain theta series, never the fitted
-values, so the certificates are independent of the solve.
+A product of two series is expanded exactly by the theta addition formula:
+each coefficient in the summed level is a lattice sum of theta constants of
+K = M1 (M1 + M2)^-1 M2 with a certified tail (see ``product_expand``).
+``fit_in_basis`` expresses any sampled function by a dense least-squares
+solve (orthogonal factorization via SVD), with the residual measured on
+points held out of the solve; it is the oracle the formula is tested
+against.  Derivative checks always use nested central differences of the
+plain theta series, never the expanded values, so the certificates are
+independent of the expansion.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -27,14 +32,20 @@ from .algebra import (
     evaluate_element,
 )
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     IllConditionedError,
     LevelError,
     LevelSumInvalidError,
+    RadiusUnachievableError,
     ResidualTooLargeError,
 )
 from .evaluation import (
-    TAIL_TARGET,  # noqa: F401  (stays importable from here)
+    LATTICE_POINT_CAP,
+    RADIUS_CAP,
+    TAIL_TARGET,
+    _decay_rate,
+    _shell_sum,
     aux_theta_block,
     shift_law_residual,
     truncation_config,
@@ -43,6 +54,7 @@ from .evaluation import (
 # the node classes stay importable from here
 from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
 from .numerics import (
+    Characteristic,
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
@@ -178,60 +190,231 @@ def level_sum(l1: LevelMatrix, l2: LevelMatrix) -> LevelMatrix:
         raise LevelSumInvalidError(f"sum of levels is not admissible: {exc}") from exc
 
 
-def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
-    """Expand a pointwise product of two single-level elements in the summed level.
-
-    The product of functions obeying the two shift laws obeys the law of the
-    entrywise sum of the levels, so the fit runs over that level's symbols
-    with degree bounded by the sum of the factors' degrees.
-    """
-    e1, e2 = _as_element(s1), _as_element(s2)
+def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix):
+    """The summed level of a product of two single-level elements, and its degree bound."""
     lv1, lv2 = e1.levels(), e2.levels()
     if len(lv1) != 1 or len(lv2) != 1:
         raise DimensionMismatchError("product factors must each carry a single level")
-    lvl = level_sum(lv1[0], lv2[0])
-    degree = e1.degree() + e2.degree()
-    cfg1 = truncation_config(lv1[0], omega, SAMPLE_BOX, e1.degree())
-    cfg2 = truncation_config(lv2[0], omega, SAMPLE_BOX, e2.degree())
+    if e1.shape()[1] != omega.g or e2.shape()[1] != omega.g:
+        raise DimensionMismatchError("product factors do not match the width of omega")
+    return level_sum(lv1[0], lv2[0]), e1.degree() + e2.degree()
+
+
+def _solve(s, m) -> list[list[Fraction]]:
+    """S^-1 M in exact rationals, for a nonsingular integer S and integer rows M."""
+    n = len(s)
+    a = [[Fraction(x) for x in row + mrow] for row, mrow in zip(s, m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+@functools.lru_cache(maxsize=64)
+def _level_pair(m1: LevelMatrix, m2: LevelMatrix):
+    """The constants of a product of levels M1, M2, with S = M1 + M2 admissible: S, det S,
+    S^-1 M1 and S^-1 M2 (exact), det S * S^-1 M2 (integral), K = M1 S^-1 M2 in floats, its
+    least eigenvalue and its row-sum norm."""
+    s = level_sum(m1, m2)
+    t1, t2 = _solve(s.entries, m1.entries), _solve(s.entries, m2.entries)
+    det = s.det()
+    h = s.h
+    k = np.array([[float(sum(m1.entries[i][l] * t2[l][j] for l in range(h))) for j in range(h)]
+                  for i in range(h)])
+    dt2 = np.array([[int(det * x) for x in row] for row in t2], dtype=np.int64)
+    return (s, det, t1, t2, dt2, k, float(np.linalg.eigvalsh(k).min()),
+            float(np.abs(k).sum(axis=1).max()))
+
+
+@functools.lru_cache(maxsize=256)
+def _expansion(m1: LevelMatrix, m2: LevelMatrix, j1: MultiIndex, j2: MultiIndex):
+    """prod_ka (M1 S^-1 V + E)_ka^J1_ka * prod_ka (M2 S^-1 V - E)_ka^J2_ka, expanded exactly
+    in the entries of V = S(Z+U) and E = K D: a tuple of (J', ((q, c), ...)), one row per
+    V-monomial V^J' and one pair per monomial E^q in it, q flat over the entries (k, a)."""
+    _, _, t1, t2, *_ = _level_pair(m1, m2)
+    h, g = j1.h, j1.g
+    poly = {((0,) * (h * g), (0,) * (h * g)): Fraction(1)}
+    for jj, t, sign in ((j1, t1, 1), (j2, t2, -1)):
+        for k, a in ((k, a) for k in range(h) for a in range(g) for _ in range(jj.j[k][a])):
+            # (M S^-1)_kl = (S^-1 M)_lk, the levels being symmetric
+            factor = [(l * g + a, t[l][k]) for l in range(h) if t[l][k]]
+            out = defaultdict(Fraction)
+            for (v, e), c in poly.items():
+                for var, coef in factor:
+                    out[v[:var] + (v[var] + 1,) + v[var + 1:], e] += c * coef
+                var = k * g + a
+                out[v, e[:var] + (e[var] + 1,) + e[var + 1:]] += sign * c
+            poly = {key: c for key, c in out.items() if c}
+    rows = defaultdict(list)
+    for (v, e), c in sorted(poly.items()):
+        rows[v].append((e, c))
+    return tuple((MultiIndex(tuple(v[i * g:(i + 1) * g] for i in range(h))), tuple(terms))
+                 for v, terms in rows.items())
+
+
+@functools.lru_cache(maxsize=64)
+def _char_codes(level: LevelMatrix, g: int) -> dict:
+    """det M * A, flattened to integers, of each characteristic A of the level -> its index."""
+    det = level.det()
+    return {tuple(int(det * x) for row in char.a for x in row): char.index
+            for char in enumerate_characteristics(level, g)}
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degree: int) -> int:
+    """Smallest radius of the D box whose shell envelope is within TAIL_TARGET at every
+    degree up to ``degree``: decay rate lambda_min(K) lambda_min(Im Omega), rho that of K."""
+    *_, k_min_eig, rho = _level_pair(m1, m2)
+    lam, hg = _decay_rate(k_min_eig, omega), m1.h * omega.g
+    for radius in range(1, RADIUS_CAP + 1):
+        if all(_shell_sum(lam, rho, hg, d, 0.0, 0.0, radius, 0) <= TAIL_TARGET for d in range(degree + 1)):
+            return radius
+    raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {TAIL_TARGET:.3e}")
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMatrix,
+                  degree: int, radius: int):
+    """The points D = A - B + N, |N|_inf <= radius, of one product's theta constants.
+
+    Returns the index of each D's characteristic of S, C = A - S^-1 M2 D (mod 1), found in
+    integers (det S * C is integral); its weight e(D) = exp(pi i sigma(K D Omega D^t)); its
+    E = K D, flattened to P x hg (None at degree 0); the number of characteristics of S; and
+    err[d], d <= degree: a bound on the error of every class sum sum_{D in C} (2 pi)^d E^q e(D)
+    with |q| = d.  That is the tail, the shell envelope of ``tail_bound`` at decay rate
+    lam = lambda_min(K) lambda_min(Im Omega) and rho the row-sum norm of K (|E_ka| <= rho (s+1)
+    and |D|_F >= s-1 on shell s), plus twice the first-order roundoff of the P terms.  A box of
+    more than LATTICE_POINT_CAP points raises BudgetExceededError unbuilt.
+    """
+    s, det, _, t2, dt2, k, k_min_eig, rho = _level_pair(m1, m2)
+    h, g = m1.h, omega.g
+    hg = h * g
+    if (2 * radius + 1) ** hg > LATTICE_POINT_CAP:
+        raise BudgetExceededError(
+            f"radius {radius} box of {(2 * radius + 1) ** hg} lattice points exceeds {LATTICE_POINT_CAP}")
+    n = (np.indices((2 * radius + 1,) * hg).reshape(hg, -1).T - radius).reshape(-1, h, g)
+    diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.a, b.a)]
+    c0 = [[int(det * (a.a[i][c] - sum(t2[i][l] * diff[l][c] for l in range(h)))) for c in range(g)]
+          for i in range(h)]
+    keys = (np.array(c0, dtype=np.int64) - dt2 @ n) % det
+    rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
+    codes = _char_codes(s, g)
+    cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
+    d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
+    q = np.kron(k, omega.omega)
+    weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, q, d))
+    e = (k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
+    # each term errs by at most eps * slack * (1 + pi |x|) relative, |x| <= |D|^t |K kron Omega| |D|,
+    # and the sum of P terms adds P eps of their moduli
+    slack = hg * hg + (h + 1) * degree + 8
+    ad = np.abs(d)
+    scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(q), ad)))
+    e_sup = rho * ad.max(axis=1)
+    lam = _decay_rate(k_min_eig, omega)
+    err = tuple(_shell_sum(lam, rho, hg, deg, 0.0, 0.0, radius, 0)
+                + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
+                for deg in range(degree + 1))
+    return cls, weights, e, len(codes), err
+
+
+def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: int | None = None) -> dict:
+    """The product of two symbols by the addition formula: J' -> (coefficients over the
+    characteristics of S, their certified error bound).
+
+    The coefficient of (S, J', C) is sum_q c_q (2 pi i)^|q| sum_{D in C} E^q e(D), with c_q from
+    ``_expansion``; one bincount per monomial E^q gives the class sums.  The radius defaults
+    to ``_constant_radius``.
+    """
+    m1, m2, degree = s1.level, s2.level, s1.j.size + s2.j.size
+    if radius is None:
+        radius = _constant_radius(m1, m2, omega, degree)
+    cls, weights, e, n_chars, err = _lattice_sums(m1, m2, s1.char, s2.char, omega, degree, radius)
+    sums = {}
+    out = {}
+    for jp, monomials in _expansion(m1, m2, s1.j, s2.j):
+        coef, bound = 0j, 0.0
+        for q, c in monomials:
+            if q not in sums:
+                x = weights * np.prod(e ** np.array(q), axis=1) if any(q) else weights
+                sums[q] = np.bincount(cls, x.real, n_chars) + 1j * np.bincount(cls, x.imag, n_chars)
+            coef = coef + float(c) * (2j * np.pi) ** sum(q) * sums[q]
+            bound += abs(float(c)) * err[sum(q)]
+        out[jp] = coef, bound
+    return out
+
+
+def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
+    """Expand a pointwise product of two single-level elements in the summed level.
+
+    The theta addition formula: with S = M1 + M2, K = M1 S^-1 M2, X = U + S^-1 M2 D and
+    Y = U - S^-1 M1 D, sigma(M1 X Omega X^t) + sigma(M2 Y Omega Y^t) = sigma(S U Omega U^t)
+    + sigma(K D Omega D^t), and M1(Z+X), M2(Z+Y) are linear in V = S(Z+U) and E = K D.  So
+    the product of two symbols is a combination of the symbols of S with degree at most
+    |J1| + |J2|, whose coefficients are lattice sums over D = A - B + N (``_pair_terms``).
+    No sample, design matrix or solve is made; ``cfg.seed`` is not read.  Coefficients
+    at most PRUNE_EPS are dropped.  ``residual`` is the largest certified bound on the
+    error of a coefficient, a dropped one's modulus included, and ``conditioning`` is 0.0.
+    A residual above ``cfg.fit_tol`` raises ResidualTooLargeError.
+    """
+    e1, e2 = _as_element(s1), _as_element(s2)
+    lvl, _ = _product_levels(e1, e2, omega)
+    chars = enumerate_characteristics(lvl, omega.g)
+    coeffs, bounds = {}, {}
+    for t1, c1 in e1.sorted_terms():
+        for t2, c2 in e2.sorted_terms():
+            c = complex(c1) * complex(c2)
+            for jp, (coef, bound) in _pair_terms(t1, t2, omega).items():
+                coeffs[jp] = coeffs.get(jp, 0j) + c * coef
+                bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
+    terms, residual = {}, 0.0
+    for jp, coef in coeffs.items():
+        keep = np.abs(coef) > PRUNE_EPS
+        residual = max(residual, bounds[jp] + float(np.abs(coef[~keep]).max(initial=0.0)))
+        terms.update((BasisSymbol(lvl, jp, chars[i]), complex(coef[i])) for i in np.flatnonzero(keep))
+    if not residual <= cfg.fit_tol:
+        raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
+    return Decomposition(element=AlgebraElement(terms), residual=residual, conditioning=0.0)
+
+
+def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
+    """The product of two single-level elements by ``fit_in_basis`` on its sampled values:
+    the oracle ``product_expand`` is checked against."""
+    e1, e2 = _as_element(s1), _as_element(s2)
+    lvl, degree = _product_levels(e1, e2, omega)
+    cfg1, cfg2 = (truncation_config(e.levels()[0], omega, SAMPLE_BOX, e.degree()) for e in (e1, e2))
 
     def f(z, w):
-        return (
-            evaluate_element(e1, omega, z, w, cfg1).value
-            * evaluate_element(e2, omega, z, w, cfg2).value
-        )
+        return evaluate_element(e1, omega, z, w, cfg1).value * evaluate_element(e2, omega, z, w, cfg2).value
 
     return fit_in_basis(f, lvl, degree, omega, cfg)
 
 
-def _decompose_node(expr, omega, cfg):
-    """Symbol-level decomposition, uncertified; returns (element, max conditioning)."""
-
-    def leaf(sym):
-        return AlgebraElement.from_symbol(sym), 0.0
-
-    def add(parts):
-        return sum((e for e, _ in parts), AlgebraElement.zero()), max(c for _, c in parts)
+def _decompose_node(expr, omega, cfg, product=None) -> AlgebraElement:
+    """Symbol-level decomposition, uncertified: each pairwise product by ``product``
+    (``product_expand``, looked up per call so that a wrapper installed on the module is
+    seen), the accumulated product pruned after each factor and the whole element pruned at
+    the end, which drops the cancellation residue of sums of products."""
+    product = product or product_expand
 
     def mul(parts):
-        acc, cond = parts[0]
-        for nxt, c in parts[1:]:
-            cond = max(cond, c)
-            if acc.is_zero() or nxt.is_zero():
-                acc = AlgebraElement.zero()
-                continue
+        acc = parts[0]
+        for nxt in parts[1:]:
             out = AlgebraElement.zero()
             for la in acc.levels():
                 for lb in nxt.levels():
-                    d = product_expand(acc.level_component(la), nxt.level_component(lb), omega, cfg)
-                    out = out + d.element
-                    cond = max(cond, d.conditioning)
+                    out = out + product(acc.level_component(la), nxt.level_component(lb), omega, cfg).element
             acc = out.prune()
-        return acc, cond
+        return acc
 
-    element, cond = fold(expr, leaf, add, mul, lambda coeff, part: (coeff * part[0], part[1]))
-    # once a product was fitted numerically, combinations of fitted blocks can
-    # leave cancellation residue below the noise floor
-    return (element.prune() if cond > 0 else element), cond
+    def add(parts):
+        return sum(parts, AlgebraElement.zero())
+
+    return fold(expr, AlgebraElement.from_symbol, add, mul, operator.mul).prune()
 
 
 def _worst(residuals) -> float:
@@ -260,21 +443,22 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
     """Rewrite a differential polynomial as one combination of basis symbols.
 
     Leaves map to their symbols, sums and scalings combine exactly, and each
-    pairwise product is expanded by a certified fit.  The returned residual
+    pairwise product is expanded by ``product_expand``.  The returned residual
     is an end-to-end certificate at ``cfg.holdout`` fresh W points: the
     expression and the returned combination are both evaluated as
     W-derivative polynomials of plain theta series by finite differences and
     compared.  A certificate that is not finite raises ResidualTooLargeError.
+    ``conditioning`` is 0.0: no fit is made.
     """
     h, g = expr_shape(expr)
     if g != omega.g:
         raise DimensionMismatchError("expression width does not match omega")
-    element, conditioning = _decompose_node(expr, omega, cfg)
+    element = _decompose_node(expr, omega, cfg)
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
     residual = _worst(_fd_mismatch(expr, element, omega, w_pts))
     if not math.isfinite(residual):
         raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
-    return Decomposition(element=element, residual=residual, conditioning=conditioning)
+    return Decomposition(element=element, residual=residual, conditioning=0.0)
 
 
 def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,

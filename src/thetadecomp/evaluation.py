@@ -68,12 +68,13 @@ def as_matrix(x, h: int, g: int) -> np.ndarray:
     return arr
 
 
-def _decay_rate(level: LevelMatrix, omega: PeriodMatrix) -> float:
+def _decay_rate(min_eig: float, omega: PeriodMatrix) -> float:
+    """lambda_min(M) * lambda_min(Im Omega) for the least eigenvalue of a matrix M."""
     if omega.im_min_eig < _IM_OMEGA_FLOOR:
         raise NotPositiveDefiniteError(
             f"Im(omega) too close to the boundary: min eigenvalue {omega.im_min_eig:.3e}"
         )
-    return level.min_eig * omega.im_min_eig
+    return min_eig * omega.im_min_eig
 
 
 @functools.lru_cache(maxsize=1024)
@@ -82,7 +83,7 @@ def _cut_constants(level: LevelMatrix, omega: PeriodMatrix, radius: int) -> tupl
     of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|; and the number of points of the
     radius cube the cut may drop, those outside |n| <= r0 (see ``tail_bound``)."""
     p = np.kron(level.as_array(), omega.omega).imag
-    sqrt_lam, alpha = math.sqrt(_decay_rate(level, omega)), math.sqrt(np.abs(p).sum())
+    sqrt_lam, alpha = math.sqrt(_decay_rate(level.min_eig, omega)), math.sqrt(np.abs(p).sum())
     r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
     hg = level.h * omega.g
     return sqrt_lam, alpha, (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
@@ -112,11 +113,20 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     kernel prunes as too small to matter sum to at most eps times it (see
     ``aux_theta_block``).
     """
-    lam = _decay_rate(level, omega)
-    rho = level.row_sum_norm
-    hg = level.h * omega.g
-    t_star = mv_norm / lam
     dropped = _cut_constants(level, omega, radius)[2]
+    return _shell_sum(_decay_rate(level.min_eig, omega), level.row_sum_norm, level.h * omega.g,
+                      degree, z_sup, mv_norm, radius, dropped)
+
+
+def _shell_sum(lam: float, rho: float, hg: int, degree: int, z_sup: float, mv_norm: float,
+               radius: int, dropped: int) -> float:
+    """The shell sum of ``tail_bound`` from its constants: the decay rate lam, the row-sum
+    norm rho, the lattice rank hg and the count of box points dropped inside the radius.
+
+    ``tail_bound`` and the theta constants of ``decompose.product_expand`` both call it.
+    The total is returned times 1 + eps, and is never zero.
+    """
+    t_star = mv_norm / lam
 
     def envelope(count, s, t):
         expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t

@@ -155,6 +155,13 @@ def test_criterion_8_uniqueness_across_seeds(theorem3_report):
             assert entry["seed_agreement"] < 1e-6, entry["expression"]
 
 
+def test_theorem3_products_match_their_fit(theorem3_report):
+    # seed_agreement compares the addition formula's coefficients with a least-squares
+    # fit of the same products at a second seed
+    for entry in theorem3_report["expressions"]:
+        assert entry["seed_agreement"] < 1e-10, entry["expression"]
+
+
 def test_criterion_9_byte_identical_reports(tmp_path):
     with criterion(9, "verify --suite all --seed 0 is byte-identical across runs"):
         outputs = []
