@@ -26,10 +26,11 @@ level = validate_level([[2]])
 omega = PeriodMatrix([[1j]])
 chars = enumerate_characteristics(level, 1)
 
-# radius selection: smallest box certifying a 1e-12 tail on the given domain
+# radius selection: smallest box certifying a 1e-12 tail on the given domain, where
+# w_box bounds the real and imaginary parts of every entry of Z and W
 radius = choose_radius(level, omega, w_box=1.5, tail_tol=1e-12, degree=2)
 cfg = TruncationConfig(radius=radius, tail_tol=1e-11)
-print(f"radius {radius} certifies tail 1e-12 for |Im W|, |Z| <= 1.5, |J| <= 2")
+print(f"radius {radius} certifies tail 1e-12 for |Re|, |Im| <= 1.5 on Z and W, |J| <= 2")
 
 for ch in chars:
     v = theta_series(level, ch, omega, [[0.0]], cfg)

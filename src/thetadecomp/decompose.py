@@ -32,19 +32,17 @@ from .algebra import (
     evaluate_element,
 )
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     IllConditionedError,
     LevelError,
     LevelSumInvalidError,
-    RadiusUnachievableError,
     ResidualTooLargeError,
 )
 from .evaluation import (
-    LATTICE_POINT_CAP,
-    RADIUS_CAP,
     TAIL_TARGET,
     _decay_rate,
+    _lattice_cube,
+    _least_radius,
     _shell_sum,
     aux_theta_block,
     shift_law_residual,
@@ -59,13 +57,13 @@ from .numerics import (
     MultiIndex,
     PeriodMatrix,
     enumerate_characteristics,
+    int_det,
     multi_indices_up_to,
     validate_level,
 )
 
 COND_LIMIT = 1e8
 SAMPLE_BOX = 0.4  # sample points have every real and imaginary part in [-SAMPLE_BOX, SAMPLE_BOX]
-CERTIFY_BOX = SAMPLE_BOX + 0.02  # margin for the fd stencil, which moves Re W by at most 1e-3
 OVERSAMPLE = 2.0  # fitted samples per basis symbol
 _MASK64 = (1 << 64) - 1
 
@@ -200,33 +198,23 @@ def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix)
     return level_sum(lv1[0], lv2[0]), e1.degree() + e2.degree()
 
 
-def _solve(s, m) -> list[list[Fraction]]:
-    """S^-1 M in exact rationals, for a nonsingular integer S and integer rows M."""
-    n = len(s)
-    a = [[Fraction(x) for x in row + mrow] for row, mrow in zip(s, m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if a[r][c])
-        a[c], a[p] = a[p], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
-            f = a[r][c]
-            if r != c and f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
 @functools.lru_cache(maxsize=64)
 def _level_pair(m1: LevelMatrix, m2: LevelMatrix):
     """The constants of a product of levels M1, M2, with S = M1 + M2 admissible: S, det S,
-    S^-1 M1 and S^-1 M2 (exact), det S * S^-1 M2 (integral), K = M1 S^-1 M2 in floats, its
-    least eigenvalue and its row-sum norm."""
+    S^-1 M1 = I - S^-1 M2 and S^-1 M2 (exact), det S * S^-1 M2 = adj(S) M2 (integral), K =
+    M1 S^-1 M2 in floats, its least eigenvalue and its row-sum norm."""
     s = level_sum(m1, m2)
-    t1, t2 = _solve(s.entries, m1.entries), _solve(s.entries, m2.entries)
-    det = s.det()
-    h = s.h
-    k = np.array([[float(sum(m1.entries[i][l] * t2[l][j] for l in range(h))) for j in range(h)]
-                  for i in range(h)])
-    dt2 = np.array([[int(det * x) for x in row] for row in t2], dtype=np.int64)
+    det, h = s.det(), s.h
+
+    def cofactor(i, j):  # of S, (-1)^(i+j) times the minor without row i and column j
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(s.entries) if k != i]
+        return (-1) ** (i + j) * (int_det(minor) if minor else 1)
+
+    adj = np.array([[cofactor(j, i) for j in range(h)] for i in range(h)], dtype=np.int64)
+    dt2 = adj @ np.array(m2.entries, dtype=np.int64)
+    t2 = [[Fraction(int(x), det) for x in row] for row in dt2]
+    t1 = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t2)]
+    k = m1.as_array() @ dt2 / det
     return (s, det, t1, t2, dt2, k, float(np.linalg.eigvalsh(k).min()),
             float(np.abs(k).sum(axis=1).max()))
 
@@ -271,10 +259,8 @@ def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degr
     degree up to ``degree``: decay rate lambda_min(K) lambda_min(Im Omega), rho that of K."""
     *_, k_min_eig, rho = _level_pair(m1, m2)
     lam, hg = _decay_rate(k_min_eig, omega), m1.h * omega.g
-    for radius in range(1, RADIUS_CAP + 1):
-        if all(_shell_sum(lam, rho, hg, d, 0.0, 0.0, radius, 0) <= TAIL_TARGET for d in range(degree + 1)):
-            return radius
-    raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {TAIL_TARGET:.3e}")
+    return _least_radius(lambda radius: max(_shell_sum(lam, rho, hg, d, 0.0, 0.0, radius, 0)
+                                            for d in range(degree + 1)), TAIL_TARGET)
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,20 +274,16 @@ def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMat
     err[d], d <= degree: a bound on the error of every class sum sum_{D in C} (2 pi)^d E^q e(D)
     with |q| = d.  That is the tail, the shell envelope of ``tail_bound`` at decay rate
     lam = lambda_min(K) lambda_min(Im Omega) and rho the row-sum norm of K (|E_ka| <= rho (s+1)
-    and |D|_F >= s-1 on shell s), plus twice the first-order roundoff of the P terms.  A box of
-    more than LATTICE_POINT_CAP points raises BudgetExceededError unbuilt.
+    and |D|_F >= s-1 on shell s), plus twice the first-order roundoff of the P terms.  The D box
+    is ``evaluation._lattice_cube``'s, refused over its cap.
     """
     s, det, _, t2, dt2, k, k_min_eig, rho = _level_pair(m1, m2)
-    h, g = m1.h, omega.g
-    hg = h * g
-    if (2 * radius + 1) ** hg > LATTICE_POINT_CAP:
-        raise BudgetExceededError(
-            f"radius {radius} box of {(2 * radius + 1) ** hg} lattice points exceeds {LATTICE_POINT_CAP}")
-    n = (np.indices((2 * radius + 1,) * hg).reshape(hg, -1).T - radius).reshape(-1, h, g)
+    h, g, hg = m1.h, omega.g, m1.h * omega.g
+    n = _lattice_cube(radius, hg).reshape(-1, h, g)
     diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.a, b.a)]
     c0 = [[int(det * (a.a[i][c] - sum(t2[i][l] * diff[l][c] for l in range(h)))) for c in range(g)]
           for i in range(h)]
-    keys = (np.array(c0, dtype=np.int64) - dt2 @ n) % det
+    keys = (np.array(c0, dtype=np.int64) - dt2 @ n.astype(np.int64)) % det
     rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
     codes = _char_codes(s, g)
     cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
@@ -425,11 +407,12 @@ def _worst(residuals) -> float:
 def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> np.ndarray:
     """|expression - element| at each W of the stack w (S x h x g), every leaf and symbol
     read as a W-derivative of its plain theta series by finite differences, taken once
-    per distinct symbol: one kernel call on the stencils of all S points."""
+    per distinct symbol: one kernel call on the stencils of all S points.  Its radius is
+    the sample box's: the stencil moves only Re W, which the tail bound does not read."""
 
     @functools.cache
     def theta_deriv(sym):
-        cfg_t = truncation_config(sym.level, omega, CERTIFY_BOX, 0)
+        cfg_t = truncation_config(sym.level, omega, SAMPLE_BOX, 0)
         j0 = MultiIndex.zeros(sym.h, sym.g)
         return wderiv_fd(lambda ww: aux_theta_block(sym.level, j0, [sym.char], omega, np.zeros_like(ww),
                                                     ww, cfg_t)[0][:, 0], w, sym.j)

@@ -150,6 +150,17 @@ def _shell_sum(lam: float, rho: float, hg: int, degree: int, z_sup: float, mv_no
     return max(total, 5e-324) * (1.0 + sys.float_info.epsilon)
 
 
+def _lattice_cube(radius: int, hg: int) -> np.ndarray:
+    """The cube |N_ka| <= radius of Z^hg as floats, P x hg, last entry fastest: the box of
+    every lattice sum.  Over LATTICE_POINT_CAP points it raises BudgetExceededError unbuilt."""
+    points = (2 * radius + 1) ** hg
+    if points > LATTICE_POINT_CAP:
+        raise BudgetExceededError(
+            f"radius {radius} cube of {points} lattice points exceeds {LATTICE_POINT_CAP}")
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    return np.stack(np.meshgrid(*([axis] * hg), indexing="ij", copy=False), axis=-1).reshape(-1, hg)
+
+
 @functools.lru_cache(maxsize=64)
 def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     """The part of the series exponent that depends on (level, Omega, radius) only.
@@ -160,17 +171,9 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
     of a C-ordered hg x P array, the layout the kernel's exponent product reads.  Returns n,
     Q, M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
-    last is None when Re Omega = 0.  A cube of more than LATTICE_POINT_CAP
-    points raises BudgetExceededError unbuilt.
+    last is None when Re Omega = 0.  The cube is ``_lattice_cube``'s, refused over its cap.
     """
-    points = (2 * radius + 1) ** (level.h * omega.g)
-    if points > LATTICE_POINT_CAP:
-        raise BudgetExceededError(
-            f"radius {radius} cube of {points} lattice points exceeds {LATTICE_POINT_CAP}"
-        )
-    axis = np.arange(-radius, radius + 1, dtype=float)
-    grid = np.meshgrid(*([axis] * (level.h * omega.g)), indexing="ij", copy=False)
-    cube = np.stack(grid, axis=-1).reshape(-1, len(grid))
+    cube = _lattice_cube(radius, level.h * omega.g)
     m = level.as_array()
     q = _read_only(np.kron(m, omega.omega))
     m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
@@ -397,18 +400,24 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
                   tail_tol: float, degree: int) -> int:
     """Smallest radius whose certified tail is below tail_tol.
 
-    ``w_box`` bounds both the entries of Im W and the moduli of the entries
-    of Z at every point the caller intends to evaluate.
+    ``w_box`` bounds the real and imaginary parts of the entries of Z and W at every
+    point the caller intends to evaluate: the tail is taken at |Z_ka| <= sqrt(2) w_box
+    and ||M Im W||_F <= rho w_box sqrt(hg), rho the row-sum norm of the level.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
+    z_sup = math.sqrt(2.0) * w_box
     mv_norm = level.row_sum_norm * w_box * math.sqrt(level.h * omega.g)
+    return _least_radius(lambda radius: tail_bound(level, omega, degree, z_sup, mv_norm, radius), tail_tol)
+
+
+def _least_radius(tail: Callable[[int], float], tail_tol: float) -> int:
+    """The least radius up to RADIUS_CAP with tail(radius) <= tail_tol: the one search of
+    the series kernel and of the theta constants of ``decompose.product_expand``."""
     for radius in range(1, RADIUS_CAP + 1):
-        if tail_bound(level, omega, degree, w_box, mv_norm, radius) <= tail_tol:
+        if tail(radius) <= tail_tol:
             return radius
-    raise RadiusUnachievableError(
-        f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}"
-    )
+    raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
 
 
 def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float, degree: int,

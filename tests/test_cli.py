@@ -294,6 +294,15 @@ class TestExitCodes:
         assert rc == 4
         assert json.loads(out.read_text())["error"]["type"] == "ResidualTooLargeError"
 
+    def test_product_without_a_radius_exits_3(self, tmp_path):
+        # Im Omega just above the evaluation floor: no theta-constant box certifies the tail
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(THETA_PRODUCT))
+        out = tmp_path / "out.json"
+        rc = cli.main(["decompose", "--input", str(src), "--omega", "[[[0, 0.0011]]]", "--out", str(out)])
+        assert rc == 3
+        assert json.loads(out.read_text())["error"]["type"] == "RadiusUnachievableError"
+
     def test_failed_verification_exits_1(self, tmp_path):
         out = tmp_path / "report.json"
         rc = cli.main(["verify", "--suite", "quasiperiodicity", "--tol", "1e-300",

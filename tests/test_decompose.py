@@ -27,6 +27,7 @@ from thetadecomp.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     LevelSumInvalidError,
+    RadiusUnachievableError,
     ResidualTooLargeError,
 )
 from thetadecomp.evaluation import (
@@ -317,8 +318,16 @@ class TestAdditionFormula:
         from thetadecomp.decompose import _pair_terms
 
         s = BasisSymbol(HEX, MultiIndex.zeros(2, 1), enumerate_characteristics(HEX, 1)[0])
-        with pytest.raises(BudgetExceededError):
+        # the series kernel's check and message: one cap for every lattice sum
+        with pytest.raises(BudgetExceededError, match="radius 600 cube of 1442401 lattice points exceeds"):
             _pair_terms(s, s, OMEGA, radius=600)  # 1201^2 points
+
+    def test_no_radius_near_the_boundary(self):
+        # Im Omega = 0.0011 is just above the evaluation floor: the envelope decays too slowly
+        # for any radius up to the cap, and the one search refuses
+        s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
+        with pytest.raises(RadiusUnachievableError, match="no radius up to 64 certifies"):
+            product_expand(s, s, PeriodMatrix([[0.0011j]]), CFG)
 
     def test_bound_over_fit_tol_raises(self):
         s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
@@ -425,7 +434,7 @@ class TestDiffPolyDecompose:
             assert len(calls) == distinct
             monkeypatch.undo()
             # the value is the one a derivative per occurrence gives, one residual per point
-            cfg_t = truncation_config(LEVEL2, OMEGA, decompose.CERTIFY_BOX, 0)
+            cfg_t = truncation_config(LEVEL2, OMEGA, decompose.SAMPLE_BOX, 0)
             fd = {s: wderiv_fd(lambda ww: aux_theta_block(LEVEL2, MultiIndex.zeros(1, 1), [s.char], OMEGA,
                                                           np.zeros_like(ww), ww, cfg_t)[0][:, 0],
                                w, s.j) for s in (d0, d1, d2)}

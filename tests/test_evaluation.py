@@ -261,6 +261,42 @@ class TestChooseRadius:
         with pytest.raises(RadiusUnachievableError):
             choose_radius(LEVEL2, OMEGA_I, 50.0, 1e-12, 0)
 
+    def test_box_bounds_the_real_and_imaginary_parts(self):
+        # a point of the sample box: |Z_ka| = 0.4 sqrt(2), over the box itself
+        level = validate_level([[4, -2], [-2, 4]])
+        omega = PeriodMatrix([[0.3534500014038884 + 1.276229879903966j]])
+        cfg = truncation_config(level, omega, 0.4, 2)
+        z = np.full((2, 1), 0.4 + 0.4j)
+        w = np.array([[0.4j], [-0.4j]])
+        j = MultiIndex.from_rows([[0], [2]])
+        _, bound = evaluation.aux_theta_block(level, j, chars(level), omega, z, w, cfg)
+        assert bound <= cfg.tail_tol
+
+    # series-g2's radii at box 0.4, |J| = 0, 1, 2: a change here changes the benchmark's work
+    @pytest.mark.parametrize("rows,scale,radii", [
+        ([[2, 1], [1, 2]], 1.0, (8, 8, 8)), ([[4, 2], [2, 4]], 1.0, (7, 7, 7)),
+        ([[2, 1], [1, 2]], 0.7, (10, 10, 11)), ([[4, 2], [2, 4]], 0.7, (9, 9, 9)),
+    ])
+    def test_series_benchmark_radii(self, rows, scale, radii):
+        omega = PeriodMatrix(1j * scale * np.array([[1.0, 0.3], [0.3, 2.0]]))
+        level = validate_level(rows)
+        assert tuple(choose_radius(level, omega, 0.4, 1e-12, d) for d in range(3)) == radii
+
+    # decompose-ref's radii at the sample box (|J| up to the degree its ops reach) and
+    # at the shift box of verify_theorem3
+    @pytest.mark.parametrize("rows,g,sample,shift", [
+        ([[2]], 1, (3, 3, 3), 6), ([[4]], 1, (2, 3, 3), 6),
+        ([[2, 1], [1, 2]], 1, (6, 6), 21), ([[4, 2], [2, 4]], 1, (5, 5), 21),
+        ([[2]], 2, (4,), 12), ([[4]], 2, (3,), 12),
+    ])
+    def test_decompose_benchmark_radii(self, rows, g, sample, shift):
+        from thetadecomp.decompose import SAMPLE_BOX, _shift_box
+
+        omega = OMEGA_I if g == 1 else PeriodMatrix(1j * np.array([[1.0, 0.3], [0.3, 2.0]]))
+        level = validate_level(rows)
+        assert tuple(choose_radius(level, omega, SAMPLE_BOX, 1e-12, d) for d in range(len(sample))) == sample
+        assert {choose_radius(level, omega, _shift_box(omega), 1e-12, d) for d in range(len(sample))} == {shift}
+
 
 def stacked_theta(level, char, omega, cfg):
     """The theta series as a stacked callable: (S, h, g) points to S values."""
