@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -178,36 +177,23 @@ def raising_op(n: int, b: int) -> OperatorId:
     return OperatorId("raise", n, b)
 
 
-def _check_indices(op: OperatorId, h: int, g: int):
-    if op.kind == "scale":
-        ok = 1 <= op.i <= h and 1 <= op.j <= h
-    else:
-        ok = 1 <= op.i <= h and 1 <= op.j <= g
-    if not ok:
-        raise IndexOutOfRangeError(f"{op.kind}({op.i},{op.j}) outside h={h}, g={g}")
-
-
-def _apply_symbol(op: OperatorId, sym: BasisSymbol, coeff) -> Iterable[tuple[BasisSymbol, object]]:
-    _check_indices(op, sym.h, sym.g)
-    m = sym.level.entries
-    if op.kind == "scale":
-        yield sym, coeff * m[op.i - 1][op.j - 1]
-    elif op.kind == "raise":
-        yield BasisSymbol(sym.level, sym.j.bump(op.i, op.j, +1), sym.char), coeff
-    else:  # lower: sum over rows of the level matrix against the multi-index column
-        a = op.j
-        for l in range(1, sym.h + 1):
-            jla = sym.j.j[l - 1][a - 1]
-            if jla:
-                lowered = BasisSymbol(sym.level, sym.j.bump(l, a, -1), sym.char)
-                yield lowered, coeff * m[op.i - 1][l - 1] * jla
-
-
 def apply(op: OperatorId, x: AlgebraElement) -> AlgebraElement:
     """Apply one operator, extended linearly over the terms."""
     out: dict = {}
+    i, a = op.i, op.j
     for sym, coeff in x.items():
-        for new_sym, c in _apply_symbol(op, sym, coeff):
+        h, m = sym.h, sym.level.entries
+        if not (1 <= i <= h and 1 <= a <= (h if op.kind == "scale" else sym.g)):
+            raise IndexOutOfRangeError(f"{op.kind}({i},{a}) outside h={h}, g={sym.g}")
+        if op.kind == "scale":
+            images = [(sym, coeff * m[i - 1][a - 1])]
+        elif op.kind == "raise":
+            images = [(BasisSymbol(sym.level, sym.j.bump(i, a, +1), sym.char), coeff)]
+        else:  # lower: sum over rows of the level matrix against the multi-index column
+            images = [(BasisSymbol(sym.level, sym.j.bump(l, a, -1), sym.char),
+                       coeff * m[i - 1][l - 1] * jla)
+                      for l in range(1, h + 1) if (jla := sym.j.j[l - 1][a - 1])]
+        for new_sym, c in images:
             out[new_sym] = out.get(new_sym, 0) + c
     return AlgebraElement(out)
 

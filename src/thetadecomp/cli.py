@@ -9,7 +9,9 @@ truncation insufficient, residual too large or ill-conditioned, level-sum
 invalid) come from ``EXIT_CODES``, their one source.  Every failure prints a
 JSON error object and nothing on stderr; a usage error is a ValueError
 (exit 2), printed on stdout even when --out is given.  A non-finite matrix
-entry is a ValueError, and eval refuses a non-finite series value (exit 3).
+entry or a --tol <= 0 is a ValueError, an Omega below the Im floor of
+``PeriodMatrix`` a NotPositiveDefiniteError (exit 2).  eval sums to the least radius
+whose tail bound at its own point is within --tol; a non-finite value is exit 3.
 Every report is strict JSON: a non-finite number in it (a NaN residual of a
 failing verify case) is written as the string "NaN", "Infinity" or "-Infinity".
 """
@@ -34,7 +36,15 @@ from .errors import (
     ThetaError,
     TruncationInsufficientError,
 )
-from .evaluation import TAIL_TARGET, as_matrix, aux_theta_series, truncation_config
+from .evaluation import (
+    TAIL_TARGET,
+    TruncationConfig,
+    _least_radius,
+    _tail_point,
+    as_matrix,
+    aux_theta_series,
+    tail_bound,
+)
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -117,8 +127,9 @@ def cmd_eval(args) -> int:
         raise ValueError("--j and --z apply only to --kind aux")
 
     tol = args.tol if args.tol is not None else TAIL_TARGET
-    box = max(float(np.abs(w.imag).max()), float(np.abs(z).max()), 0.01)
-    cfg = truncation_config(level, omega, box, j.size, tol)
+    z_sup, mv_norm = _tail_point(level, j, z, w)
+    radius = _least_radius(lambda r: tail_bound(level, omega, j.size, z_sup, mv_norm, r), tol)
+    cfg = TruncationConfig(radius=radius, tail_tol=tol)
     # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series;
     # a sum that overflowed is refused below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .evaluation import (
     TAIL_TARGET,
-    _decay_rate,
     _lattice_cube,
     _least_radius,
     _shell_sum,
@@ -258,7 +257,7 @@ def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degr
     """Smallest radius of the D box whose shell envelope is within TAIL_TARGET at every
     degree up to ``degree``: decay rate lambda_min(K) lambda_min(Im Omega), rho that of K."""
     *_, k_min_eig, rho = _level_pair(m1, m2)
-    lam, hg = _decay_rate(k_min_eig, omega), m1.h * omega.g
+    lam, hg = k_min_eig * omega.im_min_eig, m1.h * omega.g
     return _least_radius(lambda radius: max(_shell_sum(lam, rho, hg, d, 0.0, 0.0, radius, 0)
                                             for d in range(degree + 1)), TAIL_TARGET)
 
@@ -297,7 +296,7 @@ def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMat
     ad = np.abs(d)
     scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(q), ad)))
     e_sup = rho * ad.max(axis=1)
-    lam = _decay_rate(k_min_eig, omega)
+    lam = k_min_eig * omega.im_min_eig
     err = tuple(_shell_sum(lam, rho, hg, deg, 0.0, 0.0, radius, 0)
                 + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
                 for deg in range(degree + 1))

@@ -30,7 +30,6 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     IndexOutOfRangeError,
-    NotPositiveDefiniteError,
     RadiusUnachievableError,
     TruncationInsufficientError,
 )
@@ -38,7 +37,6 @@ from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _re
 
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
-_IM_OMEGA_FLOOR = 1e-3  # evaluation near the boundary of the upper half plane is rejected
 BLOCK_TERMS = 1 << 14  # S x C x P series terms one kernel pass holds at most
 LATTICE_POINT_CAP = 1 << 20  # most points of one lattice cube
 
@@ -68,22 +66,13 @@ def as_matrix(x, h: int, g: int) -> np.ndarray:
     return arr
 
 
-def _decay_rate(min_eig: float, omega: PeriodMatrix) -> float:
-    """lambda_min(M) * lambda_min(Im Omega) for the least eigenvalue of a matrix M."""
-    if omega.im_min_eig < _IM_OMEGA_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"Im(omega) too close to the boundary: min eigenvalue {omega.im_min_eig:.3e}"
-        )
-    return min_eig * omega.im_min_eig
-
-
 @functools.lru_cache(maxsize=1024)
 def _cut_constants(level: LevelMatrix, omega: PeriodMatrix, radius: int) -> tuple[float, float, int]:
     """sqrt(lam) and alpha of the ellipsoid cut, lam the decay rate, the least eigenvalue
     of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|; and the number of points of the
     radius cube the cut may drop, those outside |n| <= r0 (see ``tail_bound``)."""
     p = np.kron(level.as_array(), omega.omega).imag
-    sqrt_lam, alpha = math.sqrt(_decay_rate(level.min_eig, omega)), math.sqrt(np.abs(p).sum())
+    sqrt_lam, alpha = math.sqrt(level.min_eig * omega.im_min_eig), math.sqrt(np.abs(p).sum())
     r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
     hg = level.h * omega.g
     return sqrt_lam, alpha, (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
@@ -114,7 +103,7 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     ``aux_theta_block``).
     """
     dropped = _cut_constants(level, omega, radius)[2]
-    return _shell_sum(_decay_rate(level.min_eig, omega), level.row_sum_norm, level.h * omega.g,
+    return _shell_sum(level.min_eig * omega.im_min_eig, level.row_sum_norm, level.h * omega.g,
                       degree, z_sup, mv_norm, radius, dropped)
 
 
@@ -243,6 +232,14 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     return sums.reshape(*lead, len(chars))
 
 
+def _tail_point(level: LevelMatrix, j: MultiIndex, z, w) -> tuple[float, float]:
+    """The largest |Z| entry (0 at J = 0) and the largest ||M Im W||_F of one (h, g) point
+    or a stack of them: the arguments at which ``tail_bound`` covers each point."""
+    mv = level.as_array() @ np.imag(w)
+    mv_norm = float(np.sqrt((mv * mv).sum(axis=(-2, -1)).max()))
+    return (float(np.abs(z).max()) if j.size else 0.0), mv_norm
+
+
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
                     z, w, cfg: TruncationConfig) -> tuple[np.ndarray, float]:
     """The auxiliary series of one (level, J) at one (h, g) point or a stack of S points,
@@ -265,9 +262,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         raise DimensionMismatchError(f"Z, W must share a shape {h}x{g} or Sx{h}x{g}: {z.shape}, {w.shape}")
     stacked = w.ndim == 3
     z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
-    mv = level.as_array() @ w.imag
-    mv_norm = float(np.sqrt((mv * mv).sum(axis=(1, 2)).max()))
-    z_sup = float(np.abs(z).max()) if j.size else 0.0
+    z_sup, mv_norm = _tail_point(level, j, z, w)
     bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
     if bound > cfg.tail_tol:
         raise TruncationInsufficientError(
@@ -404,8 +399,6 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     point the caller intends to evaluate: the tail is taken at |Z_ka| <= sqrt(2) w_box
     and ||M Im W||_F <= rho w_box sqrt(hg), rho the row-sum norm of the level.
     """
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
     z_sup = math.sqrt(2.0) * w_box
     mv_norm = level.row_sum_norm * w_box * math.sqrt(level.h * omega.g)
     return _least_radius(lambda radius: tail_bound(level, omega, degree, z_sup, mv_norm, radius), tail_tol)
@@ -414,24 +407,29 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
 def _least_radius(tail: Callable[[int], float], tail_tol: float) -> int:
     """The least radius up to RADIUS_CAP with tail(radius) <= tail_tol: the one search of
     the series kernel and of the theta constants of ``decompose.product_expand``."""
+    if not tail_tol > 0:
+        raise ValueError("tail_tol must be positive")
     for radius in range(1, RADIUS_CAP + 1):
         if tail(radius) <= tail_tol:
             return radius
     raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
 
 
-def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float, degree: int,
-                      tol: float = TAIL_TARGET) -> TruncationConfig:
-    """The one evaluation setup: ``choose_radius`` for (box, tol, degree), memoised.
+def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float,
+                      degree: int) -> TruncationConfig:
+    """The evaluation setup of sampled stacks: ``choose_radius`` for (box, degree) at
+    TAIL_TARGET, memoised.  Every point the caller samples lies in the box.
 
-    The memo is bounded; it keys on the period matrix by value.
+    The memo is bounded; it keys on the period matrix by value.  ``cli`` ``eval`` sets up
+    its one point from the point itself, with no box.
     """
-    return _truncation_config(level, omega, box, degree, tol)
+    return _truncation_config(level, omega, box, degree)
 
 
 @functools.lru_cache(maxsize=256)
-def _truncation_config(level, omega, box, degree, tol) -> TruncationConfig:
-    return TruncationConfig(radius=choose_radius(level, omega, box, tol, degree), tail_tol=tol)
+def _truncation_config(level, omega, box, degree) -> TruncationConfig:
+    radius = choose_radius(level, omega, box, TAIL_TARGET, degree)
+    return TruncationConfig(radius=radius, tail_tol=TAIL_TARGET)
 
 
 def wderiv_fd(f, w, j: MultiIndex):

@@ -148,11 +148,13 @@ def validate_level(m) -> LevelMatrix:
 class PeriodMatrix:
     """A point of the Siegel upper half plane: symmetric with Im positive definite.
 
+    This is the one check that the least eigenvalue of Im Omega, to which every series'
+    decay rate is proportional, is at least ``_IM_FLOOR``, away from the boundary.
     Equality and hashing go by value, so memos keyed on a period matrix hit
     across separate parses of the same Omega.
     """
 
-    _PD_TOL = 1e-12
+    _IM_FLOOR = 1e-3
 
     def __init__(self, omega):
         om = np.array(omega, dtype=complex)
@@ -161,9 +163,10 @@ class PeriodMatrix:
         if not np.array_equal(om, om.T):
             raise NotSymmetricError("omega must equal its transpose exactly")
         eigs = np.linalg.eigvalsh(om.imag)
-        if eigs.min() <= self._PD_TOL:
+        if not eigs.min() >= self._IM_FLOOR:
             raise NotPositiveDefiniteError(
-                f"Im(omega) must be positive definite; min eigenvalue {eigs.min():.3e}"
+                f"Im(omega) must be positive definite away from the boundary: "
+                f"min eigenvalue {eigs.min():.3e} < {self._IM_FLOOR:g}"
             )
         self.omega = _read_only(om)
         self.g = om.shape[0]
@@ -383,11 +386,9 @@ class MultiIndex:
             raise ValueError("step must be +1 or -1")
         if not (1 <= k <= self.h and 1 <= a <= self.g):
             raise DimensionMismatchError(f"bump index ({k},{a}) outside {self.h}x{self.g}")
-        new = [list(row) for row in self.j]
-        new[k - 1][a - 1] += step
-        if new[k - 1][a - 1] < 0:
-            raise NegativeEntryError(f"bump would make entry ({k},{a}) negative")
-        return MultiIndex(tuple(tuple(r) for r in new))
+        row = self.j[k - 1]
+        bumped = row[:a - 1] + (row[a - 1] + step,) + row[a:]
+        return MultiIndex(self.j[:k - 1] + (bumped,) + self.j[k:])
 
     def as_array(self) -> np.ndarray:
         return np.array(self.j, dtype=int)

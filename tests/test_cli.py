@@ -1,7 +1,9 @@
 """Command-line interface: JSON output and the exit-code contract."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import re
@@ -11,8 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadecomp import cli, errors, evaluation, verify
+from thetadecomp.numerics import PeriodMatrix, multi_indices_up_to, validate_level
 
 OMEGA_I = "[[[0,1]]]"
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_seed0.json"
@@ -120,6 +125,67 @@ class TestEval:
         assert out.returncode == 2
         assert json.loads(out.stdout)["error"]["type"] == "NotPositiveDefiniteError"
 
+    def test_radius_from_its_own_point(self, tmp_path):
+        # a large Z sizes only the weight of the bound, not its W term: radius 3, not 18
+        out = tmp_path / "eval.json"
+        assert cli.main(["eval", "--kind", "aux", "--level", "[[2]]", "--j", "[[3]]",
+                         "--omega", OMEGA_I, "--z", "[[[6,6]]]", "--w", "[[[0,0]]]",
+                         "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["radius"] == 3 and data["tail_bound"] <= 1e-12
+
+    @pytest.mark.parametrize("argv,value", [
+        (["--kind", "theta", "--w", "[[[0,0]]]"], [1.0037348854877393, 0.0]),
+        (["--kind", "aux", "--j", "[[1]]", "--z", "[[[0.3,0]]]", "--w", "[[[0.1,0.2]]]"],
+         [-0.1952193065726311, 3.708007881919616]),
+    ])
+    def test_readme_examples(self, argv, value, tmp_path):
+        out = tmp_path / "eval.json"
+        assert cli.main(["eval", "--level", "[[2]]", "--omega", OMEGA_I, *argv, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["radius"] == 3 and data["tail_bound"] <= 1e-12
+        assert data["value"] == pytest.approx(value, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_radius_is_the_least_that_certifies_its_point(self, data):
+        config = data.draw(st.sampled_from(verify._SERIES_CONFIGS))
+        level = validate_level(config["level"])
+        h, g = level.h, len(config["omega"])
+        re = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=g * g, max_size=g * g))).reshape(g, g)
+        re[0, 0] = data.draw(st.sampled_from((-1, 1))) * data.draw(st.floats(0.05, 0.5))
+        im = np.diag(data.draw(st.lists(st.floats(0.8, 2.0), min_size=g, max_size=g)))
+        if g == 2:
+            im[0, 1] = data.draw(st.floats(-0.3, 0.3))
+        omega = np.triu(re + 1j * im) + np.triu(re + 1j * im, 1).T
+        j = data.draw(st.sampled_from(multi_indices_up_to(h, g, 2)))
+        # every part of Z and W up to 3, as (h, g, [re, im])
+        z, w = (np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * h * g, max_size=2 * h * g)))
+                .reshape(h, g, 2) for _ in range(2))
+        tol = data.draw(st.sampled_from((None, 1e-12, 1e-8, 1e-4)))
+
+        def matrix(x):
+            return json.dumps(x.tolist())
+
+        argv = ["eval", "--kind", "aux", "--level", json.dumps(config["level"]),
+                "--j", json.dumps([list(row) for row in j.j]), "--z", matrix(z), "--w", matrix(w),
+                "--omega", matrix(np.stack((omega.real, omega.imag), axis=-1))]
+        argv += [f"--tol={tol}"] if tol is not None else []
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli.main(argv) == 0
+        radius = json.loads(stdout.getvalue())["radius"]
+
+        # the bound at the point's own largest |Z| entry and ||M Im W||_F
+        tol = tol or evaluation.TAIL_TARGET
+        mv = level.as_array() @ w[..., 1]
+        z_sup = float(np.abs(z[..., 0] + 1j * z[..., 1]).max()) if j.size else 0.0
+
+        def bound(r):
+            return evaluation.tail_bound(level, PeriodMatrix(omega), j.size, z_sup,
+                                         float(np.sqrt((mv * mv).sum())), r)
+        assert bound(radius) <= tol
+        assert radius == 1 or bound(radius - 1) > tol
+
     def test_over_lattice_budget_exits_2(self):
         # hex at g=2 with Im Omega = 0.2 I needs radius 27: a 9,150,625-point cube
         out = run_cli(
@@ -225,6 +291,12 @@ class TestDecompose:
                       stdin=json.dumps(expr))
         assert out.returncode == 5
 
+    def test_near_boundary_omega_exits_2(self):
+        expr = {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 0}
+        out = run_cli("decompose", "--input", "-", "--omega", "[[[0,0.0005]]]", stdin=json.dumps(expr))
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["error"]["type"] == "NotPositiveDefiniteError"
+
     def test_malformed_input_exits_2(self):
         out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I, stdin="{not json")
         assert out.returncode == 2
@@ -316,7 +388,8 @@ class TestExitCodes:
         src = tmp_path / "in.json"
         src.write_text(json.dumps(THETA_PRODUCT))
         for argv in (["verify", "--suite", "quasiperiodicity"],
-                     ["decompose", "--input", str(src), "--omega", OMEGA_I]):
+                     ["decompose", "--input", str(src), "--omega", OMEGA_I],
+                     ["eval", "--kind", "theta", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]"]):
             out = tmp_path / "err.json"
             assert cli.main([*argv, f"--tol={tol}", "--out", str(out)]) == 2
             assert json.loads(out.read_text())["error"]["type"] == "ValueError"

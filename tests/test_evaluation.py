@@ -96,8 +96,8 @@ class TestThetaSeries:
             theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.5j]], tight)
 
     def test_near_boundary_omega_rejected(self):
-        shallow = PeriodMatrix([[1e-4j]])
         with pytest.raises(NotPositiveDefiniteError, match="boundary"):
+            shallow = PeriodMatrix([[1e-4j]])
             theta_series(LEVEL2, chars(LEVEL2)[0], shallow, [[0.0]], CFG)
 
 
@@ -248,7 +248,7 @@ class TestChooseRadius:
         assert cfg == TruncationConfig(radius=choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 1),
                                        tail_tol=1e-12)
         assert truncation_config(HEX, OMEGA_I, 0.4, 1) is cfg
-        assert truncation_config(HEX, OMEGA_I, 0.4, 1, 1e-6).radius <= cfg.radius
+        assert choose_radius(HEX, OMEGA_I, 0.4, 1e-6, 1) <= cfg.radius
 
     def test_memo_hits_across_parses_of_omega(self):
         rows = [[1j, 0.3j], [0.3j, 2j]]

@@ -323,6 +323,14 @@ class TestPeriodMatrix:
         assert a != PeriodMatrix([[0.1 + 1j, 0.3j], [0.3j, 2.5j]])
         assert a != PeriodMatrix([[1j]]) and a != rows
 
+    def test_near_boundary(self):
+        # one floor on the least eigenvalue of Im Omega, checked when Omega is built
+        with pytest.raises(NotPositiveDefiniteError, match="boundary"):
+            PeriodMatrix([[1e-4j]])
+        # diagonal entries 0.5, eigenvalues 1 and 5e-4
+        with pytest.raises(NotPositiveDefiniteError, match="boundary"):
+            PeriodMatrix([[0.5j, 0.4995j], [0.4995j, 0.5j]])
+
     def test_not_positive(self):
         with pytest.raises(NotPositiveDefiniteError):
             PeriodMatrix([[-1j]])
