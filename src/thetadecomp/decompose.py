@@ -6,9 +6,11 @@ K = M1 (M1 + M2)^-1 M2 with a certified tail (see ``product_expand``).
 ``fit_in_basis`` expresses any sampled function by a dense least-squares
 solve (orthogonal factorization via SVD), with the residual measured on
 points held out of the solve; it is the oracle the formula is tested
-against.  Derivative checks always use nested central differences of the
-plain theta series, never the expanded values, so the certificates are
-independent of the expansion.
+against.  The certificates never read the expanded coefficients' lattice
+sums: they compare the expression, each leaf read as its own auxiliary
+series, with the element summed symbol by symbol by the series kernel.  At
+Z = 0 the auxiliary series is the exact W-derivative of the theta series,
+with the kernel's certified tail, so no numerical derivative enters them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .evaluation import (
     aux_theta_block,
     shift_law_residual,
     truncation_config,
-    wderiv_fd,
 )
 # the node classes stay importable from here
 from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
@@ -403,21 +404,23 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _fd_mismatch(expr, elem: AlgebraElement, omega, w) -> np.ndarray:
-    """|expression - element| at each W of the stack w (S x h x g), every leaf and symbol
-    read as a W-derivative of its plain theta series by finite differences, taken once
-    per distinct symbol: one kernel call on the stencils of all S points.  Its radius is
-    the sample box's: the stencil moves only Re W, which the tail bound does not read."""
+def _mismatch(expr, elem: AlgebraElement, omega, z, w) -> np.ndarray:
+    """|expression - element| at each point of the stacks z, w (S x h x g): each distinct
+    leaf read as its auxiliary series, one kernel call each, and each level component of
+    the element by ``evaluate_element``, all at the sample box's radius.  At Z = 0 the
+    auxiliary series of (M, J, A) is the W-derivative of order J of its theta series, so
+    there the two sides are W-derivative polynomials of plain theta series, summed exactly."""
 
     @functools.cache
-    def theta_deriv(sym):
-        cfg_t = truncation_config(sym.level, omega, SAMPLE_BOX, 0)
-        j0 = MultiIndex.zeros(sym.h, sym.g)
-        return wderiv_fd(lambda ww: aux_theta_block(sym.level, j0, [sym.char], omega, np.zeros_like(ww),
-                                                    ww, cfg_t)[0][:, 0], w, sym.j)
+    def aux(d):
+        cfg_a = truncation_config(d.level, omega, SAMPLE_BOX, d.j.size)
+        return aux_theta_block(d.level, d.j, [d.char], omega, z, w, cfg_a)[0][:, 0]
 
-    lhs = fold(expr, theta_deriv, sum, math.prod, operator.mul)
-    rhs = sum(complex(c) * theta_deriv(s) for s, c in elem.sorted_terms())
+    lhs = fold(expr, aux, sum, math.prod, operator.mul)
+    degree = elem.degree()
+    rhs = sum(evaluate_element(elem.level_component(lvl), omega, z, w,
+                               truncation_config(lvl, omega, SAMPLE_BOX, degree)).value
+              for lvl in elem.levels())
     return np.abs(lhs - rhs)
 
 
@@ -426,10 +429,11 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
 
     Leaves map to their symbols, sums and scalings combine exactly, and each
     pairwise product is expanded by ``product_expand``.  The returned residual
-    is an end-to-end certificate at ``cfg.holdout`` fresh W points: the
-    expression and the returned combination are both evaluated as
-    W-derivative polynomials of plain theta series by finite differences and
-    compared.  A certificate that is not finite raises ResidualTooLargeError.
+    is an end-to-end certificate at ``cfg.holdout`` fresh W points and Z = 0:
+    the largest |expression - combination|, both read as W-derivative
+    polynomials of plain theta series, each derivative the auxiliary series at
+    Z = 0 (``_mismatch``).  The residual is absolute and carries no roundoff
+    allowance.  A certificate that is not finite raises ResidualTooLargeError.
     ``conditioning`` is 0.0: no fit is made.
     """
     h, g = expr_shape(expr)
@@ -437,7 +441,7 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
         raise DimensionMismatchError("expression width does not match omega")
     element = _decompose_node(expr, omega, cfg)
     _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
-    residual = _worst(_fd_mismatch(expr, element, omega, w_pts))
+    residual = _worst(_mismatch(expr, element, omega, np.zeros_like(w_pts), w_pts))
     if not math.isfinite(residual):
         raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
     return Decomposition(element=element, residual=residual, conditioning=0.0)
@@ -448,29 +452,17 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     """Independent checks that a decomposition represents its expression.
 
     Reports the largest mismatch between the expression and the decomposed
-    element (a) as W-derivative polynomials at Z = 0 via finite differences,
-    (b) as sampled functions of (Z, W), and (c) the worst shift-law residual
-    of the element's level components, certifying that the output transforms
-    with the summed level.
+    element (``_mismatch``) on a stream of its own (a) at Z = 0, as W-derivative
+    polynomials, (b) at sampled Z, as functions of (Z, W), and (c) the worst
+    shift-law residual of the element's level components, certifying that the
+    output transforms with the summed level.
     """
     h, g = expr_shape(expr)
     box = SAMPLE_BOX
     z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, cfg.holdout, h, g)
-    degree = dec.element.degree()
     components = [(lvl, dec.element.level_component(lvl)) for lvl in dec.element.levels()]
-
-    @functools.cache
-    def aux(d):  # a leaf read as its auxiliary series
-        cfg_a = truncation_config(d.level, omega, box, d.j.size)
-        return aux_theta_block(d.level, d.j, [d.char], omega, z_pts, w_pts, cfg_a)[0][:, 0]
-
-    z0 = _fd_mismatch(expr, dec.element, omega, w_pts)
-    lhs = fold(expr, aux, sum, math.prod, operator.mul)
-    rhs = sum(
-        evaluate_element(comp, omega, z_pts, w_pts, truncation_config(lvl, omega, box, degree)).value
-        for lvl, comp in components
-    )
-    sample = np.abs(lhs - rhs)
+    z0 = _mismatch(expr, dec.element, omega, np.zeros_like(w_pts), w_pts)
+    sample = _mismatch(expr, dec.element, omega, z_pts, w_pts)
 
     # shift-law residual of each level component of the output
     qp = []

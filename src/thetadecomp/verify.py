@@ -3,12 +3,14 @@
 Three suites back the command line and the acceptance tests:
 
 * ``quasiperiodicity``: sampled residuals of the joint shift law and of the
-  ladder identity for the shift operators,
+  ladder identity for the shift operators, whose d/dW is the package's one
+  finite difference,
 * ``commutators``: exact bracket relations, ladder action and the
   kernel characterization of the derivative-free subalgebra,
-* ``theorem3``: decomposition of a reference expression set with
-  finite-difference certification, and agreement of its coefficients with a
-  least-squares fit of the same products at a second seed.
+* ``theorem3``: decomposition of a reference expression set, certified
+  against the exact W-derivatives at Z = 0 (the auxiliary series there), and
+  agreement of its coefficients with a least-squares fit of the same
+  products at a second seed.
 
 Reports are plain dicts of JSON-serializable values; given a seed they are
 deterministic down to the byte.

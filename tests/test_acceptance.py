@@ -138,7 +138,7 @@ def test_criterion_6_fit_round_trip():
 
 
 def test_criterion_7_theorem3_expression_set(theorem3_report):
-    with criterion(7, "decompositions match finite differences at Z=0 within 1e-5"):
+    with criterion(7, "decompositions match the exact W-derivatives at Z=0 within 1e-5"):
         by_name = {e["expression"]: e for e in theorem3_report["expressions"]}
         for name in ("single_j0", "single_j1", "single_j2",
                      "theta_product", "wronskian", "syntactic_zero"):

@@ -33,9 +33,10 @@ from thetadecomp.errors import (
 from thetadecomp.evaluation import (
     TruncationConfig,
     aux_theta_block,
+    aux_theta_series,
+    shift_operator_check,
     theta_series,
     truncation_config,
-    wderiv_fd,
 )
 from thetadecomp.numerics import (
     MultiIndex,
@@ -45,6 +46,7 @@ from thetadecomp.numerics import (
     multi_indices_up_to,
     validate_level,
 )
+from thetadecomp.verify import SHIFT_TOL, THEOREM3_TOL
 
 LEVEL2 = validate_level([[2]])
 LEVEL4 = validate_level([[4]])
@@ -344,6 +346,22 @@ def deriv(level, jrows, char):
     return DerivSymbol(level, MultiIndex.from_rows(jrows), char)
 
 
+@st.composite
+def high_order_products(draw):
+    """A product of two g=1 leaves of level [[2]], [[4]] or hex, |J1|, |J2| <= 3 (hex:
+    |J1| + |J2| <= 3), at one of three Omega: the grid where finite-difference
+    derivatives of order up to 6 certified right decompositions at up to 1.1e9."""
+    m1, m2 = draw(st.sampled_from([(a, b) for a in (LEVEL2, LEVEL4) for b in (LEVEL2, LEVEL4)]
+                                  + [(HEX, HEX)]))
+    size1 = draw(st.integers(0, 3))
+    size2 = draw(st.integers(0, 3 if m1.h == 1 else 3 - size1))
+    leaves = [DerivSymbol(m, draw(st.sampled_from(multi_indices_of_size(m.h, 1, size))),
+                          draw(st.sampled_from(enumerate_characteristics(m, 1))))
+              for m, size in ((m1, size1), (m2, size2))]
+    omega = PeriodMatrix([[draw(st.sampled_from((1j, 0.25 + 1j, -0.3 + 0.8j)))]])
+    return Product(tuple(leaves)), omega
+
+
 class TestDiffPolyDecompose:
     def test_single_symbol_is_fixed(self):
         d = deriv(LEVEL2, [[1]], CHARS2[0])
@@ -412,53 +430,59 @@ class TestDiffPolyDecompose:
             diff_poly_decompose(d, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
     def test_certificate_differentiates_each_symbol_once(self, monkeypatch):
-        from thetadecomp import decompose
+        # one kernel call per distinct leaf and one per (level, J) run of the element's
+        # terms, each on the whole point stack: the derivatives are the series at Z = 0
+        from thetadecomp import algebra, decompose
 
         calls = []
+        block = aux_theta_block
 
-        def counted(f, w, j):
+        def counted(level, j, *rest):
             calls.append(j)
-            return wderiv_fd(f, w, j)
+            return block(level, j, *rest)
 
         d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[0]) for k in range(3))
         w = np.array([[[0.1 + 0.2j]], [[-0.3 + 0.05j]]])  # two certificate points, one stack
+        z = np.zeros_like(w)
         element = AlgebraElement({d0: 0.5, d1: 1j})
         cases = [
-            (d2, AlgebraElement.from_symbol(d2), 1),  # single_j2: leaf and term are one symbol
-            (Sum((Product((d0, d2)), Scale(-1.0, Product((d1, d1))))), element, 3),  # wronskian
+            (d2, AlgebraElement.from_symbol(d2), 1 + 1),  # single_j2: leaf and term are one symbol
+            (Sum((Product((d0, d2)), Scale(-1.0, Product((d1, d1))))), element, 3 + 2),  # wronskian
         ]
-        for expr, elem, distinct in cases:
+        for expr, elem, kernel_calls in cases:
             calls.clear()
-            monkeypatch.setattr(decompose, "wderiv_fd", counted)
-            got = decompose._fd_mismatch(expr, elem, OMEGA, w)
-            assert len(calls) == distinct
+            for module in (algebra, decompose):
+                monkeypatch.setattr(module, "aux_theta_block", counted)
+            got = decompose._mismatch(expr, elem, OMEGA, z, w)
+            assert len(calls) == kernel_calls
             monkeypatch.undo()
-            # the value is the one a derivative per occurrence gives, one residual per point
-            cfg_t = truncation_config(LEVEL2, OMEGA, decompose.SAMPLE_BOX, 0)
-            fd = {s: wderiv_fd(lambda ww: aux_theta_block(LEVEL2, MultiIndex.zeros(1, 1), [s.char], OMEGA,
-                                                          np.zeros_like(ww), ww, cfg_t)[0][:, 0],
-                               w, s.j) for s in (d0, d1, d2)}
-            lhs = fd[d2] if expr is d2 else fd[d0] * fd[d2] + -1.0 * (fd[d1] * fd[d1])
-            rhs = sum(complex(c) * fd[s] for s, c in elem.sorted_terms())
+            # the value is the one a series read per occurrence gives, one residual per point
+            aux = {s: aux_theta_block(LEVEL2, s.j, [s.char], OMEGA, z, w,
+                                      truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, s.j.size))[0][:, 0]
+                   for s in (d0, d1, d2)}
+            lhs = aux[d2] if expr is d2 else aux[d0] * aux[d2] + -1.0 * (aux[d1] * aux[d1])
+            rhs = evaluate_element(elem, OMEGA, z, w, truncation_config(LEVEL2, OMEGA, SAMPLE_BOX,
+                                                                        elem.degree())).value
             assert np.array_equal(got, np.abs(lhs - rhs))
 
     def test_theorem3_suite_certifies_only_what_it_reports(self, monkeypatch):
-        # per expression: the decomposition's certificate and verify_theorem3's z0
-        # residuals, one stack of THEOREM3_HOLDOUT points each; the second seed is
-        # fitted, not certified
+        # per expression: the decomposition's certificate and verify_theorem3's z0 and
+        # sample residuals, one stack of THEOREM3_HOLDOUT points each, the first two at
+        # Z = 0; the second seed is fitted, not certified
         from thetadecomp import decompose, verify
 
-        points = []
-        certify = decompose._fd_mismatch
+        stacks = []
+        certify = decompose._mismatch
 
-        def counted(expr, elem, omega, w):
-            points.append(len(w))
-            return certify(expr, elem, omega, w)
+        def counted(expr, elem, omega, z, w):
+            stacks.append((len(w), not z.any()))
+            return certify(expr, elem, omega, z, w)
 
-        monkeypatch.setattr(decompose, "_fd_mismatch", counted)
+        monkeypatch.setattr(decompose, "_mismatch", counted)
         report = verify.run_theorem3_suite(seed=0)
         assert report["passed"]
-        assert points == [verify.THEOREM3_HOLDOUT] * (6 * 2)
+        holdout = verify.THEOREM3_HOLDOUT
+        assert stacks == [(holdout, True), (holdout, True), (holdout, False)] * 6
 
     def test_uncertified_node_is_the_pruned_element(self):
         from thetadecomp.decompose import _decompose_node
@@ -479,8 +503,9 @@ class TestDiffPolyDecompose:
 
     def test_kernel_calls_of_a_hex_product(self, monkeypatch):
         # one hex g=1 degree-1 product: none to expand it (the addition formula; a fit
-        # took 5), then one stacked call per distinct symbol of each certificate point
-        # stack.  Point by point it took 808.
+        # took 5), then one stacked call per distinct leaf (2) and per J of the element
+        # (2) for the certificate.  Finite differences of each distinct symbol took 8,
+        # and point by point 808.
         from thetadecomp import algebra, decompose, evaluation
 
         calls = []
@@ -496,7 +521,28 @@ class TestDiffPolyDecompose:
         expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
         dec = diff_poly_decompose(expr, OMEGA, CFG)
         assert dec.residual < 1e-7 and len(dec.element) == 6
-        assert len(calls) == 8
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("j1,j2", [(2, 2), (3, 2), (3, 3)])
+    def test_high_order_products_certify(self, j1, j2):
+        # right decompositions (sample residuals 7.5e-12 to 9.5e-10) that finite-difference
+        # derivatives certified at 0.22, 3.2e3 and 3.7e7; the exact ones read 6.9e-13,
+        # 1.6e-11 and 8.2e-11
+        expr = Product((deriv(LEVEL2, [[j1]], CHARS2[0]), deriv(LEVEL2, [[j2]], CHARS2[1])))
+        dec = diff_poly_decompose(expr, OMEGA, CFG)
+        report = verify_theorem3(expr, dec, OMEGA, CFG)
+        assert dec.residual < THEOREM3_TOL and report["max_z0_residual"] < THEOREM3_TOL
+        assert report["max_sample_residual"] < 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(high_order_products())
+    def test_products_certify_at_every_order(self, case):
+        # worst over the whole grid: 1.9e-6, at [[4]] x [[4]], |J1| = |J2| = 3, Omega =
+        # -0.3+0.8i, where the values compared reach 5.1e8
+        expr, omega = case
+        dec = diff_poly_decompose(expr, omega, CFG)
+        report = verify_theorem3(expr, dec, omega, CFG)
+        assert dec.residual < THEOREM3_TOL and report["max_z0_residual"] < THEOREM3_TOL
 
 
 class TestRestrictZ0:
@@ -518,13 +564,17 @@ class TestRestrictZ0:
         assert abs(got.value) <= got.tail_bound + 1e-12
 
     def test_matches_derivative(self):
+        # the J = 1 symbol at Z = 0 is the kernel value the ladder check raises J = 0 to,
+        # and there the check's 2 pi i (M Z) term is zero: it compares it with d/dW theta
         x = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0]))
         w = np.array([[0.1 + 0.2j]])
+        z = np.zeros((1, 1))
         got = self.at_z0(x, w)
-        theta = AlgebraElement.from_symbol(BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0]))
-        f = lambda ww: evaluate_element(theta, OMEGA, np.zeros_like(ww), ww, self.CFG_T).value
-        fd = wderiv_fd(f, w, MultiIndex.from_rows([[1]]))
-        assert abs(got.value - fd) < 1e-6
+        assert got.value == aux_theta_series(LEVEL2, MultiIndex.from_rows([[1]]), CHARS2[0], OMEGA,
+                                             z, w, self.CFG_T).value
+        j0 = MultiIndex.zeros(1, 1)
+        for char in CHARS2:
+            assert shift_operator_check(LEVEL2, j0, char, OMEGA, z, w, 1, 1, self.CFG_T) < SHIFT_TOL
 
     def test_empty_element(self):
         got = self.at_z0(AlgebraElement.zero(), [[0.0]])
