@@ -24,7 +24,7 @@ from .errors import DimensionMismatchError, IndexOutOfRangeError
 from .evaluation import ThetaValue, TruncationConfig, aux_theta_block
 from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix
 
-PRUNE_EPS = 1e-12  # numeric pruning threshold used by the fitting engine
+PRUNE_EPS = 1e-12  # the one pruning threshold: of elements, fitted and expanded coefficients
 
 
 @dataclass(frozen=True)

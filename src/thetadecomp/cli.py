@@ -43,7 +43,6 @@ from .evaluation import (
     _tail_point,
     as_matrix,
     aux_theta_series,
-    tail_bound,
 )
 from .numerics import (
     MultiIndex,
@@ -128,7 +127,7 @@ def cmd_eval(args) -> int:
 
     tol = args.tol if args.tol is not None else TAIL_TARGET
     z_sup, mv_norm = _tail_point(level, j, z, w)
-    radius = _least_radius(lambda r: tail_bound(level, omega, j.size, z_sup, mv_norm, r), tol)
+    radius = _least_radius(level, omega, j.size, z_sup, mv_norm, tol)
     cfg = TruncationConfig(radius=radius, tail_tol=tol)
     # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series;
     # a sum that overflowed is refused below, so numpy need not warn about it

@@ -41,12 +41,11 @@ from .errors import (
     ResidualTooLargeError,
 )
 from .evaluation import (
-    TAIL_TARGET,
-    _lattice_cube,
-    _least_radius,
-    _shell_sum,
+    TAIL_TARGET,  # noqa: F401  perfbench/workloads.py imports it from here
+    _quadratic_form,
     aux_theta_block,
     shift_law_residual,
+    tail_bound,
     truncation_config,
 )
 # the node classes stay importable from here
@@ -198,11 +197,28 @@ def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix)
     return level_sum(lv1[0], lv2[0]), e1.degree() + e2.degree()
 
 
-@functools.lru_cache(maxsize=64)
-def _level_pair(m1: LevelMatrix, m2: LevelMatrix):
+@dataclass(frozen=True, eq=False)  # hashed by identity: ``_level_pair`` makes one per (M1, M2)
+class _LevelPair:
     """The constants of a product of levels M1, M2, with S = M1 + M2 admissible: S, det S,
-    S^-1 M1 = I - S^-1 M2 and S^-1 M2 (exact), det S * S^-1 M2 = adj(S) M2 (integral), K =
-    M1 S^-1 M2 in floats, its least eigenvalue and its row-sum norm."""
+    S^-1 M1 = I - S^-1 M2 and S^-1 M2 (exact), det S * S^-1 M2 = adj(S) M2 (integral), and
+    K = M1 S^-1 M2 in floats.  h, as_array(), min_eig and row_sum_norm are K's: to the
+    series kernel's kept points, tail bound and radius rule it is the level K."""
+    s: LevelMatrix
+    det: int
+    t1: list
+    t2: list
+    dt2: np.ndarray
+    k: np.ndarray
+    h: int
+    min_eig: float
+    row_sum_norm: float
+
+    def as_array(self) -> np.ndarray:
+        return self.k
+
+
+@functools.lru_cache(maxsize=64)
+def _level_pair(m1: LevelMatrix, m2: LevelMatrix) -> _LevelPair:
     s = level_sum(m1, m2)
     det, h = s.det(), s.h
 
@@ -215,8 +231,8 @@ def _level_pair(m1: LevelMatrix, m2: LevelMatrix):
     t2 = [[Fraction(int(x), det) for x in row] for row in dt2]
     t1 = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t2)]
     k = m1.as_array() @ dt2 / det
-    return (s, det, t1, t2, dt2, k, float(np.linalg.eigvalsh(k).min()),
-            float(np.abs(k).sum(axis=1).max()))
+    return _LevelPair(s, det, t1, t2, dt2, k, h, float(np.linalg.eigvalsh(k).min()),
+                      float(np.abs(k).sum(axis=1).max()))
 
 
 @functools.lru_cache(maxsize=256)
@@ -224,10 +240,10 @@ def _expansion(m1: LevelMatrix, m2: LevelMatrix, j1: MultiIndex, j2: MultiIndex)
     """prod_ka (M1 S^-1 V + E)_ka^J1_ka * prod_ka (M2 S^-1 V - E)_ka^J2_ka, expanded exactly
     in the entries of V = S(Z+U) and E = K D: a tuple of (J', ((q, c), ...)), one row per
     V-monomial V^J' and one pair per monomial E^q in it, q flat over the entries (k, a)."""
-    _, _, t1, t2, *_ = _level_pair(m1, m2)
+    pair = _level_pair(m1, m2)
     h, g = j1.h, j1.g
     poly = {((0,) * (h * g), (0,) * (h * g)): Fraction(1)}
-    for jj, t, sign in ((j1, t1, 1), (j2, t2, -1)):
+    for jj, t, sign in ((j1, pair.t1, 1), (j2, pair.t2, -1)):
         for k, a in ((k, a) for k in range(h) for a in range(g) for _ in range(jj.j[k][a])):
             # (M S^-1)_kl = (S^-1 M)_lk, the levels being symmetric
             factor = [(l * g + a, t[l][k]) for l in range(h) if t[l][k]]
@@ -255,50 +271,47 @@ def _char_codes(level: LevelMatrix, g: int) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degree: int) -> int:
-    """Smallest radius of the D box whose shell envelope is within TAIL_TARGET at every
-    degree up to ``degree``: decay rate lambda_min(K) lambda_min(Im Omega), rho that of K."""
-    *_, k_min_eig, rho = _level_pair(m1, m2)
-    lam, hg = k_min_eig * omega.im_min_eig, m1.h * omega.g
-    return _least_radius(lambda radius: max(_shell_sum(lam, rho, hg, d, 0.0, 0.0, radius, 0)
-                                            for d in range(degree + 1)), TAIL_TARGET)
+    """The radius of the D points: the series kernel's radius rule at level K and Z = W = 0
+    (``truncation_config`` at box 0), at every degree up to ``degree``."""
+    return max(truncation_config(_level_pair(m1, m2), omega, 0.0, d).radius for d in range(degree + 1))
 
 
 @functools.lru_cache(maxsize=64)
 def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMatrix,
                   degree: int, radius: int):
-    """The points D = A - B + N, |N|_inf <= radius, of one product's theta constants.
+    """The points D = A - B + n of one product's theta constants, n the series kernel's kept
+    points at level K (``evaluation._quadratic_form``, refused over the cube's cap).
 
     Returns the index of each D's characteristic of S, C = A - S^-1 M2 D (mod 1), found in
     integers (det S * C is integral); its weight e(D) = exp(pi i sigma(K D Omega D^t)); its
     E = K D, flattened to P x hg (None at degree 0); the number of characteristics of S; and
     err[d], d <= degree: a bound on the error of every class sum sum_{D in C} (2 pi)^d E^q e(D)
-    with |q| = d.  That is the tail, the shell envelope of ``tail_bound`` at decay rate
-    lam = lambda_min(K) lambda_min(Im Omega) and rho the row-sum norm of K (|E_ka| <= rho (s+1)
-    and |D|_F >= s-1 on shell s), plus twice the first-order roundoff of the P terms.  The D box
-    is ``evaluation._lattice_cube``'s, refused over its cap.
+    with |q| = d.  That is ``tail_bound`` at level K, degree d and Z = W = 0 (shells and cut),
+    plus twice the first-order roundoff of the P terms.  Its proof holds with D for x = N + A,
+    as delta = A - B lies in (-1, 1)^(hg): q(delta) <= alpha^2 = sum_ij |(K kron Im Omega)_ij|,
+    |D|_inf >= s - 1 on shell s, and |(K D)_ka| <= rho (s + 1), rho the row-sum norm of K.
     """
-    s, det, _, t2, dt2, k, k_min_eig, rho = _level_pair(m1, m2)
+    pair = _level_pair(m1, m2)
     h, g, hg = m1.h, omega.g, m1.h * omega.g
-    n = _lattice_cube(radius, hg).reshape(-1, h, g)
+    n, q = _quadratic_form(pair, omega, radius)[:2]
+    n = n.reshape(-1, h, g)
     diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.a, b.a)]
-    c0 = [[int(det * (a.a[i][c] - sum(t2[i][l] * diff[l][c] for l in range(h)))) for c in range(g)]
-          for i in range(h)]
-    keys = (np.array(c0, dtype=np.int64) - dt2 @ n.astype(np.int64)) % det
+    c0 = [[int(pair.det * (a.a[i][c] - sum(pair.t2[i][l] * diff[l][c] for l in range(h))))
+           for c in range(g)] for i in range(h)]
+    keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.astype(np.int64)) % pair.det
     rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
-    codes = _char_codes(s, g)
+    codes = _char_codes(pair.s, g)
     cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
     d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
-    q = np.kron(k, omega.omega)
     weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, q, d))
-    e = (k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
+    e = (pair.k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
     # each term errs by at most eps * slack * (1 + pi |x|) relative, |x| <= |D|^t |K kron Omega| |D|,
     # and the sum of P terms adds P eps of their moduli
     slack = hg * hg + (h + 1) * degree + 8
     ad = np.abs(d)
     scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(q), ad)))
-    e_sup = rho * ad.max(axis=1)
-    lam = k_min_eig * omega.im_min_eig
-    err = tuple(_shell_sum(lam, rho, hg, deg, 0.0, 0.0, radius, 0)
+    e_sup = pair.row_sum_norm * ad.max(axis=1)
+    err = tuple(tail_bound(pair, omega, deg, 0.0, 0.0, radius)
                 + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
                 for deg in range(degree + 1))
     return cls, weights, e, len(codes), err

@@ -58,7 +58,7 @@ class IllConditionedError(ThetaError):
 
 
 class ResidualTooLargeError(ThetaError):
-    """Holdout residual of a fit exceeds the configured tolerance."""
+    """A holdout residual or coefficient bound over its tolerance, or a non-finite certificate or sample."""
 
 
 class BudgetExceededError(ThetaError):

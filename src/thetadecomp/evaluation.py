@@ -98,23 +98,12 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     <= sqrt(lam)*radius + alpha and is kept, so at most (2*radius+1)^(hg) -
     (2*r0+1)^(hg) points are dropped: none at hg = 1, where alpha = sqrt(lam).
 
-    The total is returned times 1 + eps (eps = 2^-52): the kept terms that the
-    kernel prunes as too small to matter sum to at most eps times it (see
-    ``aux_theta_block``).
+    ``level`` is read through h, as_array(), min_eig and row_sum_norm, so the level K of a
+    product's theta constants (``decompose._LevelPair``) is bounded here too.  The total is
+    returned times 1 + eps (eps = 2^-52), and is never zero: the kept terms that the kernel
+    prunes as too small to matter sum to at most eps times it (see ``aux_theta_block``).
     """
-    dropped = _cut_constants(level, omega, radius)[2]
-    return _shell_sum(level.min_eig * omega.im_min_eig, level.row_sum_norm, level.h * omega.g,
-                      degree, z_sup, mv_norm, radius, dropped)
-
-
-def _shell_sum(lam: float, rho: float, hg: int, degree: int, z_sup: float, mv_norm: float,
-               radius: int, dropped: int) -> float:
-    """The shell sum of ``tail_bound`` from its constants: the decay rate lam, the row-sum
-    norm rho, the lattice rank hg and the count of box points dropped inside the radius.
-
-    ``tail_bound`` and the theta constants of ``decompose.product_expand`` both call it.
-    The total is returned times 1 + eps, and is never zero.
-    """
+    lam, rho, hg = level.min_eig * omega.im_min_eig, level.row_sum_norm, level.h * omega.g
     t_star = mv_norm / lam
 
     def envelope(count, s, t):
@@ -125,7 +114,7 @@ def _shell_sum(lam: float, rho: float, hg: int, degree: int, z_sup: float, mv_no
             return 0.0
         return count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
 
-    total = envelope(dropped, radius, max(radius, t_star))
+    total = envelope(_cut_constants(level, omega, radius)[2], radius, max(radius, t_star))
     s = radius + 1
     while total < math.inf:
         shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, max(s - 1.0, t_star))
@@ -139,17 +128,6 @@ def _shell_sum(lam: float, rho: float, hg: int, degree: int, z_sup: float, mv_no
     return max(total, 5e-324) * (1.0 + sys.float_info.epsilon)
 
 
-def _lattice_cube(radius: int, hg: int) -> np.ndarray:
-    """The cube |N_ka| <= radius of Z^hg as floats, P x hg, last entry fastest: the box of
-    every lattice sum.  Over LATTICE_POINT_CAP points it raises BudgetExceededError unbuilt."""
-    points = (2 * radius + 1) ** hg
-    if points > LATTICE_POINT_CAP:
-        raise BudgetExceededError(
-            f"radius {radius} cube of {points} lattice points exceeds {LATTICE_POINT_CAP}")
-    axis = np.arange(-radius, radius + 1, dtype=float)
-    return np.stack(np.meshgrid(*([axis] * hg), indexing="ij", copy=False), axis=-1).reshape(-1, hg)
-
-
 @functools.lru_cache(maxsize=64)
 def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     """The part of the series exponent that depends on (level, Omega, radius) only.
@@ -160,9 +138,15 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
     of a C-ordered hg x P array, the layout the kernel's exponent product reads.  Returns n,
     Q, M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
-    last is None when Re Omega = 0.  The cube is ``_lattice_cube``'s, refused over its cap.
+    last is None when Re Omega = 0.  A cube over LATTICE_POINT_CAP points is refused unbuilt:
+    the cap of every lattice sum.
     """
-    cube = _lattice_cube(radius, level.h * omega.g)
+    hg = level.h * omega.g
+    if (2 * radius + 1) ** hg > LATTICE_POINT_CAP:
+        raise BudgetExceededError(
+            f"radius {radius} cube of {(2 * radius + 1) ** hg} lattice points exceeds {LATTICE_POINT_CAP}")
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    cube = np.stack(np.meshgrid(*([axis] * hg), indexing="ij", copy=False), axis=-1).reshape(-1, hg)
     m = level.as_array()
     q = _read_only(np.kron(m, omega.omega))
     m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
@@ -409,16 +393,17 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     """
     z_sup = math.sqrt(2.0) * w_box
     mv_norm = level.row_sum_norm * w_box * math.sqrt(level.h * omega.g)
-    return _least_radius(lambda radius: tail_bound(level, omega, degree, z_sup, mv_norm, radius), tail_tol)
+    return _least_radius(level, omega, degree, z_sup, mv_norm, tail_tol)
 
 
-def _least_radius(tail: Callable[[int], float], tail_tol: float) -> int:
-    """The least radius up to RADIUS_CAP with tail(radius) <= tail_tol: the one search of
-    the series kernel and of the theta constants of ``decompose.product_expand``."""
+def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
+                  z_sup: float, mv_norm: float, tail_tol: float) -> int:
+    """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
+    tail_tol: the one radius rule of ``choose_radius`` and of cli ``eval``."""
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     for radius in range(1, RADIUS_CAP + 1):
-        if tail(radius) <= tail_tol:
+        if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tail_tol:
             return radius
     raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
 

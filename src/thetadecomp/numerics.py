@@ -314,7 +314,8 @@ def enumerate_characteristics(level: LevelMatrix, g: int) -> tuple[Characteristi
     """
     if g < 1:
         raise DimensionMismatchError("g must be a positive integer")
-    if level.det() ** g > CHARACTERISTIC_CAP:
+    # det^g is never formed: at det >= 2, every g from the cap's bit length on exceeds the cap
+    if level.det() ** min(g, CHARACTERISTIC_CAP.bit_length()) > CHARACTERISTIC_CAP:
         raise BudgetExceededError(f"{level.det()}^{g} characteristics exceed {CHARACTERISTIC_CAP}")
     return _characteristics(level, g)
 

@@ -107,6 +107,8 @@ def expr_to_json(expr) -> dict:
 
 
 def expr_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"expression node is a {type(data).__name__}, not a JSON object")
     kind = data.get("kind")
     if kind == "deriv":
         return _symbol_from_json(data)

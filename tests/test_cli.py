@@ -301,6 +301,13 @@ class TestDecompose:
         out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I, stdin="{not json")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("node", ["[1, 2]", "5", '{"kind": "sum", "children": [5]}'])
+    def test_non_object_node_exits_2(self, node):
+        out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I, stdin=node)
+        assert out.returncode == 2 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "ValueError" and "not a JSON object" in error["message"]
+
     def test_out_flag_writes_file(self, tmp_path):
         expr = {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1}
         path = tmp_path / "dec.json"

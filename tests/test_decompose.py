@@ -1,5 +1,6 @@
 """Fitting engine: round trips, products, differential polynomials, uniqueness."""
 
+import math
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetadecomp.algebra import AlgebraElement, BasisSymbol, evaluate_element, in_theta_subalgebra
-from thetadecomp import decompose
+from thetadecomp import decompose, evaluation
 from thetadecomp.decompose import (
     SAMPLE_BOX,
     DerivSymbol,
@@ -296,25 +297,46 @@ class TestAdditionFormula:
         diff_poly_decompose(expr, OMEGA, CFG)
         assert len(calls) == 1
 
-    def test_hex_g2_product(self):
-        # h*g = 4: level sum [[4,2],[2,4]] with 144 characteristics; a fit took 26 s
+    @pytest.mark.parametrize("j1,j2,a,b", [
+        ([[0, 0], [0, 0]], [[0, 0], [0, 0]], 1, 5),
+        ([[1, 0], [0, 1]], [[0, 1], [1, 0]], 1, 5),
+        ([[1, 0], [0, 1]], [[0, 1], [1, 0]], 0, 1),
+    ], ids=["J0-1x5", "deg4-1x5", "deg4-0x1"])
+    def test_hex_g2_product(self, j1, j2, a, b):
+        # h*g = 4: level sum [[4,2],[2,4]] with 144 characteristics; a fit took 26 s.  The D
+        # points are the kernel's kept points at K: 6,235 of 14,641 at J = 0, and 9,717 of
+        # 28,561 at degree 4, where the whole cube's roundoff allowance would exceed fit_tol
+        from thetadecomp.decompose import _pair_terms
+
         omega = PeriodMatrix([[1j, 0.25], [0.25, 1.5j]])
         chars = enumerate_characteristics(HEX, 2)
-        j0 = MultiIndex.zeros(2, 2)
-        s, t = BasisSymbol(HEX, j0, chars[1]), BasisSymbol(HEX, j0, chars[5])
+        s = BasisSymbol(HEX, MultiIndex.from_rows(j1), chars[a])
+        t = BasisSymbol(HEX, MultiIndex.from_rows(j2), chars[b])
+        degree = s.j.size + t.j.size
         started = time.perf_counter()
         dec = product_expand(s, t, omega, CFG)
         assert time.perf_counter() - started < 1.0
-        assert len(dec.element) == 16 and dec.element.levels() == [level_sum(HEX, HEX)]
+        assert 0.0 < dec.residual <= CFG.fit_tol and dec.element.levels() == [level_sum(HEX, HEX)]
+        assert degree or len(dec.element) == 16
+        # each coefficient's certified bound covers the terms two more shells add
+        radius = decompose._constant_radius(HEX, HEX, omega, degree)
+        points = decompose._lattice_sums(HEX, HEX, s.char, t.char, omega, degree, radius)[1]
+        kept = evaluation._quadratic_form(decompose._level_pair(HEX, HEX), omega, radius)[0]
+        assert len(points) == len(kept) < (2 * radius + 1) ** 4
+        near, far = _pair_terms(s, t, omega, radius), _pair_terms(s, t, omega, radius + 2)
+        assert near.keys() == far.keys()
+        for jp, (coef, bound) in near.items():
+            assert np.abs(coef - far[jp][0]).max() <= bound
         rng = np.random.default_rng(11)
         z = rng.uniform(-0.4, 0.4, (4, 2, 2)) + 1j * rng.uniform(-0.4, 0.4, (4, 2, 2))
         w = rng.uniform(-0.4, 0.4, (4, 2, 2)) + 1j * rng.uniform(-0.4, 0.4, (4, 2, 2))
-        factor_cfg = truncation_config(HEX, omega, SAMPLE_BOX, 0)
-        lhs = (evaluate_element(AlgebraElement.from_symbol(s), omega, z, w, factor_cfg).value
-               * evaluate_element(AlgebraElement.from_symbol(t), omega, z, w, factor_cfg).value)
-        sum_cfg = truncation_config(level_sum(HEX, HEX), omega, SAMPLE_BOX, 0)
+        lhs = math.prod(evaluate_element(AlgebraElement.from_symbol(x), omega, z, w,
+                                         truncation_config(HEX, omega, SAMPLE_BOX, x.j.size)).value
+                        for x in (s, t))
+        sum_cfg = truncation_config(level_sum(HEX, HEX), omega, SAMPLE_BOX, degree)
         rhs = evaluate_element(dec.element, omega, z, w, sum_cfg).value
-        assert np.abs(lhs - rhs).max() < 1e-12
+        # scale-normalised: the degree-4 values reach about 600
+        assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
 
     def test_box_over_the_point_cap_is_refused_unbuilt(self):
         from thetadecomp.decompose import _pair_terms

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,18 @@ class TestCharacteristics:
         with pytest.raises(BudgetExceededError, match="2\\^40"):
             enumerate_characteristics(validate_level([[2]]), 40)
         assert time.perf_counter() - started < 1.0
+
+    def test_cap_is_decided_without_the_power(self):
+        # det^g is never formed: 2^256000000 alone would take 32 MB
+        level = validate_level([[2]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="2\\^256000000"):
+                enumerate_characteristics(level, 256_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_count_is_det_to_the_g(self):
         assert len(enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)) == 9
