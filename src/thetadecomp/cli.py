@@ -36,14 +36,7 @@ from .errors import (
     ThetaError,
     TruncationInsufficientError,
 )
-from .evaluation import (
-    TAIL_TARGET,
-    TruncationConfig,
-    _least_radius,
-    _tail_point,
-    as_matrix,
-    aux_theta_series,
-)
+from .evaluation import TAIL_TARGET, _point_config, as_matrix, aux_theta_series
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
@@ -125,10 +118,7 @@ def cmd_eval(args) -> int:
     if args.kind == "theta" and (args.j or args.z):
         raise ValueError("--j and --z apply only to --kind aux")
 
-    tol = args.tol if args.tol is not None else TAIL_TARGET
-    z_sup, mv_norm = _tail_point(level, j, z, w)
-    radius = _least_radius(level, omega, j.size, z_sup, mv_norm, tol)
-    cfg = TruncationConfig(radius=radius, tail_tol=tol)
+    cfg = _point_config(level, omega, j.size, z, w, args.tol if args.tol is not None else TAIL_TARGET)
     # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series;
     # a sum that overflowed is refused below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):

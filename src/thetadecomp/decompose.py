@@ -41,7 +41,8 @@ from .errors import (
     ResidualTooLargeError,
 )
 from .evaluation import (
-    TAIL_TARGET,  # noqa: F401  perfbench/workloads.py imports it from here
+    TAIL_TARGET,  # the shift check's target; perfbench/workloads.py imports it from here
+    _point_config,
     _quadratic_form,
     aux_theta_block,
     shift_law_residual,
@@ -55,6 +56,7 @@ from .numerics import (
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
+    _read_only,
     enumerate_characteristics,
     int_det,
     multi_indices_up_to,
@@ -276,7 +278,6 @@ def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degr
     return max(truncation_config(_level_pair(m1, m2), omega, 0.0, d).radius for d in range(degree + 1))
 
 
-@functools.lru_cache(maxsize=64)
 def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMatrix,
                   degree: int, radius: int):
     """The points D = A - B + n of one product's theta constants, n the series kernel's kept
@@ -317,17 +318,16 @@ def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMat
     return cls, weights, e, len(codes), err
 
 
-def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: int | None = None) -> dict:
-    """The product of two symbols by the addition formula: J' -> (coefficients over the
-    characteristics of S, their certified error bound).
+@functools.lru_cache(maxsize=64)
+def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: int) -> dict:
+    """The product of two symbols by the addition formula, with D points up to ``radius``:
+    J' -> (coefficients over the characteristics of S, read-only, their certified error bound).
 
     The coefficient of (S, J', C) is sum_q c_q (2 pi i)^|q| sum_{D in C} E^q e(D), with c_q from
-    ``_expansion``; one bincount per monomial E^q gives the class sums.  The radius defaults
-    to ``_constant_radius``.
+    ``_expansion``; one bincount per monomial E^q gives the class sums.  The memo holds these
+    coefficients, arrays the size of the characteristics, and not the D points.
     """
     m1, m2, degree = s1.level, s2.level, s1.j.size + s2.j.size
-    if radius is None:
-        radius = _constant_radius(m1, m2, omega, degree)
     cls, weights, e, n_chars, err = _lattice_sums(m1, m2, s1.char, s2.char, omega, degree, radius)
     sums = {}
     out = {}
@@ -339,7 +339,7 @@ def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: i
                 sums[q] = np.bincount(cls, x.real, n_chars) + 1j * np.bincount(cls, x.imag, n_chars)
             coef = coef + float(c) * (2j * np.pi) ** sum(q) * sums[q]
             bound += abs(float(c)) * err[sum(q)]
-        out[jp] = coef, bound
+        out[jp] = _read_only(coef), bound
     return out
 
 
@@ -363,7 +363,8 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     for t1, c1 in e1.sorted_terms():
         for t2, c2 in e2.sorted_terms():
             c = complex(c1) * complex(c2)
-            for jp, (coef, bound) in _pair_terms(t1, t2, omega).items():
+            radius = _constant_radius(t1.level, t2.level, omega, t1.j.size + t2.j.size)
+            for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
                 coeffs[jp] = coeffs.get(jp, 0j) + c * coef
                 bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
     terms, residual = {}, 0.0
@@ -412,24 +413,31 @@ def _decompose_node(expr, omega, cfg, product=None) -> AlgebraElement:
     return fold(expr, AlgebraElement.from_symbol, add, mul, operator.mul).prune()
 
 
+def _concat(parts) -> list:
+    return [x for part in parts for x in part]
+
+
 def _worst(residuals) -> float:
     """The largest residual: 0.0 for none, NaN if any is NaN (a case passes only if r < tol)."""
     return float(np.max(residuals, initial=0.0))
 
 
 def _mismatch(expr, elem: AlgebraElement, omega, z, w) -> np.ndarray:
-    """|expression - element| at each point of the stacks z, w (S x h x g): each distinct
-    leaf read as its auxiliary series, one kernel call each, and each level component of
-    the element by ``evaluate_element``, all at the sample box's radius.  At Z = 0 the
-    auxiliary series of (M, J, A) is the W-derivative of order J of its theta series, so
-    there the two sides are W-derivative polynomials of plain theta series, summed exactly."""
-
-    @functools.cache
-    def aux(d):
-        cfg_a = truncation_config(d.level, omega, SAMPLE_BOX, d.j.size)
-        return aux_theta_block(d.level, d.j, [d.char], omega, z, w, cfg_a)[0][:, 0]
-
-    lhs = fold(expr, aux, sum, math.prod, operator.mul)
+    """|expression - element| at each point of the stacks z, w (S x h x g): the leaves
+    read as their auxiliary series, one kernel call per (level, J) over its distinct
+    characteristics, and each level component of the element by ``evaluate_element``, one
+    call per (level, J) run, all at the sample box's radius.  At Z = 0 the auxiliary series
+    of (M, J, A) is the W-derivative of order J of its theta series, so there the two sides
+    are W-derivative polynomials of plain theta series, summed exactly."""
+    groups = defaultdict(dict)  # (level, J) -> its distinct leaves, in the order first met
+    for d in fold(expr, lambda d: [d], _concat, _concat, lambda _, leaves: leaves):
+        groups[d.level, d.j][d] = None
+    aux = {}
+    for (level, j), leaves in groups.items():
+        cfg_a = truncation_config(level, omega, SAMPLE_BOX, j.size)
+        values = aux_theta_block(level, j, [d.char for d in leaves], omega, z, w, cfg_a)[0]
+        aux.update(zip(leaves, values.T))
+    lhs = fold(expr, aux.__getitem__, sum, math.prod, operator.mul)
     degree = elem.degree()
     rhs = sum(evaluate_element(elem.level_component(lvl), omega, z, w,
                                truncation_config(lvl, omega, SAMPLE_BOX, degree)).value
@@ -468,23 +476,26 @@ def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,
     element (``_mismatch``) on a stream of its own (a) at Z = 0, as W-derivative
     polynomials, (b) at sampled Z, as functions of (Z, W), and (c) the worst
     shift-law residual of the element's level components, certifying that the
-    output transforms with the summed level.
+    output transforms with the summed level.  (a) and (b) are one stack, Z = 0
+    then the sampled Z at the same W; (c) is one stack per level component, the
+    shifted and the base points of its four cases, set up by ``_point_config``
+    from its own points at TAIL_TARGET.
     """
     h, g = expr_shape(expr)
     box = SAMPLE_BOX
     z_pts, w_pts = _sample_points(cfg.seed, _STREAM_VERIFY, cfg.holdout, h, g)
-    components = [(lvl, dec.element.level_component(lvl)) for lvl in dec.element.levels()]
-    z0 = _mismatch(expr, dec.element, omega, np.zeros_like(w_pts), w_pts)
-    sample = _mismatch(expr, dec.element, omega, z_pts, w_pts)
+    stack_z, stack_w = np.concatenate((np.zeros_like(z_pts), z_pts)), np.concatenate((w_pts, w_pts))
+    z0, sample = np.split(_mismatch(expr, dec.element, omega, stack_z, stack_w), 2)
 
     # shift-law residual of each level component of the output
     qp = []
     rng = _rng(cfg.seed, _STREAM_VERIFY_SHIFT)
-    for lvl, comp in components:
-        qp_cfg = truncation_config(lvl, omega, _shift_box(omega), comp.degree())
+    for lvl in dec.element.levels():
+        comp = dec.element.level_component(lvl)
 
-        def value(z, w, comp=comp, qp_cfg=qp_cfg):
-            return evaluate_element(comp, omega, z, w, qp_cfg).value
+        def value(z, w, lvl=lvl, comp=comp):
+            return evaluate_element(comp, omega, z, w, _point_config(lvl, omega, comp.degree(), z, w,
+                                                                     TAIL_TARGET)).value
 
         cases = [(rng.uniform(-box, box, (h, g)) * (1 + 0j), _box_sample(rng, (h, g)),
                   rng.integers(-1, 2, (h, g)).astype(float), rng.integers(-1, 2, (h, g)).astype(float))

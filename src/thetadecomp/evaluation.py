@@ -216,12 +216,12 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     return sums.reshape(*lead, len(chars))
 
 
-def _tail_point(level: LevelMatrix, j: MultiIndex, z, w) -> tuple[float, float]:
-    """The largest |Z| entry (0 at J = 0) and the largest ||M Im W||_F of one (h, g) point
+def _tail_point(level: LevelMatrix, degree: int, z, w) -> tuple[float, float]:
+    """The largest |Z| entry (0 at degree 0) and the largest ||M Im W||_F of one (h, g) point
     or a stack of them: the arguments at which ``tail_bound`` covers each point."""
     mv = level.as_array() @ np.imag(w)
     mv_norm = float(np.sqrt((mv * mv).sum(axis=(-2, -1)).max()))
-    return (float(np.abs(z).max()) if j.size else 0.0), mv_norm
+    return (float(np.abs(z).max()) if degree else 0.0), mv_norm
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -246,7 +246,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         raise DimensionMismatchError(f"Z, W must share a shape {h}x{g} or Sx{h}x{g}: {z.shape}, {w.shape}")
     stacked = w.ndim == 3
     z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
-    z_sup, mv_norm = _tail_point(level, j, z, w)
+    z_sup, mv_norm = _tail_point(level, j.size, z, w)
     bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
     if bound > cfg.tail_tol:
         raise TruncationInsufficientError(
@@ -330,7 +330,7 @@ def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristi
     xi = _as_int_matrix(xi, h, g, "xi")
     eta = _as_int_matrix(eta, h, g, "eta")
     return float(shift_law_residual(
-        lambda zz, ww: aux_theta_series(level, j, char, omega, zz, ww, cfg).value,
+        lambda zz, ww: aux_theta_block(level, j, [char], omega, zz, ww, cfg)[0][:, 0],
         level, omega, z, w, xi, eta,
     ))
 
@@ -338,13 +338,18 @@ def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristi
 def shift_law_residual(f: Callable, level: LevelMatrix, omega: PeriodMatrix,
                        z, w, xi, eta):
     """|f(Z+xi, W+xi*Omega+eta) - factor * f(Z,W)| / max(1, |factor|), for one (h, g)
-    case or a stack of them, shape (S, h, g), with ``f`` called once per side.
+    case or a stack of them, shape (S, h, g), with ``f`` called once: on one stack of the
+    shifted points, then the base points, shape (2S, h, g), S = 1 for one case.
 
     ``f(z, w)`` is any function that should obey the shift law of ``level``: one
     series, or one level component of an element.
     """
-    shifted = f(z + xi, w + xi @ omega.omega + eta)
-    base = f(z, w)
+    shape = (-1, level.h, omega.g)
+    zs = np.concatenate([np.reshape(x, shape) for x in (z + xi, z)])
+    ws = np.concatenate([np.reshape(x, shape) for x in (w + xi @ omega.omega + eta, w)])
+    shifted, base = np.split(np.asarray(f(zs, ws)), 2)
+    if np.ndim(w) == 2:  # one case: its two values as Python complex scalars
+        shifted, base = complex(shifted[0]), complex(base[0])
     factor = transformation_factor(level, omega, w, xi)
     return abs(shifted - factor * base) / np.maximum(1.0, abs(factor))
 
@@ -358,7 +363,8 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     2 pi i (M Z)_{ka} * series(J) + d/dW_{ka} series(J), the derivative taken
     by central differences along Re W_{ka} at steps 1e-3 and 1e-3/2, combined
     by first-order Richardson extrapolation: the package's one numerical
-    derivative, kept because the derivative is what this identity tests.  At
+    derivative, kept because the derivative is what this identity tests.  The
+    series(J) at W and at the four stencil points are one stack, W first.  At
     Z = 0 it checks independently that the kernel's auxiliary series at
     J+epsilon_{ka} is the W-derivative of the one at J.  Scale-normalized like
     quasi_period_residual, since the finite-difference truncation error grows
@@ -370,14 +376,15 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     z = as_matrix(z, h, g)
     w = as_matrix(w, h, g)
     lhs = aux_theta_series(level, j.bump(k, a, +1), char, omega, z, w, cfg).value
-    base = aux_theta_series(level, j, char, omega, z, w, cfg).value
     step = 1e-3
     unit = np.zeros((h, g), dtype=complex)
     unit[k - 1, a - 1] = 1.0
-    ws = w + np.array([step, -step, step / 2.0, -step / 2.0])[:, None, None] * unit
-    f1, f2, f3, f4 = aux_theta_block(level, j, [char], omega, np.broadcast_to(z, ws.shape), ws, cfg)[0]
+    # the stencil moves Re W only, so the stack's tail bound and floor are W's own
+    ws = w + np.array([0.0, step, -step, step / 2.0, -step / 2.0])[:, None, None] * unit
+    values = aux_theta_block(level, j, [char], omega, np.broadcast_to(z, ws.shape), ws, cfg)[0]
+    base, f1, f2, f3, f4 = values[:, 0]
     d1 = (f1 - f2) / (2.0 * step)
-    fd = ((4.0 * ((f3 - f4) / step) - d1) / 3.0)[0]
+    fd = (4.0 * ((f3 - f4) / step) - d1) / 3.0
     mz = (level.as_array() @ z)[k - 1, a - 1]
     rhs = 2j * np.pi * mz * base + fd
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -399,7 +406,7 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
 def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
                   z_sup: float, mv_norm: float, tail_tol: float) -> int:
     """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
-    tail_tol: the one radius rule of ``choose_radius`` and of cli ``eval``."""
+    tail_tol: the one radius rule of ``choose_radius`` and of ``_point_config``."""
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     for radius in range(1, RADIUS_CAP + 1):
@@ -408,13 +415,22 @@ def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
 
 
+def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
+                  tail_tol: float) -> TruncationConfig:
+    """The evaluation setup of one point or stack from the points themselves: the least
+    radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
+    |J| <= degree.  cli ``eval`` sets up its point so, and ``verify_theorem3`` its shift check."""
+    radius = _least_radius(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol)
+    return TruncationConfig(radius=radius, tail_tol=tail_tol)
+
+
 def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float,
                       degree: int) -> TruncationConfig:
     """The evaluation setup of sampled stacks: ``choose_radius`` for (box, degree) at
     TAIL_TARGET, memoised.  Every point the caller samples lies in the box.
 
-    The memo is bounded; it keys on the period matrix by value.  ``cli`` ``eval`` sets up
-    its one point from the point itself, with no box.
+    The memo is bounded; it keys on the period matrix by value.  A caller that knows its
+    points up front sets them up by ``_point_config`` instead, with no box.
     """
     return _truncation_config(level, omega, box, degree)
 

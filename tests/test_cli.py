@@ -21,6 +21,14 @@ from thetadecomp.numerics import PeriodMatrix, multi_indices_up_to, validate_lev
 
 OMEGA_I = "[[[0,1]]]"
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_seed0.json"
+# one input per decompose-ref template shape, each with its decompose --out bytes at --seed 0
+GOLDEN_DECOMPOSE = json.loads((Path(__file__).parent / "data" / "decompose_ref_seed0.json").read_text())
+# aux_theta_block calls of one decompose of each: the certificate, then verify_theorem3's
+# z0 and sample checks as one stack, then its shift check, each one call per (level, J) of
+# the leaves and of the element
+DECOMPOSE_KERNEL_CALLS = {"single_j0": 5, "single_j1": 5, "single_j2": 5, "theta_product": 5,
+                          "wronskian": 9, "syntactic_zero": 4, "hex_g1_deg0": 5, "hex_g1_deg1": 10,
+                          "l2_g2_deg0": 5}
 
 
 def run_cli(*args, stdin=None, timeout=None):
@@ -317,6 +325,49 @@ class TestDecompose:
         assert out.stdout == ""
         data = json.loads(path.read_text())
         assert data["element"][0]["char_index"] == 1
+
+    @staticmethod
+    def decompose_case(case, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(case["input"]))
+        rc = cli.main(["decompose", "--input", str(src), "--omega", case["omega"],
+                       "--seed", str(case["seed"]), "--out", str(out)])
+        return rc, out.read_bytes()
+
+    @pytest.mark.parametrize("case", GOLDEN_DECOMPOSE, ids=lambda case: case["name"])
+    def test_output_matches_the_golden_file(self, case, tmp_path):
+        # a change that alters these outputs on purpose regenerates the file and says so
+        assert self.decompose_case(case, tmp_path) == (0, case["out"].encode())
+
+    @pytest.mark.parametrize("case", GOLDEN_DECOMPOSE, ids=lambda case: case["name"])
+    def test_kernel_calls_of_each_template(self, case, tmp_path, monkeypatch):
+        from thetadecomp import algebra, decompose
+
+        calls = []
+        block = evaluation.aux_theta_block
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        for module in (algebra, decompose, evaluation):
+            monkeypatch.setattr(module, "aux_theta_block", counted)
+        assert self.decompose_case(case, tmp_path)[0] == 0
+        assert len(calls) == DECOMPOSE_KERNEL_CALLS[case["name"]]
+
+    def test_hex_g2_product_passes_every_check(self, tmp_path):
+        # h*g = 4: the shift check sized from its own points takes radius 14 here, where the
+        # shift box's worst case takes radius 36, a cube of 28.4M points, over the cap
+        hex_leaf = {"kind": "deriv", "level": [[2, 1], [1, 2]], "j": [[0, 0], [0, 0]]}
+        expr = {"kind": "product", "children": [{**hex_leaf, "char_index": 1}, {**hex_leaf, "char_index": 5}]}
+        case = {"input": expr, "omega": "[[[0,1],[0.25,0]],[[0.25,0],[0,1.5]]]", "seed": 0}
+        rc, raw = self.decompose_case(case, tmp_path)
+        assert rc == 0
+        data = json.loads(raw)
+        report = data["verification"]
+        assert data["residual"] < verify.THEOREM3_TOL
+        assert report["max_z0_residual"] < verify.THEOREM3_TOL and report["max_sample_residual"] < verify.THEOREM3_TOL
+        assert report["max_quasiperiod_residual"] < verify.THEOREM3_SHIFT_TOL
 
 
 THETA_PRODUCT = {

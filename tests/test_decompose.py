@@ -36,6 +36,7 @@ from thetadecomp.evaluation import (
     aux_theta_block,
     aux_theta_series,
     shift_operator_check,
+    tail_bound,
     theta_series,
     truncation_config,
 )
@@ -47,7 +48,7 @@ from thetadecomp.numerics import (
     multi_indices_up_to,
     validate_level,
 )
-from thetadecomp.verify import SHIFT_TOL, THEOREM3_TOL
+from thetadecomp.verify import SHIFT_TOL, THEOREM3_SHIFT_TOL, THEOREM3_TOL
 
 LEVEL2 = validate_level([[2]])
 LEVEL4 = validate_level([[4]])
@@ -338,6 +339,30 @@ class TestAdditionFormula:
         # scale-normalised: the degree-4 values reach about 600
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
 
+    def test_memo_holds_coefficients_not_points(self):
+        # hex g=2 at J = 0: each pair of characteristics sums over the same 6,000-odd D points,
+        # and the memo of eight more pairs holds less than one complex array of them; an Omega
+        # of its own keeps the memo cold
+        import tracemalloc
+
+        omega = PeriodMatrix([[1j, 0.25], [0.25, 1.45j]])
+        chars = enumerate_characteristics(HEX, 2)
+        j0 = MultiIndex.zeros(2, 2)
+        radius = decompose._constant_radius(HEX, HEX, omega, 0)
+        points = len(evaluation._quadratic_form(decompose._level_pair(HEX, HEX), omega, radius)[0])
+        pairs = [(BasisSymbol(HEX, j0, chars[a]), BasisSymbol(HEX, j0, chars[(a + 2) % 9])) for a in range(9)]
+        first = decompose._pair_terms(*pairs[0], omega, radius)  # the caches the pairs share
+        assert all(not coef.flags.writeable for coef, _ in first.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s, t in pairs[1:]:
+                decompose._pair_terms(s, t, omega, radius)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * points
+
     def test_box_over_the_point_cap_is_refused_unbuilt(self):
         from thetadecomp.decompose import _pair_terms
 
@@ -452,8 +477,9 @@ class TestDiffPolyDecompose:
             diff_poly_decompose(d, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
     def test_certificate_differentiates_each_symbol_once(self, monkeypatch):
-        # one kernel call per distinct leaf and one per (level, J) run of the element's
-        # terms, each on the whole point stack: the derivatives are the series at Z = 0
+        # one kernel call per (level, J) of the leaves, over their distinct characteristics,
+        # and one per (level, J) run of the element's terms, each on the whole point stack:
+        # the derivatives are the series at Z = 0
         from thetadecomp import algebra, decompose
 
         calls = []
@@ -464,12 +490,14 @@ class TestDiffPolyDecompose:
             return block(level, j, *rest)
 
         d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[0]) for k in range(3))
+        d0b = deriv(LEVEL2, [[0]], CHARS2[1])
         w = np.array([[[0.1 + 0.2j]], [[-0.3 + 0.05j]]])  # two certificate points, one stack
         z = np.zeros_like(w)
         element = AlgebraElement({d0: 0.5, d1: 1j})
         cases = [
             (d2, AlgebraElement.from_symbol(d2), 1 + 1),  # single_j2: leaf and term are one symbol
             (Sum((Product((d0, d2)), Scale(-1.0, Product((d1, d1))))), element, 3 + 2),  # wronskian
+            (Product((d0, d0b)), element, 1 + 2),  # two leaves of one (level, J): one leaf call
         ]
         for expr, elem, kernel_calls in cases:
             calls.clear()
@@ -481,16 +509,17 @@ class TestDiffPolyDecompose:
             # the value is the one a series read per occurrence gives, one residual per point
             aux = {s: aux_theta_block(LEVEL2, s.j, [s.char], OMEGA, z, w,
                                       truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, s.j.size))[0][:, 0]
-                   for s in (d0, d1, d2)}
-            lhs = aux[d2] if expr is d2 else aux[d0] * aux[d2] + -1.0 * (aux[d1] * aux[d1])
+                   for s in (d0, d1, d2, d0b)}
+            lhs = {d2: aux[d2], cases[1][0]: aux[d0] * aux[d2] + -1.0 * (aux[d1] * aux[d1]),
+                   cases[2][0]: aux[d0] * aux[d0b]}[expr]
             rhs = evaluate_element(elem, OMEGA, z, w, truncation_config(LEVEL2, OMEGA, SAMPLE_BOX,
                                                                         elem.degree())).value
             assert np.array_equal(got, np.abs(lhs - rhs))
 
     def test_theorem3_suite_certifies_only_what_it_reports(self, monkeypatch):
-        # per expression: the decomposition's certificate and verify_theorem3's z0 and
-        # sample residuals, one stack of THEOREM3_HOLDOUT points each, the first two at
-        # Z = 0; the second seed is fitted, not certified
+        # per expression: the decomposition's certificate, one stack of THEOREM3_HOLDOUT
+        # points at Z = 0, then verify_theorem3's z0 and sample residuals as one stack of
+        # twice as many, Z = 0 then the sampled Z; the second seed is fitted, not certified
         from thetadecomp import decompose, verify
 
         stacks = []
@@ -504,7 +533,7 @@ class TestDiffPolyDecompose:
         report = verify.run_theorem3_suite(seed=0)
         assert report["passed"]
         holdout = verify.THEOREM3_HOLDOUT
-        assert stacks == [(holdout, True), (holdout, True), (holdout, False)] * 6
+        assert stacks == [(holdout, True), (2 * holdout, False)] * 6
 
     def test_uncertified_node_is_the_pruned_element(self):
         from thetadecomp.decompose import _decompose_node
@@ -544,6 +573,37 @@ class TestDiffPolyDecompose:
         dec = diff_poly_decompose(expr, OMEGA, CFG)
         assert dec.residual < 1e-7 and len(dec.element) == 6
         assert len(calls) == 4
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(high_order_products(), st.integers(0, 2**32 - 1))
+    def test_shift_check_radius_is_the_least_for_its_stack(self, case, seed):
+        # one setup per level component, from the stack of its four cases' shifted and base
+        # points: the least radius that certifies that stack, never above the shift box's
+        from thetadecomp.decompose import _shift_box
+
+        expr, omega = case
+        cfg = FitConfig(seed=seed)
+        dec = diff_poly_decompose(expr, omega, cfg)
+        setups = []
+        point_config = decompose._point_config
+
+        def recorded(level, omega_, degree, z, w, tol):
+            setup = point_config(level, omega_, degree, z, w, tol)
+            setups.append((level, degree, z, w, tol, setup.radius))
+            return setup
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decompose, "_point_config", recorded)
+            report = verify_theorem3(expr, dec, omega, cfg)
+        assert report["max_quasiperiod_residual"] < THEOREM3_SHIFT_TOL
+        assert [(level, degree) for level, degree, *_ in setups] == [
+            (level, dec.element.level_component(level).degree()) for level in dec.element.levels()]
+        for level, degree, z, w, tol, radius in setups:
+            assert tol == evaluation.TAIL_TARGET and z.shape == w.shape == (8, level.h, 1)
+            point = evaluation._tail_point(level, degree, z, w)
+            assert tail_bound(level, omega, degree, *point, radius) <= tol
+            assert radius == 1 or tail_bound(level, omega, degree, *point, radius - 1) > tol
+            assert radius <= truncation_config(level, omega, _shift_box(omega), degree).radius
 
     @pytest.mark.parametrize("j1,j2", [(2, 2), (3, 2), (3, 3)])
     def test_high_order_products_certify(self, j1, j2):

@@ -181,6 +181,34 @@ class TestQuasiPeriodicity:
     def test_factor_at_zero_shift(self):
         assert transformation_factor(LEVEL2, OMEGA_I, np.zeros((1, 1)), np.zeros((1, 1))) == 1.0
 
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_f_is_called_once(self, count):
+        # on the shifted points, then the base points, as one stack; the residuals are
+        # those of one call per side
+        omega = PeriodMatrix([[1j, 0.3j], [0.3j, 2j]])
+        ch = enumerate_characteristics(LEVEL2, 2)[1]
+        j = MultiIndex.from_rows([[1, 0]])
+        cfg = truncation_config(LEVEL2, omega, 2.8, 1)
+        rng = np.random.default_rng(3)
+        shape = (1, 2) if count is None else (count, 1, 2)
+        z, w = (rng.uniform(-0.4, 0.4, (2, *shape)) + 1j * rng.uniform(-0.4, 0.4, (2, *shape)))
+        xi, eta = rng.integers(-1, 2, (2, *shape)).astype(float)
+        stacks = []
+
+        def f(zz, ww):
+            stacks.append(ww.shape)
+            return evaluation.aux_theta_block(LEVEL2, j, [ch], omega, zz, ww, cfg)[0][:, 0]
+
+        got = evaluation.shift_law_residual(f, LEVEL2, omega, z, w, xi, eta)
+        assert stacks == [(2 * (count or 1), 1, 2)]
+        two = [evaluation.aux_theta_block(LEVEL2, j, [ch], omega, zz, ww, cfg)[0][..., 0]
+               for zz, ww in ((z + xi, w + xi @ omega.omega + eta), (z, w))]
+        factor = transformation_factor(LEVEL2, omega, w, xi)
+        want = abs(two[0] - factor * two[1]) / np.maximum(1.0, abs(factor))
+        assert np.shape(got) == np.shape(want) and np.allclose(got, want, rtol=0, atol=1e-15)
+        if count is None:
+            assert got == quasi_period_residual(LEVEL2, j, ch, omega, z, w, xi, eta, cfg) < 1e-8
+
 
 class TestShiftOperator:
     def test_j0(self):
@@ -205,6 +233,32 @@ class TestShiftOperator:
         h = 1e-5
         fd = (oracle_theta(2, 0.0, 1j, w + h) - oracle_theta(2, 0.0, 1j, w - h)) / (2 * h)
         assert abs(v.value - fd) < 1e-6
+
+    @pytest.mark.parametrize("rows,z", [([[0]], [[0.0]]), ([[1]], [[0.2 + 0.1j]]), ([[2]], [[-0.3]])])
+    def test_base_value_is_read_from_the_stencil(self, monkeypatch, rows, z):
+        # two kernel calls: J + e_ka at W, and one stack of W and its four stencil points;
+        # the residual equals that of reading W as a stack of its own, bit for bit
+        j, ch, w = MultiIndex.from_rows(rows), chars(LEVEL2)[1], np.array([[0.1 + 0.2j]])
+        calls = []
+        block = evaluation.aux_theta_block
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(evaluation, "aux_theta_block", counted)
+        got = shift_operator_check(LEVEL2, j, ch, OMEGA_I, z, w, 1, 1, CFG)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        z = np.asarray(z, dtype=complex)
+        lhs = aux_theta_series(LEVEL2, j.bump(1, 1, +1), ch, OMEGA_I, z, w, CFG).value
+        base = aux_theta_series(LEVEL2, j, ch, OMEGA_I, z, w, CFG).value
+        ws = w + np.array([1e-3, -1e-3, 5e-4, -5e-4])[:, None, None]
+        f1, f2, f3, f4 = evaluation.aux_theta_block(LEVEL2, j, [ch], OMEGA_I, np.broadcast_to(z, ws.shape),
+                                                    ws, CFG)[0][:, 0]
+        fd = (4.0 * ((f3 - f4) / 1e-3) - (f1 - f2) / 2e-3) / 3.0
+        rhs = 2j * np.pi * (2 * z[0, 0]) * base + fd
+        assert got == abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
     def test_index_range(self):
         from thetadecomp.errors import IndexOutOfRangeError
@@ -282,7 +336,7 @@ class TestChooseRadius:
         assert tuple(choose_radius(level, omega, 0.4, 1e-12, d) for d in range(3)) == radii
 
     # decompose-ref's radii at the sample box (|J| up to the degree its ops reach) and
-    # at the shift box of verify_theorem3
+    # at the shift box, the most verify_theorem3's shift check may take
     @pytest.mark.parametrize("rows,g,sample,shift", [
         ([[2]], 1, (3, 3, 3), 6), ([[4]], 1, (2, 3, 3), 6),
         ([[2, 1], [1, 2]], 1, (6, 6), 21), ([[4, 2], [2, 4]], 1, (5, 5), 21),
