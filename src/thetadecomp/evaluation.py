@@ -136,10 +136,11 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha (lam the decay rate,
     alpha^2 = sum_ij |(Im Q)_ij|), flattened to n (P x hg) in the cube's order, last
     entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
-    of a C-ordered hg x P array, the layout the kernel's exponent product reads.  Returns n,
-    Q, M kron I and the per-point forms q(n) and n^t (Re Q) n, all read-only; the
-    last is None when Re Omega = 0.  A cube over LATTICE_POINT_CAP points is refused unbuilt:
-    the cap of every lattice sum.
+    of a C-ordered hg x P array: the kernel's exponent product reads n^t whole, and its
+    monomials read rows of n^t, each one entry (l, a) of N at every point.  Returns n, Q
+    and the per-point forms q(n) and n^t (Re Q) n, all read-only; the last is None when
+    Re Omega = 0.  A cube over LATTICE_POINT_CAP points is refused unbuilt: the cap of every
+    lattice sum.
     """
     hg = level.h * omega.g
     if (2 * radius + 1) ** hg > LATTICE_POINT_CAP:
@@ -149,7 +150,6 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     cube = np.stack(np.meshgrid(*([axis] * hg), indexing="ij", copy=False), axis=-1).reshape(-1, hg)
     m = level.as_array()
     q = _read_only(np.kron(m, omega.omega))
-    m_kron_i = _read_only(np.kron(m, np.eye(omega.g)))
 
     def form(points, part):
         return np.einsum("pi,ij,pj->p", points, part, points)
@@ -163,27 +163,38 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
     n = _read_only(np.ascontiguousarray(cube[keep].T)).T
     n_req_n = _read_only(form(n, q.real)) if omega.omega.real.any() else None
-    return n, q, m_kron_i, _read_only(n_imq_n[keep]), n_req_n
+    return n, q, _read_only(n_imq_n[keep]), n_req_n
+
+
+@functools.lru_cache(maxsize=1024)
+def _char_rows(level: LevelMatrix, omega: PeriodMatrix, chars: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """vec A of each characteristic (C x hg) and Q vec A, Q = M kron Omega: the parts of the
+    exponent rows that depend on (level, Omega, characteristics) only, read-only."""
+    a = np.array([char.as_array().ravel() for char in chars])
+    qa = (np.kron(level.as_array(), omega.omega) * a[:, None, :]).sum(axis=-1)
+    return _read_only(a), _read_only(qa)
 
 
 def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     """The truncated series at (..., h, g) points Z, W for C characteristics, as one
     quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
-    Each term is exp(i pi X) times the monomial weight; only the rows c, d and the
-    columns (M(Z+N+A))_ka of the nonzero J_ka depend on the call.  The exponent rows of all
-    S x C pairs are one matrix product.  A term's exponential has modulus exp(-pi Im X), so
+    Each term is exp(i pi X) times the monomial weight.  The points n and the forms
+    q(n) = n^t (Im Q) n and n^t (Re Q) n are memoised per (level, Omega, radius)
+    (``_quadratic_form``), vec A and Q vec A per (level, Omega, characteristics)
+    (``_char_rows``); a call computes only what depends on Z and W: the rows c, d, the
+    exponent rows of all S x C pairs as one matrix product, and the columns
+    (M(Z+N+A))_ka of the nonzero J_ka.  A term's exponential has modulus exp(-pi Im X), so
     one comparison prunes the terms where -pi Im X < log_floor (a NaN is kept; the default
     prunes none), and the exp, the monomials and the sums run over the kept terms only,
     each sum in P order.
     """
-    n, q, m_kron_i, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
+    n, _, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     h, g = level.h, omega.g
     lead = w.shape[:-2]
     w = w.reshape(-1, 1, h, g)
     m = level.as_array()
-    a = np.array([char.as_array().ravel() for char in chars])
-    qa = (q * a[:, None, :]).sum(axis=-1)  # Q vec A, one row per characteristic
+    a, qa = _char_rows(level, omega, tuple(chars))
     c = 2.0 * ((m @ w).reshape(len(w), 1, -1) + qa)  # S x C x hg
     d = ((c - qa)[..., None, :] @ a[:, :, None]).ravel()  # vec A^t Q vec A + 2 vec(MW) . vec A
     rows = len(d)
@@ -202,12 +213,17 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     np.multiply(phase, np.pi, out=terms.imag)
     np.exp(terms, out=terms)
     if j.size:
-        # (M(Z+N+A))_ka = (M N)_ka + (M(Z+A))_ka; M N is integral, so exact in any order
-        mn = n[p] @ m_kron_i.T
+        # (M(Z+N+A))_ka = (M N)_ka + (M(Z+A))_ka, with (M N)_ka = sum_l M_kl N_la read from
+        # the rows (l, a) of n^t at the kept points: integral, so exact in any order
         offsets = (m @ (z.reshape(-1, 1, h, g) + a.reshape(-1, h, g))).reshape(rows, -1)
         for i, power in enumerate(x for jrow in j.j for x in jrow):
             if power:
-                lam = mn[:, i] + offsets[row, i]
+                k, col = divmod(i, g)
+                mn = m[k, 0] * n.T[col][p]
+                for l in range(1, h):
+                    mn += m[k, l] * n.T[l * g + col][p]
+                lam = offsets[:, i][row]
+                lam += mn
                 for _ in range(power):
                     terms *= lam
         terms *= (2j * np.pi) ** j.size
@@ -220,8 +236,7 @@ def _tail_point(level: LevelMatrix, degree: int, z, w) -> tuple[float, float]:
     """The largest |Z| entry (0 at degree 0) and the largest ||M Im W||_F of one (h, g) point
     or a stack of them: the arguments at which ``tail_bound`` covers each point."""
     mv = level.as_array() @ np.imag(w)
-    mv_norm = float(np.sqrt((mv * mv).sum(axis=(-2, -1)).max()))
-    return (float(np.abs(z).max()) if degree else 0.0), mv_norm
+    return (float(np.abs(z).max()) if degree else 0.0), math.sqrt((mv * mv).sum(axis=(-2, -1)).max())
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -234,7 +249,9 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
     and one point gets its own bound.  The kernel prunes the terms below a floor set from
     that bound, so that together they stay within its eps share (see ``tail_bound``).
     Passes hold at most BLOCK_TERMS S x C x P terms, slicing the points, or the
-    characteristics where one point is over the budget.
+    characteristics where one point is over the budget.  A Z or W entry that is not finite
+    is a ValueError, and a bound that is not within cfg.tail_tol, NaN included, a
+    TruncationInsufficientError.
     """
     h, g = level.h, omega.g
     if (j.h, j.g) != (h, g):
@@ -244,11 +261,13 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     if z.shape != w.shape or w.shape[-2:] != (h, g) or w.ndim not in (2, 3):
         raise DimensionMismatchError(f"Z, W must share a shape {h}x{g} or Sx{h}x{g}: {z.shape}, {w.shape}")
+    if not (np.isfinite(z).all() and np.isfinite(w).all()):
+        raise ValueError("Z and W must be finite")
     stacked = w.ndim == 3
     z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
     z_sup, mv_norm = _tail_point(level, j.size, z, w)
     bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
-    if bound > cfg.tail_tol:
+    if not bound <= cfg.tail_tol:
         raise TruncationInsufficientError(
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
         )
@@ -285,12 +304,14 @@ def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
     return ThetaValue(value=complex(values[0]), tail_bound=bound)
 
 
+_zero_index = functools.lru_cache(maxsize=64)(MultiIndex.zeros)
+
+
 def theta_series(level: LevelMatrix, char: Characteristic, omega: PeriodMatrix,
                  w, cfg: TruncationConfig) -> ThetaValue:
     """Theta series of the given level and characteristic at the point w."""
-    j0 = MultiIndex.zeros(level.h, omega.g)
     zeros = np.zeros((level.h, omega.g), dtype=complex)
-    return aux_theta_series(level, j0, char, omega, zeros, w, cfg)
+    return aux_theta_series(level, _zero_index(level.h, omega.g), char, omega, zeros, w, cfg)
 
 
 def transformation_factor(level: LevelMatrix, omega: PeriodMatrix, w, xi):
@@ -404,12 +425,13 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
 
 
 def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
-                  z_sup: float, mv_norm: float, tail_tol: float) -> int:
+                  z_sup: float, mv_norm: float, tail_tol: float, start: int = 1) -> int:
     """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
-    tail_tol: the one radius rule of ``choose_radius`` and of ``_point_config``."""
+    tail_tol: the one radius rule of ``choose_radius`` and of ``_point_config``.  The search
+    begins at ``start``, which must be at most that radius."""
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
-    for radius in range(1, RADIUS_CAP + 1):
+    for radius in range(start, RADIUS_CAP + 1):
         if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tail_tol:
             return radius
     raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
@@ -419,9 +441,18 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
                   tail_tol: float) -> TruncationConfig:
     """The evaluation setup of one point or stack from the points themselves: the least
     radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
-    |J| <= degree.  cli ``eval`` sets up its point so, and ``verify_theorem3`` its shift check."""
-    radius = _least_radius(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol)
+    |J| <= degree.  cli ``eval`` sets up its point so, and ``verify_theorem3`` its shift check.
+
+    ``tail_bound`` does not decrease as |Z| or ||M Im W||_F grows, so no radius below the
+    least one at Z = W = 0 certifies the stack: the search starts there."""
+    radius = _least_radius(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol,
+                           _zero_drift_radius(level, omega, degree, tail_tol))
     return TruncationConfig(radius=radius, tail_tol=tail_tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _zero_drift_radius(level, omega, degree, tail_tol) -> int:
+    return _least_radius(level, omega, degree, 0.0, 0.0, tail_tol)
 
 
 def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float,

@@ -9,6 +9,7 @@ enumeration of its level, which makes the files self-contained.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 from .algebra import AlgebraElement, BasisSymbol
@@ -117,7 +118,10 @@ def expr_from_json(data):
     if kind == "product":
         return Product(tuple(expr_from_json(c) for c in data["children"]))
     if kind == "scale":
-        return Scale(complex_from_json(data["coeff"]), expr_from_json(data["child"]))
+        coeff = complex_from_json(data["coeff"])
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"scale coefficient {coeff} is not finite")
+        return Scale(coeff, expr_from_json(data["child"]))
     raise ValueError(f"unknown expression kind {kind!r}")
 
 

@@ -316,6 +316,16 @@ class TestDecompose:
         error = json.loads(out.stdout)["error"]
         assert error["type"] == "ValueError" and "not a JSON object" in error["message"]
 
+    @pytest.mark.parametrize("coeff", ["[NaN, 0]", "[0, -Infinity]", "[1e400, 0]"])
+    def test_nonfinite_coefficient_exits_2(self, coeff):
+        # as --omega does; a NaN coefficient exited 4 with "certificate residual nan is not finite"
+        leaf = '{"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1}'
+        expr = f'{{"kind": "scale", "coeff": {coeff}, "child": {leaf}}}'
+        out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I, stdin=expr)
+        assert out.returncode == 2 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "ValueError" and "not finite" in error["message"]
+
     def test_out_flag_writes_file(self, tmp_path):
         expr = {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1}
         path = tmp_path / "dec.json"

@@ -605,6 +605,29 @@ class TestDiffPolyDecompose:
             assert radius == 1 or tail_bound(level, omega, degree, *point, radius - 1) > tol
             assert radius <= truncation_config(level, omega, _shift_box(omega), degree).radius
 
+    def test_shift_check_tail_bounds_start_at_the_zero_drift_radius(self, monkeypatch):
+        # one shift check of a hex g=1 degree-1 product, its zero-drift radius memoised: the
+        # setup of its level component, [[4,2],[2,4]], calls tail_bound once per radius from 3
+        # to its own 10, where a search from 1 calls it 10 times
+        hexc = enumerate_characteristics(HEX, 1)
+        expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
+        dec = diff_poly_decompose(expr, OMEGA, CFG)
+        report = verify_theorem3(expr, dec, OMEGA, CFG)
+        setups, calls = [], []
+        point_config, bound = decompose._point_config, evaluation.tail_bound
+
+        def recorded(level, omega, degree, z, w, tol):
+            before = len(calls)
+            setup = point_config(level, omega, degree, z, w, tol)
+            r0 = evaluation._zero_drift_radius(level, omega, degree, tol)
+            setups.append((setup.radius, r0, len(calls) - before))
+            return setup
+
+        monkeypatch.setattr(decompose, "_point_config", recorded)
+        monkeypatch.setattr(evaluation, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        assert verify_theorem3(expr, dec, OMEGA, CFG) == report
+        assert setups == [(10, 3, 8)]
+
     @pytest.mark.parametrize("j1,j2", [(2, 2), (3, 2), (3, 3)])
     def test_high_order_products_certify(self, j1, j2):
         # right decompositions (sample residuals 7.5e-12 to 9.5e-10) that finite-difference

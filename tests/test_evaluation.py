@@ -1,9 +1,11 @@
 """Series evaluation, certified tails, quasi-periodicity and shift-law residuals."""
 
 import itertools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,12 @@ LEVEL4 = validate_level([[4]])
 HEX = validate_level([[2, 1], [1, 2]])
 OMEGA_I = PeriodMatrix([[1j]])
 CFG = TruncationConfig(radius=8, tail_tol=1e-10)
+
+# aux_theta_block values and tail bounds as float.hex, frozen before the kernel's per-call
+# work was trimmed: the twelve (Omega, level, |J|) specs of series-g2 at one seeded point,
+# hex and [[2]] g=1 stacks of 32 points over all characteristics with |J| <= 2, and hex g=2
+# at an Omega with Re Omega != 0
+KERNEL_VALUES = json.loads((Path(__file__).parent / "data" / "kernel_values_seed0.json").read_text())
 
 # frozen from the direct-summation oracle over |n| <= 10 (scratch derivation,
 # re-checked by oracle_theta below)
@@ -94,6 +102,19 @@ class TestThetaSeries:
         with pytest.raises(TruncationInsufficientError):
             theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.5j]], tight)
 
+    @pytest.mark.parametrize("w", [complex("nan"), complex(0.0, math.inf)])
+    def test_nonfinite_w_is_a_value_error(self, w):
+        # W = NaN gave a NaN value next to a "certified" bound (4.6e-175 here), W = i inf a NaN
+        # value and a NaN bound
+        with pytest.raises(ValueError, match="finite"):
+            theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[w]], CFG)
+
+    def test_nan_bound_is_truncation_insufficient(self, monkeypatch):
+        # the tolerance check reads "not bound <= tol", so a NaN bound never passes
+        monkeypatch.setattr(evaluation, "tail_bound", lambda *args: math.nan)
+        with pytest.raises(TruncationInsufficientError, match="nan"):
+            theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.1j]], CFG)
+
     def test_near_boundary_omega_rejected(self):
         with pytest.raises(NotPositiveDefiniteError, match="boundary"):
             shallow = PeriodMatrix([[1e-4j]])
@@ -108,6 +129,13 @@ class TestAuxThetaSeries:
         for z in ([[0.0]], [[0.3 + 0.2j]], [[-1.7j]]):
             v = aux_theta_series(LEVEL2, j0, chars(LEVEL2)[0], OMEGA_I, z, w, CFG)
             assert v.value == t.value
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex("nan")])
+    def test_nonfinite_z_is_a_value_error(self, z):
+        # at |J| = 1 either Z gave a NaN value and a NaN bound, with no error
+        j1 = MultiIndex.from_rows([[1]])
+        with pytest.raises(ValueError, match="finite"):
+            aux_theta_series(LEVEL2, j1, chars(LEVEL2)[0], OMEGA_I, [[z]], [[0.1j]], CFG)
 
     def test_odd_symmetry_j1(self):
         j1 = MultiIndex.from_rows([[1]])
@@ -450,6 +478,42 @@ def kernel_cases(draw):
     return level, j, char, omega, point(), point(), draw(st.integers(1, 4))
 
 
+class TestPointConfig:
+    """The least radius of a stack known up front (``evaluation._point_config``)."""
+
+    @PROPERTY
+    @given(kernel_cases(), st.sampled_from((1e-4, 1e-8, evaluation.TAIL_TARGET, 1e-15)),
+           st.floats(0.0, 8.0))
+    def test_point_radius_equals_the_search_from_one(self, case, tol, scale):
+        # the search starts at the zero-drift radius, a lower bound since tail_bound does not
+        # decrease in |Z| or ||M Im W||_F; it must find the radius the search from 1 finds
+        level, j, _, omega, z, w, _ = case
+        z, w = scale * z, scale * w
+
+        def radius(setup):
+            try:
+                return setup()
+            except RadiusUnachievableError:
+                return None
+
+        point = evaluation._tail_point(level, j.size, z, w)
+        expected = radius(lambda: evaluation._least_radius(level, omega, j.size, *point, tol))
+        assert radius(lambda: evaluation._point_config(level, omega, j.size, z, w, tol).radius) == expected
+
+    def test_point_setup_calls_tail_bound_from_the_zero_drift_radius(self, monkeypatch):
+        # one stack at Im W up to 2: a search from 1 would make `radius` calls
+        level = validate_level([[4, 2], [2, 4]])
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-0.4, 0.4, (8, 2, 1)) + 1j * rng.uniform(-0.4, 0.4, (8, 2, 1))
+        w = rng.uniform(-0.4, 0.4, (8, 2, 1)) + 2j * rng.uniform(0.0, 1.0, (8, 2, 1))
+        r0 = evaluation._zero_drift_radius(level, OMEGA_I, 1, evaluation.TAIL_TARGET)
+        calls = []
+        bound = evaluation.tail_bound
+        monkeypatch.setattr(evaluation, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        cfg = evaluation._point_config(level, OMEGA_I, 1, z, w, evaluation.TAIL_TARGET)
+        assert r0 > 1 and len(calls) == cfg.radius - r0 + 1 < cfg.radius
+
+
 class TestKernel:
     @pytest.mark.parametrize("h,g,radius", [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 1, 2),
                                             (2, 2, 1), (2, 2, 2), (1, 3, 1)])
@@ -697,6 +761,33 @@ class TestKernel:
         with pytest.raises(BudgetExceededError):
             theta_series(HEX, chars(HEX)[0], OMEGA_I, [[0.0], [0.0]],
                          TruncationConfig(radius=600, tail_tol=1.0))
+
+    @pytest.mark.parametrize("case", KERNEL_VALUES, ids=lambda case: case["name"])
+    def test_values_match_the_fixture_bit_for_bit(self, case):
+        # a change that alters these values on purpose regenerates the file and says so
+        def parse(pairs):
+            arr = np.vectorize(float.fromhex, otypes=[float])(np.array(pairs))
+            return arr[..., 0] + 1j * arr[..., 1]
+
+        level, omega = validate_level(case["level"]), PeriodMatrix(parse(case["omega"]))
+        all_chars = enumerate_characteristics(level, omega.g)
+        cfg = TruncationConfig(radius=case["radius"], tail_tol=float.fromhex(case["tail_tol"]))
+        values, bound = evaluation.aux_theta_block(
+            level, MultiIndex.from_rows(case["j"]), [all_chars[i] for i in case["chars"]], omega,
+            parse(case["z"]), parse(case["w"]), cfg)
+        as_hex = np.vectorize(float.hex, otypes=[object])
+        assert bound.hex() == case["bound"]
+        assert np.stack((as_hex(values.real), as_hex(values.imag)), axis=-1).tolist() == case["values"]
+
+    def test_characteristic_rows_are_memoised(self):
+        # vec A and Q vec A per (level, Omega, characteristics), read-only
+        level, omega = validate_level([[4, 2], [2, 4]]), PeriodMatrix([[1j, 0.25], [0.25, 1.5j]])
+        some = enumerate_characteristics(level, 2)[3:7]
+        a, qa = evaluation._char_rows(level, omega, some)
+        assert evaluation._char_rows(level, PeriodMatrix(omega.omega.copy()), some)[1] is qa
+        assert np.array_equal(a, [char.as_array().ravel() for char in some])
+        np.testing.assert_allclose(qa, a @ np.kron(level.as_array(), omega.omega), rtol=1e-15, atol=1e-15)
+        assert not (a.flags.writeable or qa.flags.writeable)
 
     def test_block_rejects_a_foreign_characteristic(self):
         mixed = chars(LEVEL2) + chars(LEVEL4)[:1]
