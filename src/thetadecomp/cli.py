@@ -9,11 +9,12 @@ truncation insufficient, residual too large or ill-conditioned, level-sum
 invalid) come from ``EXIT_CODES``, their one source.  Every failure prints a
 JSON error object and nothing on stderr; a usage error is a ValueError
 (exit 2), printed on stdout even when --out is given.  A non-finite matrix
-entry or a --tol <= 0 is a ValueError, an Omega below the Im floor of
-``PeriodMatrix`` a NotPositiveDefiniteError (exit 2).  eval sums to the least radius
-whose tail bound at its own point is within --tol; a non-finite value is exit 3.
-Every report is strict JSON: a non-finite number in it (a NaN residual of a
-failing verify case) is written as the string "NaN", "Infinity" or "-Infinity".
+entry or a --tol <= 0 is a ValueError, an Omega below the Im floor of ``PeriodMatrix``
+a NotPositiveDefiniteError, and JSON nested too deeply a RecursionError (exit 2).
+eval sums to the least radius whose tail bound at its own point is within --tol; a
+non-finite value or bound is exit 3.  Every report is strict JSON: a non-finite
+number in it (a NaN residual of a failing verify case) is written as the string
+"NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (TypeError, 2),
     (KeyError, 2),
     (OSError, 2),
+    (RecursionError, 2),  # input nested past the parser's depth
 )
 
 

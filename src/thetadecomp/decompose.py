@@ -138,7 +138,7 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
     eval_cfg = truncation_config(level, omega, SAMPLE_BOX, max_degree)
 
     conditioning = math.inf
-    for seed in (cfg.seed, (cfg.seed + 1) & _MASK64):
+    for seed in (cfg.seed, cfg.seed + 1):
         z, w = _sample_points(seed, _STREAM_FIT, total, h, g)
         # one row per point: J first, then characteristic, one block call per J
         design = np.hstack([aux_theta_block(level, j, chars, omega, z, w, eval_cfg)[0] for j in js])
@@ -196,7 +196,7 @@ def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix)
         raise DimensionMismatchError("product factors must each carry a single level")
     if e1.shape()[1] != omega.g or e2.shape()[1] != omega.g:
         raise DimensionMismatchError("product factors do not match the width of omega")
-    return level_sum(lv1[0], lv2[0]), e1.degree() + e2.degree()
+    return _level_pair(lv1[0], lv2[0]).s, e1.degree() + e2.degree()
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: ``_level_pair`` makes one per (M1, M2)
@@ -269,13 +269,6 @@ def _char_codes(level: LevelMatrix, g: int) -> dict:
     det = level.det()
     return {tuple(int(det * x) for row in char.a for x in row): char.index
             for char in enumerate_characteristics(level, g)}
-
-
-@functools.lru_cache(maxsize=64)
-def _constant_radius(m1: LevelMatrix, m2: LevelMatrix, omega: PeriodMatrix, degree: int) -> int:
-    """The radius of the D points: the series kernel's radius rule at level K and Z = W = 0
-    (``truncation_config`` at box 0), at every degree up to ``degree``."""
-    return max(truncation_config(_level_pair(m1, m2), omega, 0.0, d).radius for d in range(degree + 1))
 
 
 def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMatrix,
@@ -363,7 +356,10 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     for t1, c1 in e1.sorted_terms():
         for t2, c2 in e2.sorted_terms():
             c = complex(c1) * complex(c2)
-            radius = _constant_radius(t1.level, t2.level, omega, t1.j.size + t2.j.size)
+            pair, degree = _level_pair(t1.level, t2.level), t1.j.size + t2.j.size
+            # the most over degrees <= |J1| + |J2|: below a row-sum norm of 1/(4 pi), K's bound
+            # need not grow with the degree
+            radius = max(truncation_config(pair, omega, 0.0, d).radius for d in range(degree + 1))
             for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
                 coeffs[jp] = coeffs.get(jp, 0j) + c * coef
                 bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound

@@ -108,11 +108,17 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
 
     def envelope(count, s, t):
         expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t
-        if expo > 700.0:
+        if not expo <= 700.0:  # an infinite drift makes it NaN
             return math.inf
-        if expo < -700.0:
+        if expo < -700.0 or not count:
             return 0.0
-        return count * (2.0 * math.pi * rho * (z_sup + s + 1.0)) ** degree * math.exp(expo)
+        base = 2.0 * math.pi * rho * (z_sup + s + 1.0)
+        try:
+            return count * base ** degree * math.exp(expo)
+        except OverflowError:  # in logs, +inf above the float range
+            parts = (math.log(count), degree * math.log(base), expo)
+            log_term = sum(parts) + 1e-15 * sum(map(abs, parts))  # their roundoff, rounded up
+            return math.exp(log_term) if log_term < 709.0 else math.inf
 
     total = envelope(_cut_constants(level, omega, radius)[2], radius, max(radius, t_star))
     s = radius + 1
@@ -235,8 +241,9 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
 def _tail_point(level: LevelMatrix, degree: int, z, w) -> tuple[float, float]:
     """The largest |Z| entry (0 at degree 0) and the largest ||M Im W||_F of one (h, g) point
     or a stack of them: the arguments at which ``tail_bound`` covers each point."""
-    mv = level.as_array() @ np.imag(w)
-    return (float(np.abs(z).max()) if degree else 0.0), math.sqrt((mv * mv).sum(axis=(-2, -1)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN drift
+        mv = level.as_array() @ np.imag(w)
+        return (float(np.abs(z).max()) if degree else 0.0), math.sqrt((mv * mv).sum(axis=(-2, -1)).max())
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -424,13 +431,16 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     return _least_radius(level, omega, degree, z_sup, mv_norm, tail_tol)
 
 
+@functools.lru_cache(maxsize=1024)
 def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
-                  z_sup: float, mv_norm: float, tail_tol: float, start: int = 1) -> int:
+                  z_sup: float, mv_norm: float, tail_tol: float) -> int:
     """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
-    tail_tol: the one radius rule of ``choose_radius`` and of ``_point_config``.  The search
-    begins at ``start``, which must be at most that radius."""
+    tail_tol: the one radius rule of every lattice sum, memoised.  ``tail_bound`` does not
+    decrease as |Z| or ||M Im W||_F grows, so no radius below the least one at zero drift
+    certifies a nonzero drift: that search starts there, at its own memoised value."""
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
+    start = _least_radius(level, omega, degree, 0.0, 0.0, tail_tol) if z_sup or mv_norm else 1
     for radius in range(start, RADIUS_CAP + 1):
         if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tail_tol:
             return radius
@@ -441,18 +451,10 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
                   tail_tol: float) -> TruncationConfig:
     """The evaluation setup of one point or stack from the points themselves: the least
     radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
-    |J| <= degree.  cli ``eval`` sets up its point so, and ``verify_theorem3`` its shift check.
-
-    ``tail_bound`` does not decrease as |Z| or ||M Im W||_F grows, so no radius below the
-    least one at Z = W = 0 certifies the stack: the search starts there."""
-    radius = _least_radius(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol,
-                           _zero_drift_radius(level, omega, degree, tail_tol))
+    |J| <= degree, searched past the memo, since each stack is a one-off key.  cli ``eval``
+    sets up its point so, and ``verify_theorem3`` its shift check."""
+    radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol)
     return TruncationConfig(radius=radius, tail_tol=tail_tol)
-
-
-@functools.lru_cache(maxsize=256)
-def _zero_drift_radius(level, omega, degree, tail_tol) -> int:
-    return _least_radius(level, omega, degree, 0.0, 0.0, tail_tol)
 
 
 def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float,

@@ -222,6 +222,20 @@ class TestEval:
         error = json.loads(out.stdout)["error"]
         assert error["type"] == "TruncationInsufficientError" and "not finite" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "aux", "--w", "[[[0,0]]]", "--z", "[[[1e200,0]]]", "--j", "[[2]]"),
+        ("--kind", "aux", "--w", "[[[0,0]]]", "--j", "[[300]]"),
+        ("--kind", "theta", "--w", "[[[0,1e160]]]"),
+    ], ids=["huge-z", "degree-300", "huge-im-w"])
+    def test_overflowing_tail_bound_exits_3(self, argv):
+        # the tail bound's envelope overflows the direct product (the first two) or its drift
+        # is infinite (the third): the bound is taken in logs or is +inf, and the value that
+        # overflows, or the radius that no bound certifies, is refused
+        out = run_cli("eval", "--level", "[[2]]", "--omega", OMEGA_I, *argv)
+        assert out.returncode == 3 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] in ("TruncationInsufficientError", "RadiusUnachievableError")
+
 
 class TestVerify:
     def test_commutators_pass(self):
@@ -403,7 +417,7 @@ THETA_ERRORS = sorted(
 )
 MAPPED = [cls("boom") for cls in THETA_ERRORS] + [
     ValueError("boom"), TypeError("boom"), KeyError("boom"), OSError("boom"),
-    json.JSONDecodeError("boom", "{", 0),
+    json.JSONDecodeError("boom", "{", 0), RecursionError("boom"),
 ]
 
 
@@ -424,6 +438,16 @@ class TestExitCodes:
         classes = [cls for cls, _ in cli.EXIT_CODES]
         for i, later in enumerate(classes):
             assert not any(issubclass(later, earlier) for earlier in classes[:i]), later
+
+    def test_input_nested_too_deeply_exits_2(self, tmp_path):
+        # 2,000 scale nodes: past the JSON parser's recursion limit
+        depth = 2000
+        leaf = json.dumps(THETA_PRODUCT)
+        src = tmp_path / "deep.json"
+        src.write_text('{"kind": "scale", "coeff": [1, 0], "child": ' * depth + leaf + "}" * depth)
+        out = run_cli("decompose", "--input", str(src), "--omega", OMEGA_I, timeout=60)
+        assert out.returncode == 2 and out.stderr == ""
+        assert json.loads(out.stdout)["error"]["type"] == "RecursionError"
 
     def test_residual_too_large_exits_4(self, tmp_path):
         src = tmp_path / "in.json"

@@ -217,6 +217,14 @@ FORMULA_PAIRS = product_levels()
 FIT_COLUMNS = 100  # the characteristic budget of one oracle fit: characteristics x multi-indices
 
 
+def constant_radius(m1, m2, omega, degree):
+    """The radius of a product's D points, as ``product_expand`` takes it: the kernel's
+    radius rule at level K and Z = W = 0 (``truncation_config`` at box 0), the largest over
+    every degree up to ``degree``."""
+    pair = decompose._level_pair(m1, m2)
+    return max(truncation_config(pair, omega, 0.0, d).radius for d in range(degree + 1))
+
+
 @st.composite
 def formula_cases(draw):
     m1, m2 = draw(st.sampled_from(FORMULA_PAIRS))
@@ -241,6 +249,49 @@ def formula_cases(draw):
     return s1, s2, omega
 
 
+def plain_least_radius(level, omega, degree, z_sup, mv_norm, tol):
+    """The least radius whose tail bound is within tol, searched from 1 with no memo: None if
+    no radius up to the cap certifies it."""
+    for radius in range(1, evaluation.RADIUS_CAP + 1):
+        if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tol:
+            return radius
+    return None
+
+
+@st.composite
+def least_radius_cases(draw):
+    m1, m2 = draw(st.sampled_from(FORMULA_PAIRS))
+    level = draw(st.sampled_from((m1, level_sum(m1, m2), decompose._level_pair(m1, m2))))
+    g = draw(st.sampled_from((1, 2)))
+    re = draw(st.floats(-0.5, 0.5))
+    if g == 1:
+        omega = PeriodMatrix([[complex(re, draw(st.floats(0.3, 1.5)))]])
+    else:
+        off = complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.2, 0.2)))
+        omega = PeriodMatrix([[complex(re, draw(st.floats(0.5, 1.5))), off],
+                              [off, complex(-re, draw(st.floats(0.5, 1.5)))]])
+    drift = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    return (level, omega, draw(st.integers(0, 4)), draw(drift), draw(drift),
+            draw(st.sampled_from((1e-4, 1e-8, 1e-12, 1e-15))))
+
+
+class TestLeastRadius:
+    """``evaluation._least_radius``, the one memoised radius search of every lattice sum."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(least_radius_cases())
+    def test_memoised_search_is_the_search_from_one(self, case):
+        # integral levels and the levels K of product pairs: a search with drift starts at
+        # the zero-drift radius, and must still find the least radius
+        expected = plain_least_radius(*case)
+        for _ in range(2):  # the second call reads the memo
+            try:
+                got = evaluation._least_radius(*case)
+            except RadiusUnachievableError:
+                got = None
+            assert got == expected
+
+
 class TestAdditionFormula:
     """product_expand by the theta addition formula, against fit_in_basis as the oracle."""
 
@@ -256,7 +307,7 @@ class TestAdditionFormula:
         assert dec.conditioning == 0.0 and 0.0 < dec.residual < CFG.fit_tol
         assert dec.element.degree() <= s1.j.size + s2.j.size
         # each coefficient's certified bound covers the terms two more shells add
-        radius = decompose._constant_radius(s1.level, s2.level, omega, s1.j.size + s2.j.size)
+        radius = constant_radius(s1.level, s2.level, omega, s1.j.size + s2.j.size)
         near, far = _pair_terms(s1, s2, omega, radius), _pair_terms(s1, s2, omega, radius + 2)
         assert near.keys() == far.keys()
         for jp, (coef, bound) in near.items():
@@ -320,7 +371,7 @@ class TestAdditionFormula:
         assert 0.0 < dec.residual <= CFG.fit_tol and dec.element.levels() == [level_sum(HEX, HEX)]
         assert degree or len(dec.element) == 16
         # each coefficient's certified bound covers the terms two more shells add
-        radius = decompose._constant_radius(HEX, HEX, omega, degree)
+        radius = constant_radius(HEX, HEX, omega, degree)
         points = decompose._lattice_sums(HEX, HEX, s.char, t.char, omega, degree, radius)[1]
         kept = evaluation._quadratic_form(decompose._level_pair(HEX, HEX), omega, radius)[0]
         assert len(points) == len(kept) < (2 * radius + 1) ** 4
@@ -348,7 +399,7 @@ class TestAdditionFormula:
         omega = PeriodMatrix([[1j, 0.25], [0.25, 1.45j]])
         chars = enumerate_characteristics(HEX, 2)
         j0 = MultiIndex.zeros(2, 2)
-        radius = decompose._constant_radius(HEX, HEX, omega, 0)
+        radius = constant_radius(HEX, HEX, omega, 0)
         points = len(evaluation._quadratic_form(decompose._level_pair(HEX, HEX), omega, radius)[0])
         pairs = [(BasisSymbol(HEX, j0, chars[a]), BasisSymbol(HEX, j0, chars[(a + 2) % 9])) for a in range(9)]
         first = decompose._pair_terms(*pairs[0], omega, radius)  # the caches the pairs share
@@ -608,7 +659,9 @@ class TestDiffPolyDecompose:
     def test_shift_check_tail_bounds_start_at_the_zero_drift_radius(self, monkeypatch):
         # one shift check of a hex g=1 degree-1 product, its zero-drift radius memoised: the
         # setup of its level component, [[4,2],[2,4]], calls tail_bound once per radius from 3
-        # to its own 10, where a search from 1 calls it 10 times
+        # to its own 10, where a search from 1 calls it 10 times.  The memo starts empty, so
+        # the count does not depend on what ran before
+        evaluation._least_radius.cache_clear()
         hexc = enumerate_characteristics(HEX, 1)
         expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
         dec = diff_poly_decompose(expr, OMEGA, CFG)
@@ -619,7 +672,7 @@ class TestDiffPolyDecompose:
         def recorded(level, omega, degree, z, w, tol):
             before = len(calls)
             setup = point_config(level, omega, degree, z, w, tol)
-            r0 = evaluation._zero_drift_radius(level, omega, degree, tol)
+            r0 = evaluation._least_radius(level, omega, degree, 0.0, 0.0, tol)
             setups.append((setup.radius, r0, len(calls) - before))
             return setup
 
@@ -627,6 +680,21 @@ class TestDiffPolyDecompose:
         monkeypatch.setattr(evaluation, "tail_bound", lambda *args: calls.append(args) or bound(*args))
         assert verify_theorem3(expr, dec, OMEGA, CFG) == report
         assert setups == [(10, 3, 8)]
+
+    def test_shift_checks_leave_the_radius_memo_as_it_was(self):
+        # each shift-check stack is a one-off key, searched past the memo: checks at new
+        # seeds, whose stacks are new, add no entry once the first check has memoised the
+        # zero-drift start and the sample box's radii
+        hexc = enumerate_characteristics(HEX, 1)
+        expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
+        dec = diff_poly_decompose(expr, OMEGA, CFG)
+        evaluation._least_radius.cache_clear()
+        verify_theorem3(expr, dec, OMEGA, CFG)
+        size = evaluation._least_radius.cache_info().currsize
+        assert size > 0
+        for seed in (1, 2, 3):
+            verify_theorem3(expr, dec, OMEGA, FitConfig(seed=seed, holdout=CFG.holdout))
+        assert evaluation._least_radius.cache_info().currsize == size
 
     @pytest.mark.parametrize("j1,j2", [(2, 2), (3, 2), (3, 3)])
     def test_high_order_products_certify(self, j1, j2):

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,27 @@ class TestChooseRadius:
             certified = tail_bound(LEVEL2, OMEGA_I, 0, w_box, 2.0 * w_box, radius)
             assert certified >= true_tail
 
+    def test_infinite_drift_is_an_infinite_bound(self):
+        for level, degree in ((LEVEL2, 0), (HEX, 2)):
+            assert tail_bound(level, OMEGA_I, degree, 0.4, math.inf, 3) == math.inf
+        # an Im W whose drift squared is past the float range: ||M Im W||_F is +inf, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluation._tail_point(LEVEL2, 0, np.zeros((1, 1)), np.array([[1e160j]])) == (0.0, math.inf)
+
+    def test_overflowing_envelope_is_taken_in_logs(self):
+        # (2 pi rho (|Z| + s + 1))^|J| overflows a float at |Z| = 1e200 or |J| = 300, where the
+        # direct product raised OverflowError: the envelope is taken in logs, +inf above the
+        # float range, and otherwise |Z|^2 times the direct one at |Z| = 1e100, rounded up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tail_bound(LEVEL2, OMEGA_I, 2, 1e200, 0.0, 5) == math.inf
+            assert tail_bound(LEVEL2, OMEGA_I, 300, 0.0, 0.0, 3) == math.inf
+            for radius in range(6, 11):
+                ratio = (tail_bound(LEVEL2, OMEGA_I, 2, 1e200, 0.0, radius)
+                         / tail_bound(LEVEL2, OMEGA_I, 2, 1e100, 0.0, radius))
+                assert 1e200 <= ratio < 1e200 * (1.0 + 1e-11)
+
     def test_truncation_config_is_the_memoised_choice(self):
         cfg = truncation_config(HEX, OMEGA_I, 0.4, 1)
         assert cfg == TruncationConfig(radius=choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 1),
@@ -506,7 +528,8 @@ class TestPointConfig:
         rng = np.random.default_rng(5)
         z = rng.uniform(-0.4, 0.4, (8, 2, 1)) + 1j * rng.uniform(-0.4, 0.4, (8, 2, 1))
         w = rng.uniform(-0.4, 0.4, (8, 2, 1)) + 2j * rng.uniform(0.0, 1.0, (8, 2, 1))
-        r0 = evaluation._zero_drift_radius(level, OMEGA_I, 1, evaluation.TAIL_TARGET)
+        evaluation._least_radius.cache_clear()  # the count does not depend on what ran before
+        r0 = evaluation._least_radius(level, OMEGA_I, 1, 0.0, 0.0, evaluation.TAIL_TARGET)
         calls = []
         bound = evaluation.tail_bound
         monkeypatch.setattr(evaluation, "tail_bound", lambda *args: calls.append(args) or bound(*args))
