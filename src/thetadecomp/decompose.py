@@ -281,9 +281,10 @@ def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMat
     E = K D, flattened to P x hg (None at degree 0); the number of characteristics of S; and
     err[d], d <= degree: a bound on the error of every class sum sum_{D in C} (2 pi)^d E^q e(D)
     with |q| = d.  That is ``tail_bound`` at level K, degree d and Z = W = 0 (shells and cut),
-    plus twice the first-order roundoff of the P terms.  Its proof holds with D for x = N + A,
-    as delta = A - B lies in (-1, 1)^(hg): q(delta) <= alpha^2 = sum_ij |(K kron Im Omega)_ij|,
-    |D|_inf >= s - 1 on shell s, and |(K D)_ka| <= rho (s + 1), rho the row-sum norm of K.
+    plus twice the first-order roundoff of the P terms.  Its proof holds with X* = 0, log scale
+    0 and D = n - delta, as delta = B - A lies in (-1, 1)^(hg): q(delta) <= alpha^2 =
+    sum_ij |(K kron Im Omega)_ij|, |D|_inf >= s - 1 on shell s, and |(K D)_ka| <= rho (s + 1),
+    rho the row-sum norm of K.
     """
     pair = _level_pair(m1, m2)
     h, g, hg = m1.h, omega.g, m1.h * omega.g

@@ -1,19 +1,21 @@
 """Truncated evaluation of theta series and auxiliary theta series.
 
-The series are summed over the points of the sup-norm lattice box
-|N_ka| <= radius that lie in the Gaussian ellipsoid
-sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, as one
-quadratic form whose (level, Omega, radius) part is computed once; the
-characteristics of one level are an array axis of that sum.  Every
-evaluation returns the value together with a certified bound on the omitted
-tail, derived from the Gaussian decay rate pi * lambda, with
-lambda = lambda_min(M) * lambda_min(Im omega), and a polynomial-times-Gaussian
-envelope when a nonzero multi-index is present: the shells outside the box,
-plus one term for the box points outside the ellipsoid (see ``tail_bound``).
-Residual checks for the quasi-periodicity and shift-operator laws are
-scale-normalized: the raw difference is divided by the magnitude of the
-quantities compared (floored at 1), which keeps the checks meaningful in
-double precision when the transformation factors grow exponentially.
+A term's modulus peaks at X* = -Im W (Im Omega)^-1, where its logarithm is the log scale
+pi sigma(M Im W (Im Omega)^-1 Im W^t).  Each series is summed about that peak: the row of
+a point and characteristic A is re-indexed N -> N + xi, xi = rint(X* - A), which is the
+same series, so its window need not grow with Im W.  The window is the points of the
+sup-norm lattice box |N_ka| <= radius that lie in the Gaussian ellipsoid
+sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, one quadratic form whose
+(level, Omega, radius) part is computed once; the characteristics of one level are an
+array axis of that sum.  Every evaluation returns the value together with a certified
+bound on the omitted tail, derived from the Gaussian decay rate pi * lambda, with
+lambda = lambda_min(M) * lambda_min(Im omega), the log scale, and a
+polynomial-times-Gaussian envelope when a nonzero multi-index is present: the shells
+outside the box, plus one term for the box points outside the ellipsoid (see
+``tail_bound``).  Residual checks for the quasi-periodicity and shift-operator laws are
+scale-normalized: the raw difference is divided by the magnitude of the quantities
+compared (floored at 1), which keeps the checks meaningful in double precision when the
+transformation factors grow exponentially.
 """
 
 from __future__ import annotations
@@ -79,53 +81,62 @@ def _cut_constants(level: LevelMatrix, omega: PeriodMatrix, radius: int) -> tupl
 
 
 def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
-               z_sup: float, mv_norm: float, radius: int) -> float:
+               z_sup: float, log_scale: float, radius: int) -> float:
     """Upper bound for the omitted tail of the (possibly weighted) series.
 
-    Shell s > radius of the sup-norm box contributes at most
-        count(s) * (2*pi*rho*(z_sup+s+1))^degree * exp(max_t -pi*lam*t^2 + 2*pi*mv*t)
-    with t ranging over the Frobenius norms compatible with the shell
-    (t >= s-1, since characteristics live in [0,1)), lam the decay rate and
-    rho the maximum absolute row sum of the level matrix.
+    The kernel sums each series about its Gaussian peak X* = -Im W (Im Omega)^-1: the row of
+    characteristic A sums x = n + A' over its window n, A' = A + xi with xi = rint(X* - A),
+    so delta = X* - A' lies in [-1/2, 1/2]^(hg); the proof uses only |delta|_inf <= 1.  With
+    q(y) = y^t (M kron Im Omega) y >= lam |y|^2, lam the decay rate, a term's Gaussian has
+    modulus exp(log_scale - pi q(n - delta)), log_scale = pi sigma(M Im W (Im Omega)^-1 Im W^t)
+    its value at the peak, and each monomial (M(Z+x))_ka is at most
+    rho (|Z|_inf + |X*|_inf + |n - delta|_inf), rho the maximum absolute row sum of the level
+    matrix.  ``z_sup`` bounds |Z|_inf + |X*|_inf over the points covered (0 at degree 0).
 
-    One more term bounds the cube points ``_quadratic_form`` drops.  A dropped
-    n has sqrt(q(n)) > sqrt(lam)*radius + alpha, where q(x) = x^t (M kron Im Omega) x
-    and alpha^2 = sum_ij |(M kron Im Omega)_ij| >= q(A) for every characteristic A.
-    So x = n + A has u = sqrt(q(x)/lam) > radius and |x| <= u, and its term is at
-    most (2*pi*rho*(z_sup+radius+1))^degree * exp(-pi*lam*u^2 + 2*pi*mv*u), the
-    envelope taken at u = max(radius, mv/lam).  Every n with |n|_inf <= r0 =
-    min(radius, floor(1 + radius*sqrt(lam)/alpha)) has sqrt(q(n)) <= r0*alpha
-    <= sqrt(lam)*radius + alpha and is kept, so at most (2*radius+1)^(hg) -
-    (2*r0+1)^(hg) points are dropped: none at hg = 1, where alpha = sqrt(lam).
+    Shell s > radius of the sup-norm box has |n - delta|_inf >= s - 1 and contributes at most
+        count(s) * (2*pi*rho*(z_sup+s+1))^degree * exp(log_scale - pi*lam*(s-1)^2).
 
-    ``level`` is read through h, as_array(), min_eig and row_sum_norm, so the level K of a
-    product's theta constants (``decompose._LevelPair``) is bounded here too.  The total is
-    returned times 1 + eps (eps = 2^-52), and is never zero: the kept terms that the kernel
-    prunes as too small to matter sum to at most eps times it (see ``aux_theta_block``).
+    One more term bounds the cube points ``_quadratic_form`` drops.  A dropped n has
+    sqrt(q(n)) > sqrt(lam)*radius + alpha, where alpha^2 = sum_ij |(M kron Im Omega)_ij|
+    >= q(delta).  So sqrt(q(n - delta)) > sqrt(lam)*radius, and its term is at most
+    (2*pi*rho*(z_sup+radius+1))^degree * exp(log_scale - pi*lam*radius^2).  Every n with
+    |n|_inf <= r0 = min(radius, floor(1 + radius*sqrt(lam)/alpha)) has sqrt(q(n)) <= r0*alpha
+    <= sqrt(lam)*radius + alpha and is kept, so at most (2*radius+1)^(hg) - (2*r0+1)^(hg)
+    points are dropped: none at hg = 1, where alpha = sqrt(lam).
+
+    A term whose exponent is outside [-700, 700], or whose direct product overflows, is taken
+    in logs: it is positive wherever its true value is a positive double, and +inf above the
+    float range or where an argument is infinite or NaN.  ``level`` is read through h,
+    as_array(), min_eig and row_sum_norm, so the level K of a product's theta constants
+    (``decompose._LevelPair``, at W = 0: log_scale 0 and X* = 0) is bounded here too.  The
+    total is returned times 1 + eps (eps = 2^-52), and is never zero: the kept terms that the
+    kernel prunes as too small to matter sum to at most eps times it (see ``aux_theta_block``).
     """
     lam, rho, hg = level.min_eig * omega.im_min_eig, level.row_sum_norm, level.h * omega.g
-    t_star = mv_norm / lam
 
     def envelope(count, s, t):
-        expo = -math.pi * lam * t * t + 2.0 * math.pi * mv_norm * t
-        if not expo <= 700.0:  # an infinite drift makes it NaN
-            return math.inf
-        if expo < -700.0 or not count:
+        if not count:
             return 0.0
+        expo = log_scale - math.pi * lam * t * t
         base = 2.0 * math.pi * rho * (z_sup + s + 1.0)
-        try:
-            return count * base ** degree * math.exp(expo)
-        except OverflowError:  # in logs, +inf above the float range
-            parts = (math.log(count), degree * math.log(base), expo)
-            log_term = sum(parts) + 1e-15 * sum(map(abs, parts))  # their roundoff, rounded up
-            return math.exp(log_term) if log_term < 709.0 else math.inf
+        if -700.0 <= expo <= 700.0:
+            try:
+                term = count * base ** degree * math.exp(expo)
+            except OverflowError:
+                term = math.inf
+            if term < math.inf:
+                return term
+        # in logs, +inf above the float range and for a NaN
+        parts = (math.log(count), degree * math.log(base) if degree else 0.0, expo)
+        log_term = sum(parts) + 1e-15 * sum(map(abs, parts))  # their roundoff, rounded up
+        return math.exp(log_term) if log_term < 709.0 else math.inf
 
-    total = envelope(_cut_constants(level, omega, radius)[2], radius, max(radius, t_star))
+    total = envelope(_cut_constants(level, omega, radius)[2], radius, radius)
     s = radius + 1
     while total < math.inf:
-        shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, max(s - 1.0, t_star))
+        shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, s - 1.0)
         total += shell
-        if s - 1.0 > t_star and (shell == 0.0 or shell < total * 1e-18):
+        if shell == 0.0 or shell < total * 1e-18:
             break
         if s > radius + 10000:  # defensive cap; decay always wins long before
             break
@@ -181,28 +192,35 @@ def _char_rows(level: LevelMatrix, omega: PeriodMatrix, chars: tuple) -> tuple[n
     return _read_only(a), _read_only(qa)
 
 
-def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
+def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf, peak=None):
     """The truncated series at (..., h, g) points Z, W for C characteristics, as one
     quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
-    Each term is exp(i pi X) times the monomial weight.  The points n and the forms
-    q(n) = n^t (Im Q) n and n^t (Re Q) n are memoised per (level, Omega, radius)
-    (``_quadratic_form``), vec A and Q vec A per (level, Omega, characteristics)
-    (``_char_rows``); a call computes only what depends on Z and W: the rows c, d, the
-    exponent rows of all S x C pairs as one matrix product, and the columns
-    (M(Z+N+A))_ka of the nonzero J_ka.  A term's exponential has modulus exp(-pi Im X), so
-    one comparison prunes the terms where -pi Im X < log_floor (a NaN is kept; the default
-    prunes none), and the exp, the monomials and the sums run over the kept terms only,
-    each sum in P order.
+    Each row is centred on the Gaussian peak X* (``_peak``, computed here unless given for
+    the points): it sums n + A' over the window n, A' = A + xi with xi = rint(X* - A), the
+    same series re-indexed.  Each term is exp(i pi X) times the monomial weight.  The points n
+    and the forms q(n) = n^t (Im Q) n and n^t (Re Q) n are memoised per (level, Omega,
+    radius) (``_quadratic_form``), vec A and Q vec A per (level, Omega, characteristics)
+    (``_char_rows``); a call computes only what depends on Z and W: the shifted rows A',
+    Q vec A', c and d, the exponent rows of all S x C pairs as one matrix product, and the
+    columns (M(Z+N+A'))_ka of the nonzero J_ka.  A term's exponential has modulus
+    exp(-pi Im X), so one comparison prunes the terms where -pi Im X < log_floor (a NaN is
+    kept; the default prunes none), and the exp, the monomials and the sums run over the
+    kept terms only, each sum in P order.
     """
-    n, _, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
+    n, q, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     h, g = level.h, omega.g
     lead = w.shape[:-2]
     w = w.reshape(-1, 1, h, g)
     m = level.as_array()
     a, qa = _char_rows(level, omega, tuple(chars))
-    c = 2.0 * ((m @ w).reshape(len(w), 1, -1) + qa)  # S x C x hg
-    d = ((c - qa)[..., None, :] @ a[:, :, None]).ravel()  # vec A^t Q vec A + 2 vec(MW) . vec A
+    if peak is None:
+        peak = _peak(omega, w)
+    xi = np.rint(peak.reshape(len(w), 1, -1) - a)  # S x C x hg
+    a = a + xi  # vec A'
+    qa = qa + xi @ q  # Q vec A', Q symmetric
+    c = 2.0 * ((m @ w).reshape(len(w), 1, -1) + qa)
+    d = ((c - qa)[..., None, :] @ a[..., None]).ravel()  # vec A'^t Q vec A' + 2 vec(MW) . vec A'
     rows = len(d)
     re_x, im_x = (np.concatenate((c.real, c.imag)).reshape(-1, h * g) @ n.T).reshape(2, rows, -1)
     im_x += n_imq_n
@@ -219,9 +237,9 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     np.multiply(phase, np.pi, out=terms.imag)
     np.exp(terms, out=terms)
     if j.size:
-        # (M(Z+N+A))_ka = (M N)_ka + (M(Z+A))_ka, with (M N)_ka = sum_l M_kl N_la read from
+        # (M(Z+N+A'))_ka = (M N)_ka + (M(Z+A'))_ka, with (M N)_ka = sum_l M_kl N_la read from
         # the rows (l, a) of n^t at the kept points: integral, so exact in any order
-        offsets = (m @ (z.reshape(-1, 1, h, g) + a.reshape(-1, h, g))).reshape(rows, -1)
+        offsets = (m @ (z.reshape(-1, 1, h, g) + a.reshape(len(w), -1, h, g))).reshape(rows, -1)
         for i, power in enumerate(x for jrow in j.j for x in jrow):
             if power:
                 k, col = divmod(i, g)
@@ -238,12 +256,25 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf):
     return sums.reshape(*lead, len(chars))
 
 
-def _tail_point(level: LevelMatrix, degree: int, z, w) -> tuple[float, float]:
-    """The largest |Z| entry (0 at degree 0) and the largest ||M Im W||_F of one (h, g) point
-    or a stack of them: the arguments at which ``tail_bound`` covers each point."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN drift
-        mv = level.as_array() @ np.imag(w)
-        return (float(np.abs(z).max()) if degree else 0.0), math.sqrt((mv * mv).sum(axis=(-2, -1)).max())
+def _peak(omega: PeriodMatrix, w) -> np.ndarray:
+    """X* = -Im W (Im Omega)^-1 at one (h, g) point or each point of a stack: where the modulus
+    of every term of the series at W peaks, over real N + A."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN peak
+        return -np.imag(w) @ omega.im_inv
+
+
+def _tail_point(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
+                peak=None) -> tuple[float, float]:
+    """The largest |Z| entry plus the largest |X*| entry (0 at degree 0), and the largest log
+    scale pi sigma(M Im W (Im Omega)^-1 Im W^t), of one (h, g) point or a stack of them: the
+    arguments at which ``tail_bound`` covers each point.  ``peak`` is X* (``_peak``) when the
+    caller has it."""
+    if peak is None:
+        peak = _peak(omega, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN scale
+        log_scale = -math.pi * float((level.as_array() @ np.imag(w) * peak).sum(axis=(-2, -1)).min())
+        z_sup = float(np.abs(z).max() + np.abs(peak).max()) if degree else 0.0
+    return z_sup, max(log_scale, 0.0)  # a form >= 0 in exact arithmetic; a NaN stays NaN
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -251,10 +282,11 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
     """The auxiliary series of one (level, J) at one (h, g) point or a stack of S points,
     shape (S, h, g), for a list of characteristics: values of shape (C,) or (S, C).
 
-    The stack has one certified tail bound, ``tail_bound`` at its largest |Z| entry and
-    largest ||M Im W||_F: every envelope term grows with both, so it covers each point,
-    and one point gets its own bound.  The kernel prunes the terms below a floor set from
-    that bound, so that together they stay within its eps share (see ``tail_bound``).
+    Each series is summed about its Gaussian peak X*, computed once for the stack.  The
+    stack has one certified tail bound, ``tail_bound`` at its largest |Z| + |X*| entries and
+    largest log scale (``_tail_point``): every envelope term grows with both, so it covers
+    each point, and one point gets its own bound.  The kernel prunes the terms below a floor
+    set from that bound, so that together they stay within its eps share (see ``tail_bound``).
     Passes hold at most BLOCK_TERMS S x C x P terms, slicing the points, or the
     characteristics where one point is over the budget.  A Z or W entry that is not finite
     is a ValueError, and a bound that is not within cfg.tail_tol, NaN included, a
@@ -272,8 +304,9 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         raise ValueError("Z and W must be finite")
     stacked = w.ndim == 3
     z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
-    z_sup, mv_norm = _tail_point(level, j.size, z, w)
-    bound = tail_bound(level, omega, j.size, z_sup, mv_norm, cfg.radius)
+    peak = _peak(omega, w)
+    z_sup, log_scale = _tail_point(level, omega, j.size, z, w, peak)
+    bound = tail_bound(level, omega, j.size, z_sup, log_scale, cfg.radius)
     if not bound <= cfg.tail_tol:
         raise TruncationInsufficientError(
             f"tail bound {bound:.3e} exceeds tolerance {cfg.tail_tol:.3e} at radius {cfg.radius}"
@@ -294,7 +327,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         for lo in range(0, len(chars), c_step):
             values[s:s + s_step, lo:lo + c_step] = _aux_value(
                 level, j, chars[lo:lo + c_step], omega, z[s:s + s_step], w[s:s + s_step], cfg.radius,
-                log_floor)
+                log_floor, peak[s:s + s_step])
     return (values if stacked else values[0]), bound
 
 
@@ -423,26 +456,28 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     """Smallest radius whose certified tail is below tail_tol.
 
     ``w_box`` bounds the real and imaginary parts of the entries of Z and W at every
-    point the caller intends to evaluate: the tail is taken at |Z_ka| <= sqrt(2) w_box
-    and ||M Im W||_F <= rho w_box sqrt(hg), rho the row-sum norm of the level.
+    point the caller intends to evaluate: the tail is taken at |Z_ka| + |X*_ka| <=
+    sqrt(2) w_box + w_box ||(Im Omega)^-1||_inf, X* the Gaussian peak, and at the log
+    scale pi sigma(M Im W (Im Omega)^-1 Im W^t) <= pi rho hg w_box^2 / lambda_min(Im Omega),
+    rho the row-sum norm of the level (a bound on its largest eigenvalue).
     """
-    z_sup = math.sqrt(2.0) * w_box
-    mv_norm = level.row_sum_norm * w_box * math.sqrt(level.h * omega.g)
-    return _least_radius(level, omega, degree, z_sup, mv_norm, tail_tol)
+    z_sup = w_box * (math.sqrt(2.0) + float(np.abs(omega.im_inv).sum(axis=1).max()))
+    log_scale = math.pi * level.row_sum_norm * level.h * omega.g * w_box * w_box / omega.im_min_eig
+    return _least_radius(level, omega, degree, z_sup, log_scale, tail_tol)
 
 
 @functools.lru_cache(maxsize=1024)
 def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
-                  z_sup: float, mv_norm: float, tail_tol: float) -> int:
+                  z_sup: float, log_scale: float, tail_tol: float) -> int:
     """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
     tail_tol: the one radius rule of every lattice sum, memoised.  ``tail_bound`` does not
-    decrease as |Z| or ||M Im W||_F grows, so no radius below the least one at zero drift
-    certifies a nonzero drift: that search starts there, at its own memoised value."""
+    decrease as its z_sup or log scale grows, so no radius below the least one at W = Z = 0
+    certifies other arguments: that search starts there, at its own memoised value."""
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
-    start = _least_radius(level, omega, degree, 0.0, 0.0, tail_tol) if z_sup or mv_norm else 1
+    start = _least_radius(level, omega, degree, 0.0, 0.0, tail_tol) if z_sup or log_scale else 1
     for radius in range(start, RADIUS_CAP + 1):
-        if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tail_tol:
+        if tail_bound(level, omega, degree, z_sup, log_scale, radius) <= tail_tol:
             return radius
     raise RadiusUnachievableError(f"no radius up to {RADIUS_CAP} certifies tail {tail_tol:.3e}")
 
@@ -453,7 +488,8 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
     radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
     |J| <= degree, searched past the memo, since each stack is a one-off key.  cli ``eval``
     sets up its point so, and ``verify_theorem3`` its shift check."""
-    radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, degree, z, w), tail_tol)
+    radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, omega, degree, z, w),
+                                       tail_tol)
     return TruncationConfig(radius=radius, tail_tol=tail_tol)
 
 

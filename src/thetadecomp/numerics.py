@@ -171,6 +171,8 @@ class PeriodMatrix:
         self.omega = _read_only(om)
         self.g = om.shape[0]
         self.im_min_eig = float(eigs.min())
+        # (Im Omega)^-1: the Gaussian peak of every series is X* = -Im W (Im Omega)^-1
+        self.im_inv = _read_only(np.linalg.inv(om.imag))
         # the most W -> W + xi*Omega with |xi| <= 1 entrywise moves an entry of Im W
         self.im_reach = float(np.abs(om.imag).sum(axis=0).max())
         self._key = (self.g, om.tobytes())

@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -183,22 +184,23 @@ class TestEval:
             assert cli.main(argv) == 0
         radius = json.loads(stdout.getvalue())["radius"]
 
-        # the bound at the point's own largest |Z| entry and ||M Im W||_F
+        # the bound at the point's own largest |Z| + |X*| entries and log scale, X* = -Im W
+        # (Im Omega)^-1 the Gaussian peak
         tol = tol or evaluation.TAIL_TARGET
-        mv = level.as_array() @ w[..., 1]
-        z_sup = float(np.abs(z[..., 0] + 1j * z[..., 1]).max()) if j.size else 0.0
+        peak = -w[..., 1] @ np.linalg.inv(omega.imag)
+        z_sup = float(np.abs(z[..., 0] + 1j * z[..., 1]).max() + np.abs(peak).max()) if j.size else 0.0
+        log_scale = max(-np.pi * float(np.sum(level.as_array() @ w[..., 1] * peak)), 0.0)
 
         def bound(r):
-            return evaluation.tail_bound(level, PeriodMatrix(omega), j.size, z_sup,
-                                         float(np.sqrt((mv * mv).sum())), r)
+            return evaluation.tail_bound(level, PeriodMatrix(omega), j.size, z_sup, log_scale, r)
         assert bound(radius) <= tol
         assert radius == 1 or bound(radius - 1) > tol
 
     def test_over_lattice_budget_exits_2(self):
-        # hex at g=2 with Im Omega = 0.2 I needs radius 27: a 9,150,625-point cube
+        # hex at g=2 with Im Omega = 0.1 I needs radius 19: a 2,313,441-point cube
         out = run_cli(
             "eval", "--kind", "theta", "--level", "[[2,1],[1,2]]",
-            "--omega", "[[[0,0.2],[0,0]],[[0,0],[0,0.2]]]",
+            "--omega", "[[[0,0.1],[0,0]],[[0,0],[0,0.1]]]",
             "--w", "[[[0,0.4],[0,0.4]],[[0,0.4],[0,0.4]]]", timeout=60,
         )
         assert out.returncode == 2 and out.stderr == ""
@@ -228,8 +230,8 @@ class TestEval:
         ("--kind", "theta", "--w", "[[[0,1e160]]]"),
     ], ids=["huge-z", "degree-300", "huge-im-w"])
     def test_overflowing_tail_bound_exits_3(self, argv):
-        # the tail bound's envelope overflows the direct product (the first two) or its drift
-        # is infinite (the third): the bound is taken in logs or is +inf, and the value that
+        # the tail bound's envelope overflows the direct product (the first two) or its log
+        # scale is infinite (the third): the bound is taken in logs or is +inf, and the value that
         # overflows, or the radius that no bound certifies, is refused
         out = run_cli("eval", "--level", "[[2]]", "--omega", OMEGA_I, *argv)
         assert out.returncode == 3 and out.stderr == ""
@@ -386,6 +388,23 @@ class TestDecompose:
         expr = {"kind": "product", "children": [{**hex_leaf, "char_index": 1}, {**hex_leaf, "char_index": 5}]}
         case = {"input": expr, "omega": "[[[0,1],[0.25,0]],[[0.25,0],[0,1.5]]]", "seed": 0}
         rc, raw = self.decompose_case(case, tmp_path)
+        assert rc == 0
+        data = json.loads(raw)
+        report = data["verification"]
+        assert data["residual"] < verify.THEOREM3_TOL
+        assert report["max_z0_residual"] < verify.THEOREM3_TOL and report["max_sample_residual"] < verify.THEOREM3_TOL
+        assert report["max_quasiperiod_residual"] < verify.THEOREM3_SHIFT_TOL
+
+    def test_hex_g2_product_at_seed_3_passes_every_check(self, tmp_path):
+        # h*g = 4, J = 0: seed 3's shift check reaches |Im W| = 1.87, which a window centred
+        # at 0 covered with a radius-17 cube of 1.5M points, over the cap (exit 2); centred on
+        # the Gaussian peak it takes radius 5, 6,235 points
+        hex_leaf = {"kind": "deriv", "level": [[2, 1], [1, 2]], "j": [[0, 0], [0, 0]]}
+        expr = {"kind": "product", "children": [{**hex_leaf, "char_index": 0}, {**hex_leaf, "char_index": 1}]}
+        case = {"input": expr, "omega": "[[[0,1],[0.25,0]],[[0.25,0],[0,1.5]]]", "seed": 3}
+        started = time.perf_counter()
+        rc, raw = self.decompose_case(case, tmp_path)
+        assert time.perf_counter() - started < 1.5
         assert rc == 0
         data = json.loads(raw)
         report = data["verification"]

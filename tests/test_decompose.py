@@ -249,11 +249,11 @@ def formula_cases(draw):
     return s1, s2, omega
 
 
-def plain_least_radius(level, omega, degree, z_sup, mv_norm, tol):
+def plain_least_radius(level, omega, degree, z_sup, log_scale, tol):
     """The least radius whose tail bound is within tol, searched from 1 with no memo: None if
     no radius up to the cap certifies it."""
     for radius in range(1, evaluation.RADIUS_CAP + 1):
-        if tail_bound(level, omega, degree, z_sup, mv_norm, radius) <= tol:
+        if tail_bound(level, omega, degree, z_sup, log_scale, radius) <= tol:
             return radius
     return None
 
@@ -270,8 +270,8 @@ def least_radius_cases(draw):
         off = complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.2, 0.2)))
         omega = PeriodMatrix([[complex(re, draw(st.floats(0.5, 1.5))), off],
                               [off, complex(-re, draw(st.floats(0.5, 1.5)))]])
-    drift = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
-    return (level, omega, draw(st.integers(0, 4)), draw(drift), draw(drift),
+    arg = st.one_of(st.just(0.0), st.floats(0.0, 3.0))  # z_sup and log_scale
+    return (level, omega, draw(st.integers(0, 4)), draw(arg), draw(arg),
             draw(st.sampled_from((1e-4, 1e-8, 1e-12, 1e-15))))
 
 
@@ -281,8 +281,8 @@ class TestLeastRadius:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(least_radius_cases())
     def test_memoised_search_is_the_search_from_one(self, case):
-        # integral levels and the levels K of product pairs: a search with drift starts at
-        # the zero-drift radius, and must still find the least radius
+        # integral levels and the levels K of product pairs: a search at a nonzero z_sup or
+        # log scale starts at the radius at zero, and must still find the least radius
         expected = plain_least_radius(*case)
         for _ in range(2):  # the second call reads the memo
             try:
@@ -651,15 +651,15 @@ class TestDiffPolyDecompose:
             (level, dec.element.level_component(level).degree()) for level in dec.element.levels()]
         for level, degree, z, w, tol, radius in setups:
             assert tol == evaluation.TAIL_TARGET and z.shape == w.shape == (8, level.h, 1)
-            point = evaluation._tail_point(level, degree, z, w)
+            point = evaluation._tail_point(level, omega, degree, z, w)
             assert tail_bound(level, omega, degree, *point, radius) <= tol
             assert radius == 1 or tail_bound(level, omega, degree, *point, radius - 1) > tol
             assert radius <= truncation_config(level, omega, _shift_box(omega), degree).radius
 
     def test_shift_check_tail_bounds_start_at_the_zero_drift_radius(self, monkeypatch):
-        # one shift check of a hex g=1 degree-1 product, its zero-drift radius memoised: the
+        # one shift check of a hex g=1 degree-1 product, its radius at W = Z = 0 memoised: the
         # setup of its level component, [[4,2],[2,4]], calls tail_bound once per radius from 3
-        # to its own 10, where a search from 1 calls it 10 times.  The memo starts empty, so
+        # to its own 4, where a search from 1 calls it 4 times.  The memo starts empty, so
         # the count does not depend on what ran before
         evaluation._least_radius.cache_clear()
         hexc = enumerate_characteristics(HEX, 1)
@@ -679,12 +679,12 @@ class TestDiffPolyDecompose:
         monkeypatch.setattr(decompose, "_point_config", recorded)
         monkeypatch.setattr(evaluation, "tail_bound", lambda *args: calls.append(args) or bound(*args))
         assert verify_theorem3(expr, dec, OMEGA, CFG) == report
-        assert setups == [(10, 3, 8)]
+        assert setups == [(4, 3, 2)]
 
     def test_shift_checks_leave_the_radius_memo_as_it_was(self):
         # each shift-check stack is a one-off key, searched past the memo: checks at new
         # seeds, whose stacks are new, add no entry once the first check has memoised the
-        # zero-drift start and the sample box's radii
+        # start at W = Z = 0 and the sample box's radii
         hexc = enumerate_characteristics(HEX, 1)
         expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
         dec = diff_poly_decompose(expr, OMEGA, CFG)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetadecomp import evaluation
@@ -315,23 +315,41 @@ class TestChooseRadius:
         assert r4 >= r0
 
     def test_bound_dominates_true_tail(self):
-        # oracle: worst-case tail over the box, |n| > R, summed numerically
-        w_box = 0.5
+        # oracle: the centred tail |n| > R of [[2]] at Omega = i, summed numerically; the term
+        # of x = n + A + xi has modulus exp(2 pi y^2 - 2 pi (x + y)^2) at Im W = y, whose peak
+        # X* = -y the window is centred on by xi = rint(-y - A)
         for radius in (2, 3, 4, 6):
-            true_tail = sum(
-                2.0 * math.exp(-2.0 * math.pi * n * n + 2.0 * math.pi * 2.0 * w_box * n)
-                for n in range(radius + 1, radius + 60)
-            )
-            certified = tail_bound(LEVEL2, OMEGA_I, 0, w_box, 2.0 * w_box, radius)
-            assert certified >= true_tail
+            for y in np.linspace(-0.5, 0.5, 11):
+                for a in (0.0, 0.5):
+                    x0 = a + np.rint(-y - a)
+                    true_tail = sum(math.exp(2.0 * math.pi * (y * y - (x0 + n + y) ** 2))
+                                    for n in itertools.chain(range(-radius - 60, -radius),
+                                                             range(radius + 1, radius + 60)))
+                    certified = tail_bound(LEVEL2, OMEGA_I, 0, 0.0, 2.0 * math.pi * y * y, radius)
+                    assert certified >= true_tail
 
-    def test_infinite_drift_is_an_infinite_bound(self):
+    def test_infinite_log_scale_is_an_infinite_bound(self):
         for level, degree in ((LEVEL2, 0), (HEX, 2)):
             assert tail_bound(level, OMEGA_I, degree, 0.4, math.inf, 3) == math.inf
-        # an Im W whose drift squared is past the float range: ||M Im W||_F is +inf, quietly
+            assert tail_bound(level, OMEGA_I, degree, 0.4, math.nan, 3) == math.inf
+        # an infinite |Z| + |X*| weights every term of degree >= 1 infinitely
+        assert tail_bound(HEX, OMEGA_I, 2, math.inf, 0.0, 3) == math.inf
+        assert tail_bound(HEX, OMEGA_I, 0, math.inf, 0.0, 3) == tail_bound(HEX, OMEGA_I, 0, 0.0, 0.0, 3)
+        # an Im W whose square is past the float range: the log scale is +inf, quietly
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert evaluation._tail_point(LEVEL2, 0, np.zeros((1, 1)), np.array([[1e160j]])) == (0.0, math.inf)
+            assert evaluation._tail_point(LEVEL2, OMEGA_I, 0, np.zeros((1, 1)),
+                                          np.array([[1e160j]])) == (0.0, math.inf)
+
+    def test_underflowing_envelope_is_taken_in_logs(self):
+        # (2 pi rho (|Z| + s + 1))^150 times a Gaussian below e^-700: the shell-12 term at
+        # radius 11 is e^4.8, about 124 (log 2 + 150 log(2 pi 2 13) - 2 pi 11^2), where the
+        # envelope once returned 0.0 and the bound 5e-324
+        term = math.exp(math.log(2) + 150 * math.log(2 * math.pi * 2 * 13) - 2 * math.pi * 11 ** 2)
+        assert 124.0 < term < 125.0
+        assert term <= tail_bound(LEVEL2, OMEGA_I, 150, 0.0, 0.0, 11) < term * (1.0 + 1e-9)
+        # and the radius that certifies degree 150 is the one past the envelope's peak
+        assert tail_bound(LEVEL2, OMEGA_I, 150, 0.0, 0.0, 10) > 1e50
 
     def test_overflowing_envelope_is_taken_in_logs(self):
         # (2 pi rho (|Z| + s + 1))^|J| overflows a float at |Z| = 1e200 or |J| = 300, where the
@@ -359,10 +377,10 @@ class TestChooseRadius:
         assert truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1) is first
 
     def test_unachievable(self):
-        # an enormous W box keeps every shell below the cap in the growing
-        # regime of the envelope, so no admissible radius certifies the tail
+        # an enormous W box: its log scale, up to pi rho hg box^2 / lambda_min(Im Omega) =
+        # 40,212 at box 80, needs a radius near 80, over the cap
         with pytest.raises(RadiusUnachievableError):
-            choose_radius(LEVEL2, OMEGA_I, 50.0, 1e-12, 0)
+            choose_radius(LEVEL2, OMEGA_I, 80.0, 1e-12, 0)
 
     def test_box_bounds_the_real_and_imaginary_parts(self):
         # a point of the sample box: |Z_ka| = 0.4 sqrt(2), over the box itself
@@ -377,8 +395,8 @@ class TestChooseRadius:
 
     # series-g2's radii at box 0.4, |J| = 0, 1, 2: a change here changes the benchmark's work
     @pytest.mark.parametrize("rows,scale,radii", [
-        ([[2, 1], [1, 2]], 1.0, (8, 8, 8)), ([[4, 2], [2, 4]], 1.0, (7, 7, 7)),
-        ([[2, 1], [1, 2]], 0.7, (10, 10, 11)), ([[4, 2], [2, 4]], 0.7, (9, 9, 9)),
+        ([[2, 1], [1, 2]], 1.0, (4, 5, 5)), ([[4, 2], [2, 4]], 1.0, (3, 4, 4)),
+        ([[2, 1], [1, 2]], 0.7, (5, 6, 6)), ([[4, 2], [2, 4]], 0.7, (4, 4, 5)),
     ])
     def test_series_benchmark_radii(self, rows, scale, radii):
         omega = PeriodMatrix(1j * scale * np.array([[1.0, 0.3], [0.3, 2.0]]))
@@ -388,9 +406,9 @@ class TestChooseRadius:
     # decompose-ref's radii at the sample box (|J| up to the degree its ops reach) and
     # at the shift box, the most verify_theorem3's shift check may take
     @pytest.mark.parametrize("rows,g,sample,shift", [
-        ([[2]], 1, (3, 3, 3), 6), ([[4]], 1, (2, 3, 3), 6),
-        ([[2, 1], [1, 2]], 1, (6, 6), 21), ([[4, 2], [2, 4]], 1, (5, 5), 21),
-        ([[2]], 2, (4,), 12), ([[4]], 2, (3,), 12),
+        ([[2]], 1, (3, 3, 3), 4), ([[4]], 1, (2, 2, 2), 3),
+        ([[2, 1], [1, 2]], 1, (4, 4), 7), ([[4, 2], [2, 4]], 1, (3, 3), 7),
+        ([[2]], 2, (3,), 7), ([[4]], 2, (2,), 6),
     ])
     def test_decompose_benchmark_radii(self, rows, g, sample, shift):
         from thetadecomp.decompose import SAMPLE_BOX, _shift_box
@@ -459,8 +477,16 @@ def product_cube(h, g, radius):
     ).reshape(-1, h, g)
 
 
-def reference_terms(level, j, char, omega, z, w, radius):
-    """The summed terms, one lattice point at a time, by the direct einsum expression.
+def peak_shift(char, omega, w):
+    """xi = rint(X* - A), X* = -Im W (Im Omega)^-1 the Gaussian peak: the re-indexing N -> N + xi
+    that centres the window of the series at W on its peak."""
+    return np.rint(-w.imag @ np.linalg.inv(omega.omega.imag) - char.as_array())
+
+
+def reference_terms(level, j, char, omega, z, w, radius, centred=True):
+    """The summed terms, one lattice point at a time, by the direct einsum expression, over
+    the cube N + xi, |N| <= radius, centred on the Gaussian peak (``peak_shift``), or over
+    the cube |N| <= radius about 0 when not ``centred``.
 
     Also returns the size their roundoff scales with: |term|, but with each
     monomial (M(Z+N+A))_ka taken as sum_l |M_kl| |Z+N+A|_la.  The two differ
@@ -469,6 +495,8 @@ def reference_terms(level, j, char, omega, z, w, radius):
     """
     m = level.as_array()
     b = product_cube(level.h, omega.g, radius) + char.as_array()
+    if centred:
+        b += peak_shift(char, omega, w)
     quad = np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
     lin = np.einsum("kl,la,pka->p", m, w, b)
     lam = np.einsum("kl,pla->pka", m.astype(complex), z[None, :, :] + b)
@@ -507,8 +535,8 @@ class TestPointConfig:
     @given(kernel_cases(), st.sampled_from((1e-4, 1e-8, evaluation.TAIL_TARGET, 1e-15)),
            st.floats(0.0, 8.0))
     def test_point_radius_equals_the_search_from_one(self, case, tol, scale):
-        # the search starts at the zero-drift radius, a lower bound since tail_bound does not
-        # decrease in |Z| or ||M Im W||_F; it must find the radius the search from 1 finds
+        # the search starts at the radius at W = Z = 0, a lower bound since tail_bound does not
+        # decrease in |Z| + |X*| or the log scale; it must find the radius the search from 1 finds
         level, j, _, omega, z, w, _ = case
         z, w = scale * z, scale * w
 
@@ -518,7 +546,7 @@ class TestPointConfig:
             except RadiusUnachievableError:
                 return None
 
-        point = evaluation._tail_point(level, j.size, z, w)
+        point = evaluation._tail_point(level, omega, j.size, z, w)
         expected = radius(lambda: evaluation._least_radius(level, omega, j.size, *point, tol))
         assert radius(lambda: evaluation._point_config(level, omega, j.size, z, w, tol).radius) == expected
 
@@ -579,22 +607,24 @@ class TestKernel:
         assert not any(arr.flags.writeable for arr in memo)
 
     def test_dropped_points_are_within_the_tail_bound(self):
-        # the cut cube's sum at R against the full cube's at R + 2: both tails, plus
-        # gamma_n * sum|terms| of roundoff for each sum (Higham, eq. 4.4)
+        # the cut cube's sum at R against the full cube's at R + 2, both centred on the peak
+        # X*: both tails at |Z| + |X*| and the log scale, plus gamma_n * sum|terms| of
+        # roundoff for each sum (Higham, eq. 4.4)
         dropped = []
 
         @PROPERTY
         @given(kernel_cases())
         def check(case):
             level, j, char, omega, z, w, radius = case
-            z_sup = float(np.abs(z).max()) if j.size else 0.0
-            mv_norm = float(np.linalg.norm(level.as_array() @ w.imag))
+            peak = -w.imag @ np.linalg.inv(omega.omega.imag)
+            z_sup = float(np.abs(z).max() + np.abs(peak).max()) if j.size else 0.0
+            log_scale = -np.pi * float(np.sum(level.as_array() @ w.imag * peak))
             got = evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
             allowance = 0.0
             for r in (radius, radius + 2):
                 terms, scale = reference_terms(level, j, char, omega, z, w, r)
                 nu = len(terms) * np.finfo(float).eps / 2
-                allowance += tail_bound(level, omega, j.size, z_sup, mv_norm, r)
+                allowance += tail_bound(level, omega, j.size, z_sup, log_scale, r)
                 allowance += nu / (1 - nu) * scale.sum()
             # terms are now the full cube's at radius + 2
             assert abs(got - terms.sum()) <= allowance
@@ -603,6 +633,40 @@ class TestKernel:
 
         check()
         assert any(dropped)
+
+    @PROPERTY
+    @given(kernel_cases(), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_centred_sum_is_the_uncentred_sum(self, case, im_w):
+        # N -> N + xi re-indexes the same series: the kernel's centred sum at its least radius
+        # R for 1e-8 against the cube about 0 that holds the centred cube of radius R + 1, whose
+        # omitted terms all lie outside that one, wherever that cube fits a budget of 40,000
+        # points.  They agree within both tail bounds plus the roundoff of each sum: gamma_n *
+        # sum|terms| (Higham, eq. 4.4), and each term's own error from its exponent X, at most
+        # eps * slack * (1 + pi |X|) relative, as in ``decompose._lattice_sums``, with |X| at
+        # most |x|^t |M kron Omega| |x| + 2 |vec MW| . |x| for |x| = |N| + |A| entrywise
+        level, j, char, omega, z, w, _ = case
+        h, g = level.h, omega.g
+        w = w.real + 1j * np.array(im_w[: h * g]).reshape(h, g)
+        cfg = evaluation._point_config(level, omega, j.size, z, w, 1e-8)
+        xi = peak_shift(char, omega, w)
+        reach = cfg.radius + 1 + int(np.abs(xi).max())
+        assume((2 * reach + 1) ** (h * g) <= 40_000)
+        got, bound = evaluation.aux_theta_block(level, j, [char], omega, z, w, cfg)
+        point = evaluation._tail_point(level, omega, j.size, z, w)
+        allowance = bound + tail_bound(level, omega, j.size, *point, cfg.radius + 1)
+        eps, m = np.finfo(float).eps, level.as_array()
+        q_abs = np.abs(np.kron(m, omega.omega))
+        mw_abs = np.abs(m @ w).ravel()
+        slack = (h * g) ** 2 + (h + 1) * j.size + 8
+        for radius, centred in ((cfg.radius, True), (reach, False)):
+            _, scale = reference_terms(level, j, char, omega, z, w, radius, centred)
+            offset = char.as_array() + (xi if centred else 0.0)
+            x = (np.abs(product_cube(h, g, radius)) + np.abs(offset)).reshape(len(scale), -1)
+            size = np.einsum("pi,ij,pj->p", x, q_abs, x) + 2.0 * x @ mw_abs
+            nu = len(scale) * eps / 2
+            allowance += nu / (1 - nu) * scale.sum() + eps * slack * scale @ (1.0 + np.pi * size)
+        terms, _ = reference_terms(level, j, char, omega, z, w, reach, centred=False)
+        assert abs(got[0] - terms.sum()) <= allowance
 
     def test_pruned_terms_are_within_the_bound(self, monkeypatch):
         # the block prunes the terms under its floor; against the kernel's unpruned sum it
@@ -613,7 +677,7 @@ class TestKernel:
         kernel = evaluation._aux_value
 
         def recorded(*args):
-            floors.append(args[-1])
+            floors.append(args[7])  # log_floor
             return kernel(*args)
 
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
@@ -636,9 +700,10 @@ class TestKernel:
             _, scale = reference_terms(level, j, char, omega, z, w, radius)
             nu = len(scale) * eps  # n u, with n = 2 * len(scale) >= 2P and u = eps / 2
             assert abs(one[0] - full) <= eps * bound + nu / (1 - nu) * scale.sum()
-            # the exponentials exp(-pi Im X) of the kept points, against the floor
+            # the exponentials exp(-pi Im X) of the kept points, centred on the peak, against
+            # the floor
             n = evaluation._quadratic_form(level, omega, radius)[0].reshape(-1, h, g)
-            b = n + char.as_array()
+            b = n + char.as_array() + peak_shift(char, omega, w)
             m = level.as_array()
             im_x = (np.einsum("kl,pla,ab,pkb->p", m, b, omega.omega, b)
                     + 2.0 * np.einsum("kl,la,pka->p", m, w, b)).imag
@@ -736,9 +801,9 @@ class TestKernel:
         passes = []
         kernel = evaluation._aux_value
 
-        def recorded(level, j, chars, omega, z, w, radius, log_floor):
+        def recorded(level, j, chars, omega, z, w, radius, log_floor, peak):
             passes.append(len(z) * len(chars) * points)
-            return kernel(level, j, chars, omega, z, w, radius, log_floor)
+            return kernel(level, j, chars, omega, z, w, radius, log_floor, peak)
 
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
         values, bound = evaluation.aux_theta_block(level, j, chars_, omega, z, w, cfg)
@@ -765,8 +830,8 @@ class TestKernel:
             assert bound == singles[0]
 
     def test_over_budget_cube_is_refused_unbuilt(self):
-        # hex at g=2 with Im Omega = 0.2 I: the chosen radius 27 is a 55^4-point cube
-        omega = PeriodMatrix([[0.2j, 0], [0, 0.2j]])
+        # hex at g=2 with Im Omega = 0.1 I: the chosen radius 19 is a 39^4-point cube
+        omega = PeriodMatrix([[0.1j, 0], [0, 0.1j]])
         cfg = truncation_config(HEX, omega, 0.4, 0)
         assert (2 * cfg.radius + 1) ** 4 > evaluation.LATTICE_POINT_CAP
         w = np.full((2, 2), 0.4j)
