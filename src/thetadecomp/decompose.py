@@ -97,11 +97,6 @@ class Decomposition:
     conditioning: float
 
 
-def _shift_box(omega: PeriodMatrix) -> float:
-    """The box of a shift-law check: it covers Z + xi and W + xi*Omega + eta, |xi|, |eta| <= 1."""
-    return SAMPLE_BOX + omega.im_reach + 1.0
-
-
 def _rng(seed: int, label: int) -> np.random.Generator:
     # counter-based generator keyed by (seed, stream), deterministic by construction
     return np.random.Generator(np.random.Philox(key=(seed & _MASK64) + (label << 64)))

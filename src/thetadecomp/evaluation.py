@@ -1,20 +1,21 @@
 """Truncated evaluation of theta series and auxiliary theta series.
 
-A term's modulus peaks at X* = -Im W (Im Omega)^-1, where its logarithm is the log scale
-pi sigma(M Im W (Im Omega)^-1 Im W^t).  Each series is summed about that peak: the row of
-a point and characteristic A is re-indexed N -> N + xi, xi = rint(X* - A), which is the
-same series, so its window need not grow with Im W.  The window is the points of the
-sup-norm lattice box |N_ka| <= radius that lie in the Gaussian ellipsoid
-sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, one quadratic form whose
-(level, Omega, radius) part is computed once; the characteristics of one level are an
-array axis of that sum.  Every evaluation returns the value together with a certified
-bound on the omitted tail, derived from the Gaussian decay rate pi * lambda, with
-lambda = lambda_min(M) * lambda_min(Im omega), the log scale, and a
+One pass over W, ``_tail_point``, sets up a stack of points: the Gaussian peak X* = -Im W
+(Im Omega)^-1 of each point, where a term's modulus peaks and its logarithm is the log
+scale pi sigma(M Im W (Im Omega)^-1 Im W^t), and the arguments of the stack's one tail
+bound.  Each series is summed about its peak: the row of a point and characteristic A is
+re-indexed N -> N + xi, xi = rint(X* - A), which is the same series, so its window need not
+grow with Im W.  The window is the points of the sup-norm lattice box |N_ka| <= radius in
+the Gaussian ellipsoid sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, one
+quadratic form whose (level, Omega, radius) part is computed once; the characteristics of
+one level are an array axis of that sum.  Every evaluation returns the value together with
+a certified bound on the omitted tail, derived from the Gaussian decay rate pi * lambda,
+with lambda = lambda_min(M) * lambda_min(Im omega), the log scale, and a
 polynomial-times-Gaussian envelope when a nonzero multi-index is present: the shells
 outside the box, plus one term for the box points outside the ellipsoid (see
 ``tail_bound``).  Residual checks for the quasi-periodicity and shift-operator laws are
-scale-normalized: the raw difference is divided by the magnitude of the quantities
-compared (floored at 1), which keeps the checks meaningful in double precision when the
+scale-normalized: the raw difference is divided by the magnitude of the quantities compared
+(floored at 1), which keeps the checks meaningful in double precision when the
 transformation factors grow exponentially.
 """
 
@@ -192,21 +193,21 @@ def _char_rows(level: LevelMatrix, omega: PeriodMatrix, chars: tuple) -> tuple[n
     return _read_only(a), _read_only(qa)
 
 
-def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf, peak=None):
+def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
     """The truncated series at (..., h, g) points Z, W for C characteristics, as one
     quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
-    Each row is centred on the Gaussian peak X* (``_peak``, computed here unless given for
-    the points): it sums n + A' over the window n, A' = A + xi with xi = rint(X* - A), the
-    same series re-indexed.  Each term is exp(i pi X) times the monomial weight.  The points n
-    and the forms q(n) = n^t (Im Q) n and n^t (Re Q) n are memoised per (level, Omega,
-    radius) (``_quadratic_form``), vec A and Q vec A per (level, Omega, characteristics)
-    (``_char_rows``); a call computes only what depends on Z and W: the shifted rows A',
-    Q vec A', c and d, the exponent rows of all S x C pairs as one matrix product, and the
-    columns (M(Z+N+A'))_ka of the nonzero J_ka.  A term's exponential has modulus
-    exp(-pi Im X), so one comparison prunes the terms where -pi Im X < log_floor (a NaN is
-    kept; the default prunes none), and the exp, the monomials and the sums run over the
-    kept terms only, each sum in P order.
+    Each row is centred on the Gaussian peak X* of its point, given as ``peak`` (from
+    ``_tail_point``, shape (..., h, g)): it sums n + A' over the window n, A' = A + xi with
+    xi = rint(X* - A), the same series re-indexed.  Each term is exp(i pi X) times the monomial
+    weight.  The points n and the forms q(n) = n^t (Im Q) n and n^t (Re Q) n are memoised per
+    (level, Omega, radius) (``_quadratic_form``), vec A and Q vec A per (level, Omega,
+    characteristics) (``_char_rows``); a call computes only what depends on Z and W: the
+    shifted rows A', Q vec A', c and d, the exponent rows of all S x C pairs as one matrix
+    product, and the columns (M(Z+N+A'))_ka of the nonzero J_ka.  A term's exponential has
+    modulus exp(-pi Im X), so one comparison prunes the terms where -pi Im X < log_floor (a
+    NaN is kept; the default prunes none), and the exp, the monomials and the sums run over
+    the kept terms only, each sum in P order.
     """
     n, q, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     h, g = level.h, omega.g
@@ -214,8 +215,6 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf, peak=N
     w = w.reshape(-1, 1, h, g)
     m = level.as_array()
     a, qa = _char_rows(level, omega, tuple(chars))
-    if peak is None:
-        peak = _peak(omega, w)
     xi = np.rint(peak.reshape(len(w), 1, -1) - a)  # S x C x hg
     a = a + xi  # vec A'
     qa = qa + xi @ q  # Q vec A', Q symmetric
@@ -256,25 +255,17 @@ def _aux_value(level, j, chars, omega, z, w, radius, log_floor=-math.inf, peak=N
     return sums.reshape(*lead, len(chars))
 
 
-def _peak(omega: PeriodMatrix, w) -> np.ndarray:
-    """X* = -Im W (Im Omega)^-1 at one (h, g) point or each point of a stack: where the modulus
-    of every term of the series at W peaks, over real N + A."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN peak
-        return -np.imag(w) @ omega.im_inv
-
-
-def _tail_point(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
-                peak=None) -> tuple[float, float]:
-    """The largest |Z| entry plus the largest |X*| entry (0 at degree 0), and the largest log
-    scale pi sigma(M Im W (Im Omega)^-1 Im W^t), of one (h, g) point or a stack of them: the
-    arguments at which ``tail_bound`` covers each point.  ``peak`` is X* (``_peak``) when the
-    caller has it."""
-    if peak is None:
-        peak = _peak(omega, w)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge W is an infinite or NaN scale
+def _tail_point(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w) -> tuple:
+    """The setup of one (h, g) point or a stack of them, in one pass over W: the Gaussian
+    peak X* = -Im W (Im Omega)^-1 of each point, where the modulus of every term of its series
+    peaks over real N + A; then the arguments at which ``tail_bound`` covers each point, the
+    largest |Z| entry plus the largest |X*| entry (0 at degree 0) and the largest log scale
+    pi sigma(M Im W (Im Omega)^-1 Im W^t)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge W: an infinite or NaN peak and scale
+        peak = -np.imag(w) @ omega.im_inv
         log_scale = -math.pi * float((level.as_array() @ np.imag(w) * peak).sum(axis=(-2, -1)).min())
         z_sup = float(np.abs(z).max() + np.abs(peak).max()) if degree else 0.0
-    return z_sup, max(log_scale, 0.0)  # a form >= 0 in exact arithmetic; a NaN stays NaN
+    return peak, z_sup, max(log_scale, 0.0)  # a form >= 0 in exact arithmetic; a NaN stays NaN
 
 
 def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatrix,
@@ -282,11 +273,12 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
     """The auxiliary series of one (level, J) at one (h, g) point or a stack of S points,
     shape (S, h, g), for a list of characteristics: values of shape (C,) or (S, C).
 
-    Each series is summed about its Gaussian peak X*, computed once for the stack.  The
-    stack has one certified tail bound, ``tail_bound`` at its largest |Z| + |X*| entries and
-    largest log scale (``_tail_point``): every envelope term grows with both, so it covers
-    each point, and one point gets its own bound.  The kernel prunes the terms below a floor
-    set from that bound, so that together they stay within its eps share (see ``tail_bound``).
+    One call of ``_tail_point`` sets the stack up: the Gaussian peak X* of each point, its
+    series summed about it, each pass taking its points' slice, and the stack's one certified
+    tail bound, ``tail_bound`` at its largest |Z| + |X*| entries and largest log scale: every
+    envelope term grows with both, so it covers each point, and one point gets its own bound.
+    The kernel prunes the terms below a floor set from that bound, so that together they stay
+    within its eps share (see ``tail_bound``).
     Passes hold at most BLOCK_TERMS S x C x P terms, slicing the points, or the
     characteristics where one point is over the budget.  A Z or W entry that is not finite
     is a ValueError, and a bound that is not within cfg.tail_tol, NaN included, a
@@ -304,8 +296,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         raise ValueError("Z and W must be finite")
     stacked = w.ndim == 3
     z, w = z.reshape(-1, h, g), w.reshape(-1, h, g)
-    peak = _peak(omega, w)
-    z_sup, log_scale = _tail_point(level, omega, j.size, z, w, peak)
+    peak, z_sup, log_scale = _tail_point(level, omega, j.size, z, w)
     bound = tail_bound(level, omega, j.size, z_sup, log_scale, cfg.radius)
     if not bound <= cfg.tail_tol:
         raise TruncationInsufficientError(
@@ -327,7 +318,7 @@ def aux_theta_block(level: LevelMatrix, j: MultiIndex, chars, omega: PeriodMatri
         for lo in range(0, len(chars), c_step):
             values[s:s + s_step, lo:lo + c_step] = _aux_value(
                 level, j, chars[lo:lo + c_step], omega, z[s:s + s_step], w[s:s + s_step], cfg.radius,
-                log_floor, peak[s:s + s_step])
+                peak[s:s + s_step], log_floor)
     return (values if stacked else values[0]), bound
 
 
@@ -488,7 +479,7 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
     radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
     |J| <= degree, searched past the memo, since each stack is a one-off key.  cli ``eval``
     sets up its point so, and ``verify_theorem3`` its shift check."""
-    radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, omega, degree, z, w),
+    radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, omega, degree, z, w)[1:],
                                        tail_tol)
     return TruncationConfig(radius=radius, tail_tol=tail_tol)
 

@@ -33,12 +33,16 @@ CHARACTERISTIC_CAP = 1 << 16  # most characteristics one enumeration may build
 
 def _as_int_rows(m) -> Rows:
     rows = []
-    for row in m:
+    for i, row in enumerate(m):
         out = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise DimensionMismatchError(f"non-integer entry {x!r}")
+        for k, x in enumerate(row):
+            try:  # a double holds it exactly, so the float arrays of the evaluation do too
+                xi = int(x)
+                exact = xi == x and float(xi) == xi
+            except OverflowError:  # an infinite entry, or one past the float range
+                exact = False
+            if not exact:
+                raise DimensionMismatchError(f"entry ({i},{k}) is not an integer that a double holds exactly")
             out.append(xi)
         rows.append(tuple(out))
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -173,8 +177,6 @@ class PeriodMatrix:
         self.im_min_eig = float(eigs.min())
         # (Im Omega)^-1: the Gaussian peak of every series is X* = -Im W (Im Omega)^-1
         self.im_inv = _read_only(np.linalg.inv(om.imag))
-        # the most W -> W + xi*Omega with |xi| <= 1 entrywise moves an entry of Im W
-        self.im_reach = float(np.abs(om.imag).sum(axis=0).max())
         self._key = (self.g, om.tobytes())
         self._hash = hash(self._key)
 

@@ -32,7 +32,7 @@ from .algebra import (
 from .decompose import (
     _STREAM_KERNEL_SUITE,
     _STREAM_QP_SUITE,
-    SAMPLE_BOX,  # noqa: F401  (stays importable from here)
+    SAMPLE_BOX,
     DerivSymbol,
     FitConfig,
     Product,
@@ -42,7 +42,6 @@ from .decompose import (
     _decompose_node,
     _product_fit,
     _rng,
-    _shift_box,
     _worst,
     diff_poly_decompose,
     verify_theorem3,
@@ -73,6 +72,12 @@ _SERIES_CONFIGS = (
     {"name": "h2_hex", "level": [[2, 1], [1, 2]], "omega": [[1j]]},
     {"name": "g2_level2", "level": [[2]], "omega": [[1j, 0.3j], [0.3j, 2j]]},
 )
+
+
+def _shift_box(omega: PeriodMatrix) -> float:
+    """The box of a shift-law check: it covers Z + xi and W + xi*Omega + eta, |xi|, |eta| <= 1,
+    xi*Omega moving an entry of Im W by at most the largest column sum of |Im Omega|."""
+    return SAMPLE_BOX + float(abs(omega.omega.imag).sum(axis=0).max()) + 1.0
 
 
 def _random_multi_index(rng, h, g, max_size):

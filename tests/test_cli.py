@@ -239,6 +239,31 @@ class TestEval:
         assert error["type"] in ("TruncationInsufficientError", "RadiusUnachievableError")
 
 
+# k = 10^200 + 1: [[2, k], [k, (k^2 + 3) / 2]] is admissible (det 3), but no double holds k
+_HUGE_K = 10**200 + 1
+_HUGE_LEVEL = json.dumps([[2, _HUGE_K], [_HUGE_K, (_HUGE_K**2 + 3) // 2]])
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("argv,stdin", [
+        (("characteristics", "--level", "[[1e400]]", "-g", "1"), None),
+        (("characteristics", "--level", "[[Infinity]]", "-g", "1"), None),
+        (("eval", "--kind", "aux", "--level", "[[2]]", "--j", "[[1e400]]", "--omega", OMEGA_I,
+          "--w", "[[[0,0]]]"), None),
+        (("decompose", "--input", "-", "--omega", OMEGA_I),
+         '{"kind": "deriv", "level": [[2]], "j": [[1e400]], "char_index": 0}'),
+        (("eval", "--kind", "theta", "--level", _HUGE_LEVEL, "--omega", OMEGA_I,
+          "--w", "[[[0,0]],[[0,0]]]"), None),
+    ], ids=["level-1e400", "level-infinity", "eval-j-1e400", "decompose-j-1e400", "level-10^200+1"])
+    def test_entry_no_double_holds_exits_2(self, argv, stdin):
+        # an integer entry must be exactly a double: these crashed with an OverflowError
+        out = run_cli(*argv, stdin=stdin)
+        assert out.returncode == 2 and out.stderr == ""
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "DimensionMismatchError" and "exactly" in error["message"]
+        assert len(out.stdout) < 300  # the entry itself is not printed
+
+
 class TestVerify:
     def test_commutators_pass(self):
         out = run_cli("verify", "--suite", "commutators")

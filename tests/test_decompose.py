@@ -630,7 +630,7 @@ class TestDiffPolyDecompose:
     def test_shift_check_radius_is_the_least_for_its_stack(self, case, seed):
         # one setup per level component, from the stack of its four cases' shifted and base
         # points: the least radius that certifies that stack, never above the shift box's
-        from thetadecomp.decompose import _shift_box
+        from thetadecomp.verify import _shift_box
 
         expr, omega = case
         cfg = FitConfig(seed=seed)
@@ -651,7 +651,7 @@ class TestDiffPolyDecompose:
             (level, dec.element.level_component(level).degree()) for level in dec.element.levels()]
         for level, degree, z, w, tol, radius in setups:
             assert tol == evaluation.TAIL_TARGET and z.shape == w.shape == (8, level.h, 1)
-            point = evaluation._tail_point(level, omega, degree, z, w)
+            point = evaluation._tail_point(level, omega, degree, z, w)[1:]
             assert tail_bound(level, omega, degree, *point, radius) <= tol
             assert radius == 1 or tail_bound(level, omega, degree, *point, radius - 1) > tol
             assert radius <= truncation_config(level, omega, _shift_box(omega), degree).radius

@@ -339,7 +339,7 @@ class TestChooseRadius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert evaluation._tail_point(LEVEL2, OMEGA_I, 0, np.zeros((1, 1)),
-                                          np.array([[1e160j]])) == (0.0, math.inf)
+                                          np.array([[1e160j]]))[1:] == (0.0, math.inf)
 
     def test_underflowing_envelope_is_taken_in_logs(self):
         # (2 pi rho (|Z| + s + 1))^150 times a Gaussian below e^-700: the shell-12 term at
@@ -411,7 +411,8 @@ class TestChooseRadius:
         ([[2]], 2, (3,), 7), ([[4]], 2, (2,), 6),
     ])
     def test_decompose_benchmark_radii(self, rows, g, sample, shift):
-        from thetadecomp.decompose import SAMPLE_BOX, _shift_box
+        from thetadecomp.decompose import SAMPLE_BOX
+        from thetadecomp.verify import _shift_box
 
         omega = OMEGA_I if g == 1 else PeriodMatrix(1j * np.array([[1.0, 0.3], [0.3, 2.0]]))
         level = validate_level(rows)
@@ -528,6 +529,63 @@ def kernel_cases(draw):
     return level, j, char, omega, point(), point(), draw(st.integers(1, 4))
 
 
+# stacks of S x C x P terms over BLOCK_TERMS, each with its radius and point count S
+OVER_BUDGET_STACKS = [
+    # 60 points x 3 characteristics x 121 kept points: the points are sliced
+    ([[2, 1], [1, 2]], 1, [[0.25 + 1j]], 6, 60),
+    # one point of 144 characteristics x 3,343 kept points is over the budget: the
+    # characteristics are sliced (the radius is too small to certify; the slices are tested)
+    ([[4, 2], [2, 4]], 2, [[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]], 4, 2),
+]
+
+
+def over_budget_stack(rows, g, omega, radius, count):
+    """One of OVER_BUDGET_STACKS as aux_theta_block arguments: |J| = 1, all characteristics,
+    and a seeded stack of points in the sample box."""
+    level, omega = validate_level(rows), PeriodMatrix(omega)
+    cfg = TruncationConfig(radius=radius, tail_tol=1e6)
+    rng = np.random.default_rng(3)
+    z, w = (rng.uniform(-0.4, 0.4, (2, count, level.h, g))
+            + 1j * rng.uniform(-0.4, 0.4, (2, count, level.h, g)))
+    j = MultiIndex.zeros(level.h, g).bump(1, 1, +1)
+    return level, j, enumerate_characteristics(level, g), omega, z, w, cfg
+
+
+@st.composite
+def integral_levels(draw):
+    """Any admissible level with h <= 2 and diagonal entries up to 40."""
+    a = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        return validate_level([[2 * a]])
+    c = draw(st.integers(1, 20))
+    b = draw(st.integers(1, math.isqrt(4 * a * c - 1))) * draw(st.sampled_from((-1, 1)))  # b^2 < 4ac
+    return validate_level([[2 * a, b], [b, 2 * c]])
+
+
+@st.composite
+def period_matrices(draw):
+    """A g <= 2 period matrix with Im Omega at least 0.1 I."""
+    re = draw(st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        return PeriodMatrix([[complex(re, draw(st.floats(0.3, 2.0)))]])
+    off = complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.2, 0.2)))
+    return PeriodMatrix([[complex(re, draw(st.floats(0.3, 2.0))), off],
+                         [off, complex(-re, draw(st.floats(0.3, 2.0)))]])
+
+
+class TestTailBound:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(integral_levels(), period_matrices(), st.integers(1, 12),
+           st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e6)),
+           st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(0.0, 2e3)))
+    def test_bound_does_not_decrease_with_the_degree(self, level, omega, radius, z_sup, log_scale):
+        # an integral level's row-sum norm rho is at least 2, so every envelope base
+        # 2 pi rho (z_sup + s + 1) exceeds 1: a setup at the largest degree covers each lower one
+        # (``_point_config`` for every |J| <= degree, ``decompose._mismatch`` for an element)
+        bounds = [tail_bound(level, omega, degree, z_sup, log_scale, radius) for degree in range(7)]
+        assert bounds == sorted(bounds)
+
+
 class TestPointConfig:
     """The least radius of a stack known up front (``evaluation._point_config``)."""
 
@@ -546,7 +604,7 @@ class TestPointConfig:
             except RadiusUnachievableError:
                 return None
 
-        point = evaluation._tail_point(level, omega, j.size, z, w)
+        point = evaluation._tail_point(level, omega, j.size, z, w)[1:]
         expected = radius(lambda: evaluation._least_radius(level, omega, j.size, *point, tol))
         assert radius(lambda: evaluation._point_config(level, omega, j.size, z, w, tol).radius) == expected
 
@@ -589,19 +647,20 @@ class TestKernel:
     def test_quadratic_form_matches_pointwise_terms(self, case):
         level, j, char, omega, z, w, radius = case
         terms, _ = reference_terms(level, j, char, omega, z, w, radius)
-        got = evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
+        peak = evaluation._tail_point(level, omega, j.size, z, w)[0]
+        got = evaluation._aux_value(level, j, [char], omega, z, w, radius, peak)[0]
         assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
         # all characteristics of the level in one call: each value is its own
         # one-characteristic value, to the bit.  Some other characteristic's
         # monomial can cancel to 0 in exact arithmetic, so those are held to the
         # roundoff scale of the terms rather than to the sum of their moduli.
         chars = enumerate_characteristics(level, omega.g)
-        block = evaluation._aux_value(level, j, chars, omega, z, w, radius)
+        block = evaluation._aux_value(level, j, chars, omega, z, w, radius, peak)
         assert len(block) == len(chars) and block[chars.index(char)] == got
         for other, value in zip(chars, block):
             terms, scale = reference_terms(level, j, other, omega, z, w, radius)
             assert abs(value - terms.sum()) <= 1e-13 * scale.sum()
-            assert value == evaluation._aux_value(level, j, [other], omega, z, w, radius)[0]
+            assert value == evaluation._aux_value(level, j, [other], omega, z, w, radius, peak)[0]
         memo = evaluation._quadratic_form(level, omega, radius)
         assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
         assert not any(arr.flags.writeable for arr in memo)
@@ -619,7 +678,8 @@ class TestKernel:
             peak = -w.imag @ np.linalg.inv(omega.omega.imag)
             z_sup = float(np.abs(z).max() + np.abs(peak).max()) if j.size else 0.0
             log_scale = -np.pi * float(np.sum(level.as_array() @ w.imag * peak))
-            got = evaluation._aux_value(level, j, [char], omega, z, w, radius)[0]
+            centre = evaluation._tail_point(level, omega, j.size, z, w)[0]
+            got = evaluation._aux_value(level, j, [char], omega, z, w, radius, centre)[0]
             allowance = 0.0
             for r in (radius, radius + 2):
                 terms, scale = reference_terms(level, j, char, omega, z, w, r)
@@ -652,7 +712,7 @@ class TestKernel:
         reach = cfg.radius + 1 + int(np.abs(xi).max())
         assume((2 * reach + 1) ** (h * g) <= 40_000)
         got, bound = evaluation.aux_theta_block(level, j, [char], omega, z, w, cfg)
-        point = evaluation._tail_point(level, omega, j.size, z, w)
+        point = evaluation._tail_point(level, omega, j.size, z, w)[1:]
         allowance = bound + tail_bound(level, omega, j.size, *point, cfg.radius + 1)
         eps, m = np.finfo(float).eps, level.as_array()
         q_abs = np.abs(np.kron(m, omega.omega))
@@ -677,7 +737,7 @@ class TestKernel:
         kernel = evaluation._aux_value
 
         def recorded(*args):
-            floors.append(args[7])  # log_floor
+            floors.append(args[8])  # log_floor
             return kernel(*args)
 
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
@@ -696,7 +756,8 @@ class TestKernel:
             except TruncationInsufficientError:
                 return
             assert one_bound == bound and one[0] == block[all_chars.index(char)]
-            full = kernel(level, j, [char], omega, z, w, radius)[0]
+            peak = evaluation._tail_point(level, omega, j.size, z, w)[0]
+            full = kernel(level, j, [char], omega, z, w, radius, peak)[0]
             _, scale = reference_terms(level, j, char, omega, z, w, radius)
             nu = len(scale) * eps  # n u, with n = 2 * len(scale) >= 2P and u = eps / 2
             assert abs(one[0] - full) <= eps * bound + nu / (1 - nu) * scale.sum()
@@ -719,7 +780,8 @@ class TestKernel:
         for j in (MultiIndex.zeros(1, 1), MultiIndex.from_rows([[2]])):
             values, bound = evaluation.aux_theta_block(LEVEL2, j, chars(LEVEL2), OMEGA_I, z, w, cfg)
             assert bound == 5e-324
-            full = evaluation._aux_value(LEVEL2, j, chars(LEVEL2), OMEGA_I, z, w, 30)
+            peak = evaluation._tail_point(LEVEL2, OMEGA_I, j.size, z, w)[0]
+            full = evaluation._aux_value(LEVEL2, j, chars(LEVEL2), OMEGA_I, z, w, 30, peak)
             assert np.array_equal(values, full)
 
     @PROPERTY
@@ -781,29 +843,17 @@ class TestKernel:
                 one = aux_theta_series(LEVEL2, j, char, omega, z, w, cfg)
                 assert one.tail_bound == bound and one.value == value
 
-    @pytest.mark.parametrize("rows,g,omega,radius,count", [
-        # 60 points x 3 characteristics x 121 kept points: the points are sliced
-        ([[2, 1], [1, 2]], 1, [[0.25 + 1j]], 6, 60),
-        # one point of 144 characteristics x 3,343 kept points is over the budget: the
-        # characteristics are sliced (the radius is too small to certify; the slices are tested)
-        ([[4, 2], [2, 4]], 2, [[0.3 + 1j, 0.25], [0.25, -0.2 + 1.5j]], 4, 2),
-    ])
+    @pytest.mark.parametrize("rows,g,omega,radius,count", OVER_BUDGET_STACKS)
     def test_stack_over_the_budget_is_its_points(self, monkeypatch, rows, g, omega, radius, count):
-        level, omega = validate_level(rows), PeriodMatrix(omega)
-        chars_ = enumerate_characteristics(level, g)
-        cfg = TruncationConfig(radius=radius, tail_tol=1e6)
-        rng = np.random.default_rng(3)
-        z, w = (rng.uniform(-0.4, 0.4, (2, count, level.h, g))
-                + 1j * rng.uniform(-0.4, 0.4, (2, count, level.h, g)))
-        j = MultiIndex.zeros(level.h, g).bump(1, 1, +1)
+        level, j, chars_, omega, z, w, cfg = over_budget_stack(rows, g, omega, radius, count)
         points = len(evaluation._quadratic_form(level, omega, radius)[0])
         assert count * len(chars_) * points > evaluation.BLOCK_TERMS
         passes = []
         kernel = evaluation._aux_value
 
-        def recorded(level, j, chars, omega, z, w, radius, log_floor, peak):
+        def recorded(level, j, chars, omega, z, w, radius, peak, log_floor):
             passes.append(len(z) * len(chars) * points)
-            return kernel(level, j, chars, omega, z, w, radius, log_floor, peak)
+            return kernel(level, j, chars, omega, z, w, radius, peak, log_floor)
 
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
         values, bound = evaluation.aux_theta_block(level, j, chars_, omega, z, w, cfg)
@@ -813,6 +863,32 @@ class TestKernel:
             one, one_bound = evaluation.aux_theta_block(level, j, chars_, omega, z[s], w[s], cfg)
             assert np.all(np.abs(values[s] - one) <= 1e-14 * np.abs(one))
             assert one_bound <= bound
+
+    @pytest.mark.parametrize("rows,g,omega,radius,count", OVER_BUDGET_STACKS)
+    def test_one_setup_pass_per_stack(self, monkeypatch, rows, g, omega, radius, count):
+        # one _tail_point call sets the stack up however its passes slice it, and each pass
+        # centres on its points' slice of the stack's peaks
+        level, j, chars_, omega, z, w, cfg = over_budget_stack(rows, g, omega, radius, count)
+        setups, passes = [], []
+        tail_point, kernel = evaluation._tail_point, evaluation._aux_value
+
+        def recorded_setup(*args):
+            setups.append(tail_point(*args))
+            return setups[-1]
+
+        def recorded_pass(level, j, chars, omega, z, w, radius, peak, log_floor):
+            passes.append(len(chars))
+            assert np.shares_memory(peak, setups[-1][0]) and peak.shape == w.shape
+            assert np.allclose(peak, -w.imag @ np.linalg.inv(omega.omega.imag), rtol=1e-14, atol=0)
+            return kernel(level, j, chars, omega, z, w, radius, peak, log_floor)
+
+        monkeypatch.setattr(evaluation, "_tail_point", recorded_setup)
+        monkeypatch.setattr(evaluation, "_aux_value", recorded_pass)
+        evaluation.aux_theta_block(level, j, chars_, omega, z, w, cfg)
+        assert len(setups) == 1 and len(passes) > 1
+        assert (min(passes) < len(chars_)) == (count == 2)  # the characteristics are sliced
+        evaluation.aux_theta_block(level, j, chars_, omega, z[0], w[0], cfg)
+        assert len(setups) == 2
 
     @PROPERTY
     @given(kernel_cases(), st.lists(st.tuples(unit, unit, unit, unit), min_size=0, max_size=3))

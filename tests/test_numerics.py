@@ -90,8 +90,10 @@ class TestValidateLevel:
         assert evaluation._quadratic_form(a, omega, 2) is evaluation._quadratic_form(b, omega, 2)
 
     def test_period_matrix_reach(self):
+        from thetadecomp.verify import _shift_box
+
         om = PeriodMatrix([[1j, -0.3j], [-0.3j, 2j]])
-        assert om.im_reach == pytest.approx(2.3)
+        assert _shift_box(om) == pytest.approx(0.4 + 2.3 + 1.0)
         assert om.im_min_eig == pytest.approx(min(np.linalg.eigvalsh([[1, -0.3], [-0.3, 2]])))
 
     def test_zero_entry_rejected(self):
