@@ -43,6 +43,16 @@ class BasisSymbol:
     def __hash__(self):
         return self._hash
 
+    def bumped(self, k: int, a: int, step: int) -> "BasisSymbol":
+        """The same symbol at J +- epsilon_{ka} (``MultiIndex.bump``): the level and the
+        characteristic are this checked symbol's, and bumping keeps J's shape."""
+        j = self.j.bump(k, a, step)
+        out = object.__new__(BasisSymbol)
+        fields = out.__dict__
+        fields["level"], fields["j"], fields["char"] = self.level, j, self.char
+        fields["_hash"] = hash((self.level, j, self.char))
+        return out
+
     @property
     def h(self) -> int:
         return self.level.h
@@ -101,7 +111,10 @@ class AlgebraElement:
         return AlgebraElement(out)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        out = dict(self._terms)
+        for sym, c in other._terms.items():
+            out[sym] = out.get(sym, 0) - c
+        return AlgebraElement(out)
 
     def __neg__(self):
         return (-1) * self
@@ -178,7 +191,10 @@ def raising_op(n: int, b: int) -> OperatorId:
 
 
 def apply(op: OperatorId, x: AlgebraElement) -> AlgebraElement:
-    """Apply one operator, extended linearly over the terms."""
+    """Apply one operator, extended linearly over the terms.
+
+    Each image is added straight into the output; a moved symbol is built by
+    ``BasisSymbol.bumped`` from its term's checked symbol."""
     out: dict = {}
     i, a = op.i, op.j
     for sym, coeff in x.items():
@@ -186,15 +202,15 @@ def apply(op: OperatorId, x: AlgebraElement) -> AlgebraElement:
         if not (1 <= i <= h and 1 <= a <= (h if op.kind == "scale" else sym.g)):
             raise IndexOutOfRangeError(f"{op.kind}({i},{a}) outside h={h}, g={sym.g}")
         if op.kind == "scale":
-            images = [(sym, coeff * m[i - 1][a - 1])]
+            out[sym] = out.get(sym, 0) + coeff * m[i - 1][a - 1]
         elif op.kind == "raise":
-            images = [(BasisSymbol(sym.level, sym.j.bump(i, a, +1), sym.char), coeff)]
+            new = sym.bumped(i, a, +1)
+            out[new] = out.get(new, 0) + coeff
         else:  # lower: sum over rows of the level matrix against the multi-index column
-            images = [(BasisSymbol(sym.level, sym.j.bump(l, a, -1), sym.char),
-                       coeff * m[i - 1][l - 1] * jla)
-                      for l in range(1, h + 1) if (jla := sym.j.j[l - 1][a - 1])]
-        for new_sym, c in images:
-            out[new_sym] = out.get(new_sym, 0) + c
+            for l in range(1, h + 1):
+                if jla := sym.j.j[l - 1][a - 1]:
+                    new = sym.bumped(l, a, -1)
+                    out[new] = out.get(new, 0) + coeff * m[i - 1][l - 1] * jla
     return AlgebraElement(out)
 
 

@@ -36,7 +36,14 @@ from .errors import (
     RadiusUnachievableError,
     TruncationInsufficientError,
 )
-from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _read_only
+from .numerics import (
+    Characteristic,
+    LevelMatrix,
+    MultiIndex,
+    PeriodMatrix,
+    _as_int_rows,
+    _read_only,
+)
 
 RADIUS_CAP = 64
 TAIL_TARGET = 1e-12  # default certified tail of every evaluation setup
@@ -355,16 +362,6 @@ def transformation_factor(level: LevelMatrix, omega: PeriodMatrix, w, xi):
     return complex(factor) if factor.ndim == 0 else factor
 
 
-def _as_int_matrix(x, h, g, name):
-    arr = np.asarray(x)
-    if arr.shape != (h, g):
-        raise DimensionMismatchError(f"{name} must be a {h}x{g} integer matrix")
-    out = arr.astype(float)
-    if not np.array_equal(out, np.round(out)):
-        raise DimensionMismatchError(f"{name} must have integer entries")
-    return out
-
-
 def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristic,
                           omega: PeriodMatrix, z, w, xi, eta,
                           cfg: TruncationConfig) -> float:
@@ -379,8 +376,9 @@ def quasi_period_residual(level: LevelMatrix, j: MultiIndex, char: Characteristi
     h, g = level.h, omega.g
     z = as_matrix(z, h, g)
     w = as_matrix(w, h, g)
-    xi = _as_int_matrix(xi, h, g, "xi")
-    eta = _as_int_matrix(eta, h, g, "eta")
+    if np.shape(xi) != (h, g) or np.shape(eta) != (h, g):
+        raise DimensionMismatchError(f"xi and eta must be {h}x{g} integer matrices")
+    xi, eta = (np.array(_as_int_rows(x), dtype=float) for x in (xi, eta))
     return float(shift_law_residual(
         lambda zz, ww: aux_theta_block(level, j, [char], omega, zz, ww, cfg)[0][:, 0],
         level, omega, z, w, xi, eta,

@@ -39,7 +39,7 @@ def _as_int_rows(m) -> Rows:
             try:  # a double holds it exactly, so the float arrays of the evaluation do too
                 xi = int(x)
                 exact = xi == x and float(xi) == xi
-            except OverflowError:  # an infinite entry, or one past the float range
+            except (OverflowError, ValueError):  # inf or NaN, or past the float range
                 exact = False
             if not exact:
                 raise DimensionMismatchError(f"entry ({i},{k}) is not an integer that a double holds exactly")
@@ -351,11 +351,15 @@ class MultiIndex:
 
     j: Rows
 
-    def __post_init__(self):
+    def __post_init__(self):  # hashed once: multi-indices key every symbol
         for row in self.j:
             for x in row:
                 if x < 0:
                     raise NegativeEntryError(f"multi-index entry {x} < 0")
+        object.__setattr__(self, "_hash", hash((self.j,)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def zeros(cls, h: int, g: int) -> "MultiIndex":
@@ -386,14 +390,25 @@ class MultiIndex:
         return out
 
     def bump(self, k: int, a: int, step: int) -> "MultiIndex":
-        """J +- epsilon_{ka} with 1-based indices; step is +1 or -1."""
+        """J +- epsilon_{ka} with 1-based indices; step is +1 or -1.
+
+        Only the moved entry is checked: every other entry is one of this checked index's.
+        """
         if step not in (1, -1):
             raise ValueError("step must be +1 or -1")
-        if not (1 <= k <= self.h and 1 <= a <= self.g):
+        rows = self.j
+        if not (1 <= k <= len(rows) and 1 <= a <= len(rows[0])):
             raise DimensionMismatchError(f"bump index ({k},{a}) outside {self.h}x{self.g}")
-        row = self.j[k - 1]
-        bumped = row[:a - 1] + (row[a - 1] + step,) + row[a:]
-        return MultiIndex(self.j[:k - 1] + (bumped,) + self.j[k:])
+        row = rows[k - 1]
+        x = row[a - 1] + step
+        if x < 0:
+            raise NegativeEntryError(f"multi-index entry {x} < 0")
+        rows = rows[:k - 1] + (row[:a - 1] + (x,) + row[a:],) + rows[k:]
+        out = object.__new__(MultiIndex)
+        fields = out.__dict__
+        fields["j"] = rows
+        fields["_hash"] = hash((rows,))
+        return out
 
     def as_array(self) -> np.ndarray:
         return np.array(self.j, dtype=int)

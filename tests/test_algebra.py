@@ -1,10 +1,13 @@
 """Operator algebra on formal symbol combinations: exact identities."""
 
+import collections
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadecomp.algebra import (
     AlgebraElement,
@@ -18,7 +21,7 @@ from thetadecomp.algebra import (
     raising_op,
     scaling_op,
 )
-from thetadecomp.errors import DimensionMismatchError, IndexOutOfRangeError
+from thetadecomp.errors import DimensionMismatchError, IndexOutOfRangeError, NegativeEntryError
 from thetadecomp.evaluation import TruncationConfig, theta_series
 from thetadecomp.numerics import (
     MultiIndex,
@@ -27,6 +30,7 @@ from thetadecomp.numerics import (
     multi_indices_up_to,
     validate_level,
 )
+from thetadecomp.verify import _ALGEBRA_CONFIGS
 
 LEVEL2 = validate_level([[2]])
 LEVEL4 = validate_level([[4]])
@@ -37,6 +41,129 @@ def sym(level, j_rows, char_idx=0, g=None):
     g = g if g is not None else len(j_rows[0])
     chars = enumerate_characteristics(level, g)
     return BasisSymbol(level, MultiIndex.from_rows(j_rows), chars[char_idx])
+
+
+def _moved(s, k, a, step):
+    """``s`` at J +- epsilon_ka, built through the public constructors."""
+    rows = [list(row) for row in s.j.j]
+    rows[k - 1][a - 1] += step
+    return BasisSymbol(s.level, MultiIndex(tuple(map(tuple, rows))), s.char)
+
+
+def _reference_apply(op, x):
+    """The operator built term by term from checked symbols: per-term image lists, each
+    image a public construction."""
+    out = {}
+    i, a = op.i, op.j
+    for s, coeff in x.items():
+        m = s.level.entries
+        if op.kind == "scale":
+            images = [(s, coeff * m[i - 1][a - 1])]
+        elif op.kind == "raise":
+            images = [(_moved(s, i, a, +1), coeff)]
+        else:
+            images = [(_moved(s, l, a, -1), coeff * m[i - 1][l - 1] * jla)
+                      for l in range(1, s.h + 1) if (jla := s.j.j[l - 1][a - 1])]
+        for new, c in images:
+            out[new] = out.get(new, 0) + c
+    return AlgebraElement(out)
+
+
+def _reference_sub(x, y):
+    return x + (-1) * y
+
+
+def _ops(h, g):
+    return ([scaling_op(k, l) for k in range(1, h + 1) for l in range(1, h + 1)]
+            + [lowering_op(m, a) for m in range(1, h + 1) for a in range(1, g + 1)]
+            + [raising_op(n, b) for n in range(1, h + 1) for b in range(1, g + 1)])
+
+
+_CONFIGS = [(validate_level(rows), g) for rows, g in _ALGEBRA_CONFIGS]
+_COEFFS = st.integers(-9, 9) | st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _cases(draw):
+    """Two elements of one commutator-suite pair, |J| <= 4, and two of its operators."""
+    level, g = draw(st.sampled_from(_CONFIGS))
+    symbols = st.builds(BasisSymbol, st.just(level),
+                        st.sampled_from(multi_indices_up_to(level.h, g, 4)),
+                        st.sampled_from(enumerate_characteristics(level, g)))
+    x, y = (AlgebraElement(draw(st.dictionaries(symbols, _COEFFS, min_size=1, max_size=12)))
+            for _ in range(2))
+    ops = st.sampled_from(_ops(level.h, g))
+    return x, y, draw(ops), draw(ops)
+
+
+class TestDerivedSymbols:
+    def test_checks_of_the_public_constructor(self):
+        j = MultiIndex.zeros(1, 1)
+        with pytest.raises(DimensionMismatchError):  # a characteristic of another level
+            BasisSymbol(LEVEL2, j, enumerate_characteristics(LEVEL4, 1)[0])
+        with pytest.raises(DimensionMismatchError):  # J has h = 2 at a level with h = 1
+            BasisSymbol(LEVEL2, MultiIndex.zeros(2, 1), enumerate_characteristics(LEVEL2, 1)[0])
+        with pytest.raises(DimensionMismatchError):  # J has g = 2, the characteristic g = 1
+            BasisSymbol(LEVEL2, MultiIndex.zeros(1, 2), enumerate_characteristics(LEVEL2, 1)[0])
+
+    def test_bumped_is_the_public_construction(self):
+        s = sym(HEX, [[2, 0], [1, 3]], char_idx=4)
+        for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
+            if s.j.j[k - 1][a - 1] + step < 0:
+                with pytest.raises(NegativeEntryError):
+                    s.bumped(k, a, step)
+                continue
+            got, want = s.bumped(k, a, step), _moved(s, k, a, step)
+            assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
+            assert got.level is s.level and got.char is s.char
+        with pytest.raises(DimensionMismatchError):
+            s.bumped(3, 1, +1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_cases())
+    def test_apply_commutator_and_sub_are_the_checked_construction(self, case):
+        x, y, op1, op2 = case
+        for op in (op1, op2):
+            got, want = apply(op, x), _reference_apply(op, x)
+            # every image equals, and hashes as, its public construction; coefficients
+            # are the reference's bit for bit, and terms that cancel are dropped
+            for s in got.terms():
+                public = BasisSymbol(s.level, MultiIndex(s.j.j), s.char)
+                assert s == public and hash(s) == hash(public)
+            assert {s: repr(c) for s, c in got.items()} == {s: repr(c) for s, c in want.items()}
+            assert all(c != 0 for _, c in got.items())
+        want = _reference_sub(_reference_apply(op1, _reference_apply(op2, x)),
+                              _reference_apply(op2, _reference_apply(op1, x)))
+        assert commutator(op1, op2, x) == want
+        assert x - y == _reference_sub(x, y)
+        assert (x - x).is_zero() and all(c != 0 for _, c in (x - y).items())
+
+    def test_hot_path_builds_no_checked_symbol(self, monkeypatch):
+        # a 20-term element of hex g = 2 with |J| <= 4; the algebra builds each image
+        # from its term's checked symbol, never through __post_init__
+        rng = random.Random(5)
+        chars = enumerate_characteristics(HEX, 2)
+        symbols = [BasisSymbol(HEX, j, ch) for j in multi_indices_up_to(2, 2, 4) for ch in chars]
+        x = AlgebraElement({s: rng.choice([-3, -1, 2, 7]) for s in rng.sample(symbols, 20)})
+        assert len(x) == 20
+        power = MultiIndex.from_rows([[1, 0], [0, 2]])
+        counts = collections.Counter()
+        for cls in (BasisSymbol, MultiIndex):
+            def counted(self, checks=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                checks(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        ops = _ops(2, 2)
+        for op in ops:
+            apply(op, x)
+        for op1, op2 in itertools.combinations(ops, 2):
+            commutator(op1, op2, x)
+        in_theta_subalgebra(x)
+        apply_raising_power(power, x)
+        assert counts == {}
+        BasisSymbol(HEX, MultiIndex.zeros(2, 2), chars[0])  # the counters do count
+        assert counts == {"BasisSymbol": 1, "MultiIndex": 1}
 
 
 class TestApply:

@@ -207,6 +207,20 @@ class TestQuasiPeriodicity:
         r = quasi_period_residual(level, j, ch, omega, z, w, [[1, -1]], [[0, 1]], cfg)
         assert r < 1e-8
 
+    @pytest.mark.parametrize("xi,eta", [
+        ([[math.inf]], [[0]]),  # no integer: it passed, then failed as "not finite" after a warning
+        ([[0]], [[2 ** 60 + 1]]),  # an integer no double holds: it was read as 2^60
+        ([[math.nan]], [[0]]),
+        ([[0.5]], [[0]]),
+        ([[0, 0]], [[0]]),
+    ])
+    def test_shift_must_be_an_exact_integer_matrix(self, xi, eta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError):
+                quasi_period_residual(LEVEL2, MultiIndex.zeros(1, 1), chars(LEVEL2)[0], OMEGA_I,
+                                      [[0.0]], [[0.0]], xi, eta, CFG)
+
     def test_factor_at_zero_shift(self):
         assert transformation_factor(LEVEL2, OMEGA_I, np.zeros((1, 1)), np.zeros((1, 1))) == 1.0
 

@@ -271,6 +271,38 @@ class TestMultiIndex:
         with pytest.raises(DimensionMismatchError):
             MultiIndex.zeros(1, 1).bump(2, 1, +1)
 
+    def test_hash_is_computed_once(self):
+        # the value of the default dataclass hash, so every memo key is unchanged
+        rows = ((2, 1), (0, 3))
+        j = MultiIndex(rows)
+        assert vars(j)["_hash"] == hash(j) == hash((rows,))
+
+    def test_bump_checks_the_entry_it_moves(self):
+        # lowering the one zero entry of an index whose other entries are positive
+        with pytest.raises(NegativeEntryError):
+            MultiIndex.from_rows([[3, 0], [2, 5]]).bump(1, 2, -1)
+
+    @pytest.mark.parametrize("k,a", [(0, 1), (3, 1), (1, 0), (1, 3), (-1, 1)])
+    def test_bump_index_outside_h_by_g(self, k, a):
+        with pytest.raises(DimensionMismatchError):
+            MultiIndex.from_rows([[1, 2], [3, 4]]).bump(k, a, +1)
+
+    @pytest.mark.parametrize("step", [0, 2, -2])
+    def test_bump_step_other_than_one(self, step):
+        with pytest.raises(ValueError):
+            MultiIndex.from_rows([[1, 2]]).bump(1, 1, step)
+
+    def test_bump_is_the_checked_index(self):
+        j = MultiIndex.from_rows([[3, 0], [2, 5]])
+        for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
+            if j.j[k - 1][a - 1] + step < 0:
+                continue
+            rows = [list(row) for row in j.j]
+            rows[k - 1][a - 1] += step
+            want = MultiIndex(tuple(map(tuple, rows)))
+            got = j.bump(k, a, step)
+            assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
+
     def test_binom(self):
         k = MultiIndex.from_rows([[2, 1]])
         p = MultiIndex.from_rows([[1, 1]])
