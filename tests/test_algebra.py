@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetadecomp import numerics
 from thetadecomp.algebra import (
     AlgebraElement,
     BasisSymbol,
@@ -108,6 +109,8 @@ class TestDerivedSymbols:
             BasisSymbol(LEVEL2, MultiIndex.zeros(1, 2), enumerate_characteristics(LEVEL2, 1)[0])
 
     def test_bumped_is_the_public_construction(self):
+        # a cold memo, so each J is built here (a memoised one may carry a cached size)
+        numerics._bump.cache_clear()
         s = sym(HEX, [[2, 0], [1, 3]], char_idx=4)
         for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
             if s.j.j[k - 1][a - 1] + step < 0:
@@ -164,6 +167,36 @@ class TestDerivedSymbols:
         assert counts == {}
         BasisSymbol(HEX, MultiIndex.zeros(2, 2), chars[0])  # the counters do count
         assert counts == {"BasisSymbol": 1, "MultiIndex": 1}
+
+
+class TestBumpMemo:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_CONFIGS), st.data())
+    def test_memo_changes_no_image(self, config, data):
+        # every bump and bumped image, cold (memo cleared) and then warm, equals and hashes
+        # as its public construction, and a negative entry raises on both passes
+        level, g = config
+        s = BasisSymbol(level, data.draw(st.sampled_from(multi_indices_up_to(level.h, g, 4))),
+                        data.draw(st.sampled_from(enumerate_characteristics(level, g))))
+        moves = list(itertools.product(range(1, level.h + 1), range(1, g + 1), (1, -1)))
+        numerics._bump.cache_clear()
+        cold = {}
+        for memo in ("cold", "warm"):
+            for k, a, step in moves:
+                if s.j.j[k - 1][a - 1] + step < 0:
+                    for bump in (s.j.bump, s.bumped):
+                        with pytest.raises(NegativeEntryError):
+                            bump(k, a, step)
+                    continue
+                want = _moved(s, k, a, step)
+                j, image = s.j.bump(k, a, step), s.bumped(k, a, step)
+                assert j == want.j and hash(j) == hash(want.j)
+                assert image == want and hash(image) == hash(want)
+                assert image.level is s.level and image.char is s.char
+                if memo == "cold":
+                    cold[k, a, step] = j
+                else:  # read from the memo, not built again
+                    assert j is cold[k, a, step] and image.j is j
 
 
 class TestApply:

@@ -55,6 +55,11 @@ class TestCharacteristics:
         assert out.returncode == 2
         assert json.loads(out.stdout)["error"]["type"] == "ZeroEntryError"
 
+    def test_level_that_is_no_matrix_exits_2(self):
+        out = run_cli("characteristics", "--level", "[2]", "-g", "1")
+        assert out.returncode == 2 and out.stderr == ""
+        assert json.loads(out.stdout)["error"]["type"] == "DimensionMismatchError"
+
     def test_hex_g2_has_nine(self):
         out = run_cli("characteristics", "--level", "[[2,1],[1,2]]", "-g", "2")
         assert out.returncode == 0

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,25 @@ class TestValidateLevel:
             validate_level([[-2]])
         with pytest.raises(NotPositiveDefiniteError):
             validate_level([[2, 4], [4, 2]])
+
+    @pytest.mark.parametrize("read,m", [(validate_level, [2]), (validate_level, 2),
+                                        (MultiIndex.from_rows, [1, 2])],
+                             ids=["level-row", "level-scalar", "multi-index-row"])
+    def test_input_that_is_no_sequence_of_rows(self, read, m):
+        # refused before any entry is read, not a bare "'int' object is not iterable"
+        with pytest.raises(DimensionMismatchError, match="sequence of rows"):
+            read(m)
+
+    @pytest.mark.parametrize("entry", [np.complex128(1), 1 + 0j, np.complex64(2)],
+                             ids=["numpy-complex128", "python-complex", "numpy-complex64"])
+    def test_complex_entry_is_refused_with_no_warning(self, entry):
+        # a zero imaginary part included: int() of a numpy complex used to drop it and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=r"entry \(0,1\)"):
+                validate_level([[2, entry], [1, 2]])
+            with pytest.raises(DimensionMismatchError, match=r"entry \(0,0\)"):
+                MultiIndex.from_rows(np.array([[entry]]))
 
     def test_level_matrix_is_hashable(self):
         assert validate_level([[2]]) == validate_level([[2]])
@@ -293,6 +313,8 @@ class TestMultiIndex:
             MultiIndex.from_rows([[1, 2]]).bump(1, 1, step)
 
     def test_bump_is_the_checked_index(self):
+        # a cold memo, so each J is built here (a memoised one may carry a cached size)
+        numerics._bump.cache_clear()
         j = MultiIndex.from_rows([[3, 0], [2, 5]])
         for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
             if j.j[k - 1][a - 1] + step < 0:
@@ -302,6 +324,44 @@ class TestMultiIndex:
             want = MultiIndex(tuple(map(tuple, rows)))
             got = j.bump(k, a, step)
             assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
+
+    def test_float_index_raises_where_its_integer_is_cached(self):
+        # 1.0 == 1 and hashes alike, so a memo keyed on the raw index would return a result
+        j = MultiIndex.from_rows([[1, 2], [3, 4]])
+        want = j.bump(1, 1, +1)
+        for k, a in ((1.0, 1), (1, 1.0), (1.5, 1)):
+            with pytest.raises(TypeError):
+                j.bump(k, a, +1)
+        assert j.bump(1, 1, +1) is want
+
+    @pytest.mark.parametrize("entry", [1.0, np.int64(1), True])
+    def test_entries_are_python_ints(self, entry):
+        # equal by value is then equal entry by entry, so a memoised bump of an index never
+        # returns the entries of an equal index of another type ([[2.0]] for [[1]] + 1)
+        with pytest.raises(DimensionMismatchError):
+            MultiIndex(((entry,),))
+        assert MultiIndex.from_rows([[entry]]).j == ((1,),)
+        assert type(MultiIndex.from_rows([[entry]]).bump(1, 1, +1).j[0][0]) is int
+
+    def test_negative_result_raises_on_every_repeat(self):
+        j = MultiIndex.from_rows([[3, 0], [2, 5]])
+        cached = numerics._bump.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(NegativeEntryError):
+                j.bump(1, 2, -1)
+        assert numerics._bump.cache_info().currsize == cached  # an exception is never stored
+
+    @pytest.mark.parametrize("k,a,step", [(True, 1, 1), (np.int64(1), np.int64(2), np.int64(-1)),
+                                          (2, True, True), (1, 2, 1.0)])
+    def test_integral_indices_of_other_types(self, k, a, step):
+        # bool and numpy integer indices give the int index's result, with int entries
+        j = MultiIndex.from_rows([[1, 2], [3, 4]])
+        rows = [list(row) for row in j.j]
+        rows[int(k) - 1][int(a) - 1] += int(step)
+        for _ in range(2):  # cold, then from the memo
+            got = j.bump(k, a, step)
+            assert got == MultiIndex(tuple(map(tuple, rows))) and hash(got) == hash((got.j,))
+            assert all(type(x) is int for row in got.j for x in row)
 
     def test_binom(self):
         k = MultiIndex.from_rows([[2, 1]])
