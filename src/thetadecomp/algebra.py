@@ -10,9 +10,17 @@ mixing levels.  Three operator families act termwise:
 * raising_op(n, b): increments the multi-index.
 
 The operators act on the multi-index J alone: an image keeps its term's level
-and characteristic (``BasisSymbol.bumped``). Each step J -> J +- e_ka is read
-from a memo in ``numerics`` (``MultiIndex.bump``), bounded at 4,096 steps;
-240 algebra-brackets benchmark ops plus ``run_commutator_suite(0)`` use 930.
+and characteristic. An ``OperatorId`` refuses any index that is not an int >= 1
+when it is built; ``apply`` checks the indices against each term's shape once
+per term, then reads each step J -> J +- e_ka from ``numerics._bump``, a memo of
+at most 4,096 steps (240 algebra-brackets ops plus ``run_commutator_suite(0)``
+use 930) that checks the entry it moves, so a negative entry raises on every
+call. The public ``MultiIndex.bump`` and ``BasisSymbol.bumped`` keep every check.
+Raise and scale skip ``AlgebraElement``'s zero filter: raise is injective on J
+and scale keeps each symbol, so no two images meet, and input coefficients are
+nonzero and level entries nonzero integers, so no image coefficient is zero.
+A symbol hashes as ``hash((level._hash, j._hash, char._hash))`` (``_symbol_hash``)
+however it was built.
 
 Coefficient arithmetic keeps whatever numeric type it is given, so operator
 identities on integer inputs are exact, not tolerance-based.
@@ -20,6 +28,7 @@ identities on integer inputs are exact, not tolerance-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError
 from .evaluation import ThetaValue, TruncationConfig, aux_theta_block
-from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix
+from .numerics import Characteristic, LevelMatrix, MultiIndex, PeriodMatrix, _bump
 
 PRUNE_EPS = 1e-12  # the one pruning threshold: of elements, fitted and expanded coefficients
 
@@ -43,20 +52,15 @@ class BasisSymbol:
             raise DimensionMismatchError("characteristic belongs to a different level")
         if self.j.h != self.level.h or self.j.g != self.char.g:
             raise DimensionMismatchError("multi-index shape does not match level/characteristic")
-        object.__setattr__(self, "_hash", hash((self.level, self.j, self.char)))
+        object.__setattr__(self, "_hash", _symbol_hash(self.level, self.j, self.char))
 
     def __hash__(self):
         return self._hash
 
     def bumped(self, k: int, a: int, step: int) -> "BasisSymbol":
-        """The same symbol at J +- epsilon_{ka} (``MultiIndex.bump``): the level and the
-        characteristic are this checked symbol's, and bumping keeps J's shape."""
-        j = self.j.bump(k, a, step)
-        out = object.__new__(BasisSymbol)
-        fields = out.__dict__
-        fields["level"], fields["j"], fields["char"] = self.level, j, self.char
-        fields["_hash"] = hash((self.level, j, self.char))
-        return out
+        """The same symbol at J +- epsilon_{ka} (``MultiIndex.bump``, every check kept): the
+        level and the characteristic are this checked symbol's, and bumping keeps J's shape."""
+        return _symbol(self.level, self.j.bump(k, a, step), self.char)
 
     @property
     def h(self) -> int:
@@ -73,6 +77,24 @@ class BasisSymbol:
         return f"sym(level={self.level}, j={self.j}, char#{self.char.index})"
 
 
+def _symbol_hash(level: LevelMatrix, j: MultiIndex, char: Characteristic) -> int:
+    """The hash of the symbol (level, J, char), from its parts' stored hashes."""
+    return hash((level._hash, j._hash, char._hash))
+
+
+_new = object.__new__
+
+
+def _symbol(level: LevelMatrix, j: MultiIndex, char: Characteristic) -> BasisSymbol:
+    """The symbol (level, J, char) built without checks: the level and the characteristic
+    are a checked symbol's, and J has that symbol's shape."""
+    out = _new(BasisSymbol)
+    fields = out.__dict__
+    fields["level"], fields["j"], fields["char"] = level, j, char
+    fields["_hash"] = _symbol_hash(level, j, char)
+    return out
+
+
 class AlgebraElement:
     """Finite formal combination of basis symbols; immutable value semantics."""
 
@@ -85,6 +107,13 @@ class AlgebraElement:
                 if coeff != 0:
                     clean[sym] = coeff
         self._terms = clean
+
+    @classmethod
+    def _unfiltered(cls, terms: dict) -> "AlgebraElement":
+        """The element of ``terms`` as given, with no zero filter: no coefficient is zero."""
+        out = _new(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -154,7 +183,9 @@ class AlgebraElement:
         return max((s.j.size for s in self._terms), default=0)
 
     def prune(self) -> "AlgebraElement":
-        return AlgebraElement({s: c for s, c in self._terms.items() if abs(c) > PRUNE_EPS})
+        """Drops the coefficients of modulus at most PRUNE_EPS; a non-finite one is kept, so
+        that later checks see it."""
+        return AlgebraElement({s: c for s, c in self._terms.items() if not abs(c) <= PRUNE_EPS})
 
     def shape(self) -> tuple[int, int]:
         """Common (h, g) of the terms; raises if terms disagree."""
@@ -181,6 +212,9 @@ class OperatorId:
     def __post_init__(self):
         if self.kind not in ("scale", "lower", "raise"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        for index in (self.i, self.j):
+            if type(index) is not int or index < 1:
+                raise IndexOutOfRangeError(f"{self.kind} index {index!r} is not an int >= 1")
 
 
 def scaling_op(k: int, l: int) -> OperatorId:
@@ -198,34 +232,39 @@ def raising_op(n: int, b: int) -> OperatorId:
 def apply(op: OperatorId, x: AlgebraElement) -> AlgebraElement:
     """Apply one operator, extended linearly over the terms.
 
-    The kind is decided once per call, one loop each. Each image is added straight
-    into the output; a moved symbol is built by ``BasisSymbol.bumped`` from its term's
-    checked symbol, and J's shape is the symbol's (h, g)."""
+    The kind is decided once per call, one loop each, and each image is built by
+    ``_symbol`` from its term's checked symbol (the checks: see the module docstring).
+    Raise and scale coefficients are ``0 + c``, a sum's value for a symbol met once, so
+    they keep its bits (``0 +`` turns a complex -0.0 part into 0.0)."""
     out: dict = {}
     i, a = op.i, op.j
     if op.kind == "scale":
         for sym, coeff in x.items():
             m = sym.level.entries
-            if not (1 <= i <= len(m) and 1 <= a <= len(m)):
+            if not (i <= len(m) and a <= len(m)):
                 _raise_out_of_range(op, sym)
-            out[sym] = out.get(sym, 0) + coeff * m[i - 1][a - 1]
-    elif op.kind == "raise":
+            out[sym] = 0 + coeff * m[i - 1][a - 1]
+        return AlgebraElement._unfiltered(out)
+    if op.kind == "raise":
         for sym, coeff in x.items():
-            rows = sym.j.j
-            if not (1 <= i <= len(rows) and 1 <= a <= len(rows[0])):
+            j = sym.j
+            rows = j.j
+            if not (i <= len(rows) and a <= len(rows[0])):
                 _raise_out_of_range(op, sym)
-            new = sym.bumped(i, a, +1)
-            out[new] = out.get(new, 0) + coeff
-    else:  # lower: sum over rows of the level matrix against the multi-index column
-        for sym, coeff in x.items():
-            rows = sym.j.j
-            if not (1 <= i <= len(rows) and 1 <= a <= len(rows[0])):
-                _raise_out_of_range(op, sym)
-            m_i = sym.level.entries[i - 1]
-            for l, row in enumerate(rows, 1):
-                if jla := row[a - 1]:
-                    new = sym.bumped(l, a, -1)
-                    out[new] = out.get(new, 0) + coeff * m_i[l - 1] * jla
+            out[_symbol(sym.level, _bump(j, i, a, 1), sym.char)] = 0 + coeff
+        return AlgebraElement._unfiltered(out)
+    # lower: sum over rows of the level matrix against the multi-index column
+    for sym, coeff in x.items():
+        j = sym.j
+        rows = j.j
+        if not (i <= len(rows) and a <= len(rows[0])):
+            _raise_out_of_range(op, sym)
+        level, char = sym.level, sym.char
+        m_i = level.entries[i - 1]
+        for l, row in enumerate(rows, 1):
+            if jla := row[a - 1]:
+                new = _symbol(level, _bump(j, l, a, -1), char)
+                out[new] = out.get(new, 0) + coeff * m_i[l - 1] * jla
     return AlgebraElement(out)
 
 
@@ -256,12 +295,13 @@ def in_theta_subalgebra(x: AlgebraElement) -> bool:
     """
     if x.is_zero():
         return True
-    h, g = x.shape()
-    for m in range(1, h + 1):
-        for a in range(1, g + 1):
-            if not apply(lowering_op(m, a), x).is_zero():
-                return False
-    return True
+    return all(apply(op, x).is_zero() for op in _lowerings(*x.shape()))
+
+
+@functools.lru_cache(maxsize=64)  # keyed on (h, g): a process uses a few shapes
+def _lowerings(h: int, g: int) -> tuple[OperatorId, ...]:
+    """Every lowering operator of shape (h, g), built once per shape."""
+    return tuple(lowering_op(m, a) for m in range(1, h + 1) for a in range(1, g + 1))
 
 
 def evaluate_element(x: AlgebraElement, omega: PeriodMatrix, z, w,

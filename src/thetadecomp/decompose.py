@@ -343,7 +343,8 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     No sample, design matrix or solve is made; ``cfg.seed`` is not read.  Coefficients
     at most PRUNE_EPS are dropped.  ``residual`` is the largest certified bound on the
     error of a coefficient, a dropped one's modulus included, and ``conditioning`` is 0.0.
-    A residual above ``cfg.fit_tol`` raises ResidualTooLargeError.
+    A residual above ``cfg.fit_tol``, or a non-finite coefficient or bound, raises
+    ResidualTooLargeError.
     """
     e1, e2 = _as_element(s1), _as_element(s2)
     lvl, _ = _product_levels(e1, e2, omega)
@@ -361,6 +362,8 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
                 bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
     terms, residual = {}, 0.0
     for jp, coef in coeffs.items():
+        if not (np.isfinite(coef).all() and math.isfinite(bounds[jp])):
+            raise ResidualTooLargeError(f"coefficients or bound of J' = {jp} are not finite")
         keep = np.abs(coef) > PRUNE_EPS
         residual = max(residual, bounds[jp] + float(np.abs(coef[~keep]).max(initial=0.0)))
         terms.update((BasisSymbol(lvl, jp, chars[i]), complex(coef[i])) for i in np.flatnonzero(keep))

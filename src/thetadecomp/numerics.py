@@ -427,9 +427,11 @@ _BUMP_MEMO_SIZE = 4096  # keys of ``_bump``'s memo; see its docstring
 
 @functools.lru_cache(maxsize=_BUMP_MEMO_SIZE)
 def _bump(j: MultiIndex, k: int, a: int, step: int) -> MultiIndex:
-    """J +- epsilon_{ka} for checked int indices and step. Only the moved entry is
-    checked, since every other entry is one of J's; a negative entry raises on every
-    call, as exceptions are not cached.
+    """J +- epsilon_{ka} for checked int indices and step: ``MultiIndex.bump`` checks them
+    on every call, and ``algebra.apply``, which reads this memo directly, checks them
+    once per operator (``OperatorId``) and once per term (against J's shape).  Only
+    the moved entry is checked, since every other entry is one of J's; a negative
+    entry raises on every call, as exceptions are not cached.
 
     The memo's bound: one op of the algebra-brackets benchmark makes 616 distinct keys
     (J, k, a, step) and ``run_commutator_suite(0)`` 520; 240 benchmark ops plus that

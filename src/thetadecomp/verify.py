@@ -19,6 +19,7 @@ deterministic down to the byte.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import (
     AlgebraElement,
@@ -240,7 +241,9 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
         # the same products fitted to their sampled values at a second seed, uncertified
         cfg2 = FitConfig(seed=seed + 1000003, holdout=THEOREM3_HOLDOUT)
         one, two = dec.element.terms(), _decompose_node(expr, omega, cfg2, _product_fit).terms()
-        seed_diff = max((abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)), default=0.0)
+        diffs = [abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)]
+        # a NaN difference fails the case wherever the set yields it; else max keeps its type
+        seed_diff = math.nan if any(d != d for d in diffs) else max(diffs, default=0.0)
         kernel_ok = in_theta_subalgebra(dec.element) == all(
             s.j.size == 0 for s in dec.element.terms()
         )

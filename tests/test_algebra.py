@@ -13,6 +13,7 @@ from thetadecomp import numerics
 from thetadecomp.algebra import (
     AlgebraElement,
     BasisSymbol,
+    OperatorId,
     apply,
     apply_raising_power,
     commutator,
@@ -81,8 +82,12 @@ def _ops(h, g):
 
 
 _CONFIGS = [(validate_level(rows), g) for rows, g in _ALGEBRA_CONFIGS]
-_COEFFS = st.integers(-9, 9) | st.complex_numbers(
-    max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+# floats and complex numbers whose parts may be signed zeros, subnormals or near 1e300;
+# level entries <= 4 and |J| <= 4 keep every image of a commutator finite
+_REALS = st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 9.9e299])
+_COEFFS = (st.integers(-9, 9) | _REALS | st.builds(complex, _REALS, _REALS)
+           | st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -143,30 +148,39 @@ class TestDerivedSymbols:
         assert (x - x).is_zero() and all(c != 0 for _, c in (x - y).items())
 
     def test_hot_path_builds_no_checked_symbol(self, monkeypatch):
-        # a 20-term element of hex g = 2 with |J| <= 4; the algebra builds each image
-        # from its term's checked symbol, never through __post_init__
+        # a 20-term element of hex g = 2 with |J| <= 4; apply, commutator and the kernel
+        # test build each image from its term's checked symbol, with no checked bump
+        # and no __post_init__ (the kernel test's operators are built on its first call)
         rng = random.Random(5)
         chars = enumerate_characteristics(HEX, 2)
         symbols = [BasisSymbol(HEX, j, ch) for j in multi_indices_up_to(2, 2, 4) for ch in chars]
         x = AlgebraElement({s: rng.choice([-3, -1, 2, 7]) for s in rng.sample(symbols, 20)})
         assert len(x) == 20
-        power = MultiIndex.from_rows([[1, 0], [0, 2]])
-        counts = collections.Counter()
-        for cls in (BasisSymbol, MultiIndex):
-            def counted(self, checks=cls.__post_init__, name=cls.__name__):
-                counts[name] += 1
-                checks(self)
-            monkeypatch.setattr(cls, "__post_init__", counted)
         ops = _ops(2, 2)
+        in_theta_subalgebra(x)
+        counts = collections.Counter()
+
+        def counting(name, method):
+            def counted(*args):
+                counts[name] += 1
+                return method(*args)
+            return counted
+
+        for cls in (BasisSymbol, MultiIndex, OperatorId):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(MultiIndex, "bump", counting("bump", MultiIndex.bump))
         for op in ops:
             apply(op, x)
         for op1, op2 in itertools.combinations(ops, 2):
             commutator(op1, op2, x)
         in_theta_subalgebra(x)
-        apply_raising_power(power, x)
         assert counts == {}
-        BasisSymbol(HEX, MultiIndex.zeros(2, 2), chars[0])  # the counters do count
-        assert counts == {"BasisSymbol": 1, "MultiIndex": 1}
+        apply_raising_power(MultiIndex.from_rows([[1, 0], [0, 2]]), x)  # builds its operators
+        assert counts == {"MultiIndex": 1, "OperatorId": 3}
+        counts.clear()
+        symbols[0].bumped(1, 1, +1)  # the counters do count
+        BasisSymbol(HEX, MultiIndex.zeros(2, 2), chars[0])
+        assert counts == {"bump": 1, "BasisSymbol": 1, "MultiIndex": 1}
 
 
 class TestBumpMemo:
@@ -255,6 +269,15 @@ class TestApply:
             apply(lowering_op(1, 2), x)
         with pytest.raises(IndexOutOfRangeError):
             apply(scaling_op(2, 1), x)
+
+    @pytest.mark.parametrize("make", [scaling_op, lowering_op, raising_op])
+    @pytest.mark.parametrize("bad", [1.0, True, 0, -1, np.int64(1), "1", None])
+    def test_operator_indices_are_checked_at_construction(self, make, bad):
+        # refused before any element is seen, so the zero element cannot hide a bad index
+        with pytest.raises(IndexOutOfRangeError):
+            make(bad, 1)
+        with pytest.raises(IndexOutOfRangeError):
+            make(1, bad)
 
 
 class TestRaisingPower:
@@ -393,6 +416,12 @@ class TestElementArithmetic:
             {sym(LEVEL2, [[0]]): 1e-15, sym(LEVEL2, [[1]]): 0.5}
         )
         assert len(x.prune()) == 1
+
+    def test_prune_keeps_non_finite_coefficients(self):
+        kept = {sym(LEVEL2, [[1]]): float("nan"), sym(LEVEL2, [[2]]): complex("nan+0j"),
+                sym(LEVEL2, [[3]]): float("-inf"), sym(LEVEL2, [[4]]): complex(1e-15, float("inf"))}
+        x = AlgebraElement({sym(LEVEL2, [[0]]): 1e-15, **kept})
+        assert x.prune().terms().keys() == kept.keys()
 
     def test_shape_mismatch_detected(self):
         x = AlgebraElement.from_symbol(sym(LEVEL2, [[0]])) + AlgebraElement.from_symbol(

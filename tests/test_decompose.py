@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetadecomp.algebra import AlgebraElement, BasisSymbol, evaluate_element, in_theta_subalgebra
-from thetadecomp import decompose, evaluation
+from thetadecomp import decompose, evaluation, verify
 from thetadecomp.decompose import (
     SAMPLE_BOX,
     DerivSymbol,
@@ -186,6 +186,27 @@ class TestProductExpand:
         m2 = validate_level([[2, -1], [-1, 2]])
         with pytest.raises(LevelSumInvalidError):
             level_sum(m1, m2)
+
+    @pytest.mark.parametrize("part", ["coefficient", "bound"])
+    def test_non_finite_coefficient_or_bound_raises(self, monkeypatch, part):
+        # a NaN at one characteristic of [[2]] x [[2]] must not be pruned away with its bound
+        pair_terms = decompose._pair_terms
+
+        def planted(*args):
+            out = {}
+            for jp, (coef, bound) in pair_terms(*args).items():
+                if part == "coefficient":
+                    coef = coef.copy()
+                    coef[1] = complex("nan")
+                else:
+                    bound = math.nan
+                out[jp] = coef, bound
+            return out
+
+        monkeypatch.setattr(decompose, "_pair_terms", planted)
+        s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
+        with pytest.raises(ResidualTooLargeError, match="not finite"):
+            product_expand(s, s, OMEGA, CFG)
 
     def test_product_with_cancelling_levels_raises(self):
         m1 = validate_level([[2, 1], [1, 2]])
@@ -585,6 +606,29 @@ class TestDiffPolyDecompose:
         assert report["passed"]
         holdout = verify.THEOREM3_HOLDOUT
         assert stacks == [(holdout, True), (2 * holdout, False)] * 6
+
+    @pytest.mark.parametrize("planted_at", range(4))
+    def test_nan_in_the_second_seed_fit_fails_its_case(self, monkeypatch, planted_at):
+        # a NaN planted in each fitted product, at its planted_at-th symbol in sorted order,
+        # is the case's seed agreement wherever the set of both elements' symbols yields it
+        fit = verify._product_fit
+
+        def planted(*args):
+            dec = fit(*args)
+            terms = dec.element.terms()
+            at = sorted(terms, key=lambda s: s.sort_key())[planted_at % len(terms)]
+            terms[at] = complex("nan")
+            return decompose.Decomposition(AlgebraElement(terms), dec.residual, dec.conditioning)
+
+        monkeypatch.setattr(verify, "_product_fit", planted)
+        report = verify.run_theorem3_suite(seed=0)
+        assert report["passed"] is False
+        cases = {case["expression"]: case for case in report["expressions"]}
+        for name in ("theta_product", "wronskian"):
+            assert math.isnan(cases[name]["seed_agreement"]) and cases[name]["passed"] is False
+        for name in ("single_j0", "single_j1", "single_j2"):  # no product: unchanged, an int
+            assert cases[name]["seed_agreement"] == 0 and type(cases[name]["seed_agreement"]) is int
+            assert cases[name]["passed"] is True
 
     def test_uncertified_node_is_the_pruned_element(self):
         from thetadecomp.decompose import _decompose_node
