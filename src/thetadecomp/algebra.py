@@ -15,12 +15,12 @@ when it is built; ``apply`` checks the indices against each term's shape once
 per term, then reads each step J -> J +- e_ka from ``numerics._bump``, a memo of
 at most 4,096 steps (240 algebra-brackets ops plus ``run_commutator_suite(0)``
 use 930) that checks the entry it moves, so a negative entry raises on every
-call. The public ``MultiIndex.bump`` and ``BasisSymbol.bumped`` keep every check.
-Raise and scale skip ``AlgebraElement``'s zero filter: raise is injective on J
-and scale keeps each symbol, so no two images meet, and input coefficients are
-nonzero and level entries nonzero integers, so no image coefficient is zero.
-A symbol hashes as ``hash((level._hash, j._hash, char._hash))`` (``_symbol_hash``)
-however it was built.
+call. The public ``MultiIndex.bump`` keeps every check. Raise and scale skip
+``AlgebraElement``'s zero filter: raise is injective on J and scale keeps each
+symbol, so no two images meet, and input coefficients are nonzero and level
+entries nonzero integers, so no image coefficient is zero. A symbol hashes as
+``hash((level._hash, j._hash, char._hash))`` (``_symbol_hash``) however it was
+built.
 
 Coefficient arithmetic keeps whatever numeric type it is given, so operator
 identities on integer inputs are exact, not tolerance-based.
@@ -56,11 +56,6 @@ class BasisSymbol:
 
     def __hash__(self):
         return self._hash
-
-    def bumped(self, k: int, a: int, step: int) -> "BasisSymbol":
-        """The same symbol at J +- epsilon_{ka} (``MultiIndex.bump``, every check kept): the
-        level and the characteristic are this checked symbol's, and bumping keeps J's shape."""
-        return _symbol(self.level, self.j.bump(k, a, step), self.char)
 
     @property
     def h(self) -> int:
@@ -308,8 +303,9 @@ def evaluate_element(x: AlgebraElement, omega: PeriodMatrix, z, w,
                      cfg: TruncationConfig) -> ThetaValue:
     """Numeric value of an element at one (h, g) point, or S values at a stack (S, h, g):
     coefficient-weighted sum of its series, one kernel block per (level, J) run of the
-    sorted terms, with one tail bound that covers every point."""
-    value = 0j
+    sorted terms, with one tail bound that covers every point.  The zero element is 0 at
+    each point, with bound 0.0."""
+    value = np.zeros(len(w), dtype=complex) if x.is_zero() and np.ndim(w) == 3 else 0j
     tail = 0.0
     for (level, j), run in itertools.groupby(x.sorted_terms(), lambda t: (t[0].level, t[0].j)):
         run = list(run)

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .evaluation import (
     TAIL_TARGET,  # the shift check's target; perfbench/workloads.py imports it from here
+    _least_radius,
     _point_config,
     _quadratic_form,
     aux_theta_block,
@@ -354,9 +355,9 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
         for t2, c2 in e2.sorted_terms():
             c = complex(c1) * complex(c2)
             pair, degree = _level_pair(t1.level, t2.level), t1.j.size + t2.j.size
-            # the most over degrees <= |J1| + |J2|: below a row-sum norm of 1/(4 pi), K's bound
-            # need not grow with the degree
-            radius = max(truncation_config(pair, omega, 0.0, d).radius for d in range(degree + 1))
+            # the radius rule at level K and Z = W = 0, the most over degrees <= |J1| + |J2|:
+            # below a row-sum norm of 1/(4 pi), K's bound need not grow with the degree
+            radius = max(_least_radius(pair, omega, d, 0.0, 0.0, TAIL_TARGET) for d in range(degree + 1))
             for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
                 coeffs[jp] = coeffs.get(jp, 0j) + c * coef
                 bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound

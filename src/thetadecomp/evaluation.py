@@ -7,13 +7,13 @@ bound.  Each series is summed about its peak: the row of a point and characteris
 re-indexed N -> N + xi, xi = rint(X* - A), which is the same series, so its window need not
 grow with Im W.  The window is the points of the sup-norm lattice box |N_ka| <= radius in
 the Gaussian ellipsoid sqrt(n^t (M kron Im Omega) n) <= sqrt(lambda) * radius + alpha, one
-quadratic form whose (level, Omega, radius) part is computed once; the characteristics of
-one level are an array axis of that sum.  Every evaluation returns the value together with
-a certified bound on the omitted tail, derived from the Gaussian decay rate pi * lambda,
-with lambda = lambda_min(M) * lambda_min(Im omega), the log scale, and a
-polynomial-times-Gaussian envelope when a nonzero multi-index is present: the shells
-outside the box, plus one term for the box points outside the ellipsoid (see
-``tail_bound``).  Residual checks for the quasi-periodicity and shift-operator laws are
+quadratic form Q = M kron Omega, set up with lambda and alpha once per (level, Omega)
+(``_form``) and its window once per radius; the characteristics of one level are an array
+axis of that sum.  Every evaluation returns the value together with a certified bound on
+the omitted tail, derived from the Gaussian decay rate pi * lambda, with lambda =
+lambda_min(M) * lambda_min(Im omega), the log scale, and a polynomial-times-Gaussian
+envelope when a nonzero multi-index is present: the shells outside the box, plus one term
+for the box points outside the ellipsoid (see ``tail_bound``).  Residual checks for the quasi-periodicity and shift-operator laws are
 scale-normalized: the raw difference is divided by the magnitude of the quantities compared
 (floored at 1), which keeps the checks meaningful in double precision when the
 transformation factors grow exponentially.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -56,9 +57,11 @@ class TruncationConfig:
     radius: int
     tail_tol: float
 
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+    def __post_init__(self):  # any integer type but bool, kept as a Python int
+        radius = self.radius
+        if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 1:
+            raise ValueError(f"radius must be an integer >= 1, got {radius!r}")
+        object.__setattr__(self, "radius", int(radius))
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
 
@@ -77,15 +80,12 @@ def as_matrix(x, h: int, g: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _cut_constants(level: LevelMatrix, omega: PeriodMatrix, radius: int) -> tuple[float, float, int]:
-    """sqrt(lam) and alpha of the ellipsoid cut, lam the decay rate, the least eigenvalue
-    of P = M kron Im Omega, and alpha^2 = sum_ij |P_ij|; and the number of points of the
-    radius cube the cut may drop, those outside |n| <= r0 (see ``tail_bound``)."""
-    p = np.kron(level.as_array(), omega.omega).imag
-    sqrt_lam, alpha = math.sqrt(level.min_eig * omega.im_min_eig), math.sqrt(np.abs(p).sum())
-    r0 = min(radius, math.floor(1.0 + radius * sqrt_lam / alpha))
-    hg = level.h * omega.g
-    return sqrt_lam, alpha, (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
+def _form(level: LevelMatrix, omega: PeriodMatrix) -> tuple[np.ndarray, float, float]:
+    """The (level, Omega) part of every series' setup: Q = M kron Omega, read-only; the decay
+    rate lam = lambda_min(M) * lambda_min(Im Omega), at most the least eigenvalue of Im Q;
+    and alpha = sqrt(sum_ij |(Im Q)_ij|), the slack of the ellipsoid cut (see ``tail_bound``)."""
+    q = _read_only(np.kron(level.as_array(), omega.omega))
+    return q, level.min_eig * omega.im_min_eig, math.sqrt(np.abs(q.imag).sum())
 
 
 def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
@@ -120,7 +120,7 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     total is returned times 1 + eps (eps = 2^-52), and is never zero: the kept terms that the
     kernel prunes as too small to matter sum to at most eps times it (see ``aux_theta_block``).
     """
-    lam, rho, hg = level.min_eig * omega.im_min_eig, level.row_sum_norm, level.h * omega.g
+    (_, lam, alpha), rho, hg = _form(level, omega), level.row_sum_norm, level.h * omega.g
 
     def envelope(count, s, t):
         if not count:
@@ -139,7 +139,8 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
         log_term = sum(parts) + 1e-15 * sum(map(abs, parts))  # their roundoff, rounded up
         return math.exp(log_term) if log_term < 709.0 else math.inf
 
-    total = envelope(_cut_constants(level, omega, radius)[2], radius, radius)
+    r0 = min(radius, math.floor(1.0 + radius * math.sqrt(lam) / alpha))
+    total = envelope((2 * radius + 1) ** hg - (2 * r0 + 1) ** hg, radius, radius)
     s = radius + 1
     while total < math.inf:
         shell = envelope((2 * s + 1) ** hg - (2 * s - 1) ** hg, s, s - 1.0)
@@ -157,10 +158,9 @@ def tail_bound(level: LevelMatrix, omega: PeriodMatrix, degree: int,
 def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     """The part of the series exponent that depends on (level, Omega, radius) only.
 
-    With Q = M kron Omega and q(n) = n^t (Im Q) n, keeps the points n of the cube
-    |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha (lam the decay rate,
-    alpha^2 = sum_ij |(Im Q)_ij|), flattened to n (P x hg) in the cube's order, last
-    entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
+    With Q, lam and alpha from ``_form`` and q(n) = n^t (Im Q) n, keeps the points n of the
+    cube |N_ka| <= radius with sqrt(q(n)) <= sqrt(lam)*radius + alpha, flattened to n
+    (P x hg) in the cube's order, last entry fastest; ``tail_bound`` certifies the points dropped.  n is the transpose
     of a C-ordered hg x P array: the kernel's exponent product reads n^t whole, and its
     monomials read rows of n^t, each one entry (l, a) of N at every point.  Returns n, Q
     and the per-point forms q(n) and n^t (Re Q) n, all read-only; the last is None when
@@ -173,8 +173,7 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
             f"radius {radius} cube of {(2 * radius + 1) ** hg} lattice points exceeds {LATTICE_POINT_CAP}")
     axis = np.arange(-radius, radius + 1, dtype=float)
     cube = np.stack(np.meshgrid(*([axis] * hg), indexing="ij", copy=False), axis=-1).reshape(-1, hg)
-    m = level.as_array()
-    q = _read_only(np.kron(m, omega.omega))
+    q, lam, alpha = _form(level, omega)
 
     def form(points, part):
         return np.einsum("pi,ij,pj->p", points, part, points)
@@ -183,8 +182,7 @@ def _quadratic_form(level: LevelMatrix, omega: PeriodMatrix, radius: int):
     # q(n) errs by about (hg)^2 eps alpha^2 radius^2, below 1e-9 of cut^2 on every cube
     # under the cap (radius <= 511 once hg >= 2; cut > alpha radius at hg = 1); the
     # slack resolves that roundoff, and that of tail_bound's floor, toward keeping a point
-    sqrt_lam, alpha, _ = _cut_constants(level, omega, radius)
-    cut = sqrt_lam * radius + alpha
+    cut = math.sqrt(lam) * radius + alpha
     keep = n_imq_n <= cut * cut * (1.0 + 1e-9)
     n = _read_only(np.ascontiguousarray(cube[keep].T)).T
     n_req_n = _read_only(form(n, q.real)) if omega.omega.real.any() else None
@@ -196,7 +194,7 @@ def _char_rows(level: LevelMatrix, omega: PeriodMatrix, chars: tuple) -> tuple[n
     """vec A of each characteristic (C x hg) and Q vec A, Q = M kron Omega: the parts of the
     exponent rows that depend on (level, Omega, characteristics) only, read-only."""
     a = np.array([char.as_array().ravel() for char in chars])
-    qa = (np.kron(level.as_array(), omega.omega) * a[:, None, :]).sum(axis=-1)
+    qa = (_form(level, omega)[0] * a[:, None, :]).sum(axis=-1)
     return _read_only(a), _read_only(qa)
 
 
@@ -448,9 +446,12 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     point the caller intends to evaluate: the tail is taken at |Z_ka| + |X*_ka| <=
     sqrt(2) w_box + w_box ||(Im Omega)^-1||_inf, X* the Gaussian peak, and at the log
     scale pi sigma(M Im W (Im Omega)^-1 Im W^t) <= pi rho hg w_box^2 / lambda_min(Im Omega),
-    rho the row-sum norm of the level (a bound on its largest eigenvalue).
+    rho the row-sum norm of the level (a bound on its largest eigenvalue).  A negative or
+    non-finite w_box is a ValueError.
     """
-    z_sup = w_box * (math.sqrt(2.0) + float(np.abs(omega.im_inv).sum(axis=1).max()))
+    if not 0.0 <= w_box < math.inf:
+        raise ValueError(f"w_box must be finite and >= 0, got {w_box!r}")
+    z_sup = w_box * (math.sqrt(2.0) + omega._im_inv_norm)
     log_scale = math.pi * level.row_sum_norm * level.h * omega.g * w_box * w_box / omega.im_min_eig
     return _least_radius(level, omega, degree, z_sup, log_scale, tail_tol)
 
@@ -485,15 +486,8 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
 def truncation_config(level: LevelMatrix, omega: PeriodMatrix, box: float,
                       degree: int) -> TruncationConfig:
     """The evaluation setup of sampled stacks: ``choose_radius`` for (box, degree) at
-    TAIL_TARGET, memoised.  Every point the caller samples lies in the box.
-
-    The memo is bounded; it keys on the period matrix by value.  A caller that knows its
-    points up front sets them up by ``_point_config`` instead, with no box.
+    TAIL_TARGET, whose search ``_least_radius`` memoises.  Every point the caller samples
+    lies in the box.  A caller that knows its points up front sets them up by
+    ``_point_config`` instead, with no box.
     """
-    return _truncation_config(level, omega, box, degree)
-
-
-@functools.lru_cache(maxsize=256)
-def _truncation_config(level, omega, box, degree) -> TruncationConfig:
-    radius = choose_radius(level, omega, box, TAIL_TARGET, degree)
-    return TruncationConfig(radius=radius, tail_tol=TAIL_TARGET)
+    return TruncationConfig(choose_radius(level, omega, box, TAIL_TARGET, degree), TAIL_TARGET)

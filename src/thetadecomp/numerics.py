@@ -160,9 +160,9 @@ class PeriodMatrix:
     """A point of the Siegel upper half plane: symmetric with Im positive definite.
 
     This is the one check that the least eigenvalue of Im Omega, to which every series'
-    decay rate is proportional, is at least ``_IM_FLOOR``, away from the boundary.
-    Equality and hashing go by value, so memos keyed on a period matrix hit
-    across separate parses of the same Omega.
+    decay rate is proportional, is at least ``_IM_FLOOR``, away from the boundary; a
+    non-finite entry is refused first, as a DimensionMismatchError that names it.  Equality
+    and hashing go by value, so memos keyed on a period matrix hit across parses of Omega.
     """
 
     _IM_FLOOR = 1e-3
@@ -171,6 +171,9 @@ class PeriodMatrix:
         om = np.array(omega, dtype=complex)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise DimensionMismatchError("omega must be a square matrix")
+        if not np.isfinite(om).all():
+            i, k = np.argwhere(~np.isfinite(om))[0]
+            raise DimensionMismatchError(f"omega entry ({i},{k}) = {om[i, k]} is not finite")
         if not np.array_equal(om, om.T):
             raise NotSymmetricError("omega must equal its transpose exactly")
         eigs = np.linalg.eigvalsh(om.imag)
@@ -184,6 +187,7 @@ class PeriodMatrix:
         self.im_min_eig = float(eigs.min())
         # (Im Omega)^-1: the Gaussian peak of every series is X* = -Im W (Im Omega)^-1
         self.im_inv = _read_only(np.linalg.inv(om.imag))
+        self._im_inv_norm = float(np.abs(self.im_inv).sum(axis=1).max())  # its max row sum
         self._key = (self.g, om.tobytes())
         self._hash = hash(self._key)
 

@@ -113,21 +113,6 @@ class TestDerivedSymbols:
         with pytest.raises(DimensionMismatchError):  # J has g = 2, the characteristic g = 1
             BasisSymbol(LEVEL2, MultiIndex.zeros(1, 2), enumerate_characteristics(LEVEL2, 1)[0])
 
-    def test_bumped_is_the_public_construction(self):
-        # a cold memo, so each J is built here (a memoised one may carry a cached size)
-        numerics._bump.cache_clear()
-        s = sym(HEX, [[2, 0], [1, 3]], char_idx=4)
-        for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
-            if s.j.j[k - 1][a - 1] + step < 0:
-                with pytest.raises(NegativeEntryError):
-                    s.bumped(k, a, step)
-                continue
-            got, want = s.bumped(k, a, step), _moved(s, k, a, step)
-            assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
-            assert got.level is s.level and got.char is s.char
-        with pytest.raises(DimensionMismatchError):
-            s.bumped(3, 1, +1)
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_cases())
     def test_apply_commutator_and_sub_are_the_checked_construction(self, case):
@@ -178,7 +163,7 @@ class TestDerivedSymbols:
         apply_raising_power(MultiIndex.from_rows([[1, 0], [0, 2]]), x)  # builds its operators
         assert counts == {"MultiIndex": 1, "OperatorId": 3}
         counts.clear()
-        symbols[0].bumped(1, 1, +1)  # the counters do count
+        symbols[0].j.bump(1, 1, +1)  # the counters do count
         BasisSymbol(HEX, MultiIndex.zeros(2, 2), chars[0])
         assert counts == {"bump": 1, "BasisSymbol": 1, "MultiIndex": 1}
 
@@ -187,8 +172,8 @@ class TestBumpMemo:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(_CONFIGS), st.data())
     def test_memo_changes_no_image(self, config, data):
-        # every bump and bumped image, cold (memo cleared) and then warm, equals and hashes
-        # as its public construction, and a negative entry raises on both passes
+        # every bump, cold (memo cleared) and then warm, equals and hashes as its public
+        # construction, and a negative entry raises on both passes
         level, g = config
         s = BasisSymbol(level, data.draw(st.sampled_from(multi_indices_up_to(level.h, g, 4))),
                         data.draw(st.sampled_from(enumerate_characteristics(level, g))))
@@ -198,19 +183,16 @@ class TestBumpMemo:
         for memo in ("cold", "warm"):
             for k, a, step in moves:
                 if s.j.j[k - 1][a - 1] + step < 0:
-                    for bump in (s.j.bump, s.bumped):
-                        with pytest.raises(NegativeEntryError):
-                            bump(k, a, step)
+                    with pytest.raises(NegativeEntryError):
+                        s.j.bump(k, a, step)
                     continue
                 want = _moved(s, k, a, step)
-                j, image = s.j.bump(k, a, step), s.bumped(k, a, step)
+                j = s.j.bump(k, a, step)
                 assert j == want.j and hash(j) == hash(want.j)
-                assert image == want and hash(image) == hash(want)
-                assert image.level is s.level and image.char is s.char
                 if memo == "cold":
                     cold[k, a, step] = j
                 else:  # read from the memo, not built again
-                    assert j is cold[k, a, step] and image.j is j
+                    assert j is cold[k, a, step]
 
 
 class TestApply:
@@ -500,6 +482,14 @@ class TestEvaluateElement:
         assert (x - x).is_zero()
         got = evaluate_element(x - x, self.OMEGA, [[0.0]], [[0.1]], self.CFG)
         assert got.value == 0 and got.tail_bound == 0
+
+    def test_zero_element_at_a_stack_is_one_zero_per_point(self):
+        # it returned the scalar 0j
+        zs = np.zeros((3, 1, 1), dtype=complex)
+        got = evaluate_element(AlgebraElement.zero(), self.OMEGA, zs, zs + 0.1, self.CFG)
+        assert got.value.shape == (3,) and not got.value.any() and got.tail_bound == 0.0
+        one = evaluate_element(AlgebraElement.zero(), self.OMEGA, zs[0], zs[0], self.CFG)
+        assert type(one.value) is complex and one.value == 0
 
     def test_matches_finite_difference(self):
         x = AlgebraElement.from_symbol(sym(LEVEL2, [[1]]), coeff=2)

@@ -103,6 +103,19 @@ class TestThetaSeries:
         with pytest.raises(TruncationInsufficientError):
             theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.5j]], tight)
 
+    @pytest.mark.parametrize("radius", [3.5, 3.0, math.inf, math.nan, True, 0, -2, "3", None])
+    def test_radius_is_an_integer_at_least_one(self, radius):
+        # radius 3.5 summed the half-integer grid arange(-3.5, 4.5): at W = 0.1 + 0.05i it gave
+        # 0.3531 - 0.0780i, not 1.0014 - 0.0024i, under a "certified" bound of 7.6e-34
+        with pytest.raises(ValueError, match="radius must be an integer >= 1"):
+            TruncationConfig(radius=radius, tail_tol=1e-10)
+
+    def test_numpy_integer_radius_is_kept_as_an_int(self):
+        cfg = TruncationConfig(radius=np.int64(8), tail_tol=1e-10)
+        assert type(cfg.radius) is int and cfg == CFG
+        assert theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.1 + 0.05j]], cfg) == \
+            theta_series(LEVEL2, chars(LEVEL2)[0], OMEGA_I, [[0.1 + 0.05j]], CFG)
+
     @pytest.mark.parametrize("w", [complex("nan"), complex(0.0, math.inf)])
     def test_nonfinite_w_is_a_value_error(self, w):
         # W = NaN gave a NaN value next to a "certified" bound (4.6e-175 here), W = i inf a NaN
@@ -318,6 +331,14 @@ class TestChooseRadius:
         r = choose_radius(LEVEL2, OMEGA_I, 0.5, 1e-12, 0)
         assert r <= 6
 
+    @pytest.mark.parametrize("box", [-5.0, -1e-300, math.inf, math.nan])
+    def test_box_is_finite_and_nonnegative(self, box):
+        # a box of -5 at degree 1 gave radius 3
+        with pytest.raises(ValueError, match="w_box"):
+            choose_radius(LEVEL2, OMEGA_I, box, 1e-12, 1)
+        with pytest.raises(ValueError, match="w_box"):
+            truncation_config(LEVEL2, OMEGA_I, box, 1)
+
     def test_monotone_in_tolerance(self):
         r_tight = choose_radius(LEVEL2, OMEGA_I, 0.5, 1e-12, 0)
         r_loose = choose_radius(LEVEL2, OMEGA_I, 0.5, 1e-3, 0)
@@ -382,13 +403,20 @@ class TestChooseRadius:
         cfg = truncation_config(HEX, OMEGA_I, 0.4, 1)
         assert cfg == TruncationConfig(radius=choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 1),
                                        tail_tol=1e-12)
-        assert truncation_config(HEX, OMEGA_I, 0.4, 1) is cfg
+        # the radius is read from the one radius memo, with no search
+        hits = evaluation._least_radius.cache_info().hits
+        assert truncation_config(HEX, OMEGA_I, 0.4, 1) == cfg
+        assert evaluation._least_radius.cache_info().hits == hits + 1
         assert choose_radius(HEX, OMEGA_I, 0.4, 1e-6, 1) <= cfg.radius
 
     def test_memo_hits_across_parses_of_omega(self):
         rows = [[1j, 0.3j], [0.3j, 2j]]
         first = truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1)
-        assert truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1) is first
+        hits = evaluation._least_radius.cache_info().hits
+        assert truncation_config(LEVEL2, PeriodMatrix(rows), 0.4, 1) == first
+        assert evaluation._least_radius.cache_info().hits == hits + 1
+        form = evaluation._form(LEVEL2, PeriodMatrix(rows))
+        assert evaluation._form(LEVEL2, PeriodMatrix(rows)) is form
 
     def test_unachievable(self):
         # an enormous W box: its log scale, up to pi rho hg box^2 / lambda_min(Im Omega) =
@@ -803,15 +831,14 @@ class TestKernel:
     def test_memo_holds_the_sub_cube_tail_bound_counts_as_kept(self, case):
         # tail_bound counts only the points outside |n| <= r0 as droppable
         level, _, _, omega, _, _, radius = case
-        sqrt_lam, alpha, dropped = evaluation._cut_constants(level, omega, radius)
-        im_q = np.kron(level.as_array(), omega.omega.imag)
-        assert sqrt_lam == pytest.approx(math.sqrt(np.linalg.eigvalsh(im_q)[0]), rel=1e-12)
-        assert alpha == pytest.approx(math.sqrt(np.abs(im_q).sum()), rel=1e-12)
-        r0 = min(radius, math.floor(1 + radius * sqrt_lam / alpha))
+        q, lam, alpha = evaluation._form(level, omega)
+        assert np.array_equal(q, np.kron(level.as_array(), omega.omega)) and not q.flags.writeable
+        assert lam == pytest.approx(np.linalg.eigvalsh(q.imag)[0], rel=1e-12)
+        assert alpha == pytest.approx(math.sqrt(np.abs(q.imag).sum()), rel=1e-12)
+        r0 = min(radius, math.floor(1 + radius * math.sqrt(lam) / alpha))
         hg = level.h * omega.g
-        assert dropped == (2 * radius + 1) ** hg - (2 * r0 + 1) ** hg
         kept = {tuple(n) for n in evaluation._quadratic_form(level, omega, radius)[0]}
-        sub_cube = product_cube(level.h, omega.g, r0).reshape(-1, level.h * omega.g)
+        sub_cube = product_cube(level.h, omega.g, r0).reshape(-1, hg)
         assert all(tuple(n) in kept for n in sub_cube)
 
     def test_nothing_is_dropped_at_hg_one(self):

@@ -1,6 +1,7 @@
 """Exact-arithmetic core: level validation, characteristics, SNF, multi-indices."""
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -422,6 +423,18 @@ class TestPeriodMatrix:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             PeriodMatrix([[1j, 0.2j], [0.3j, 2j]])
+
+    @pytest.mark.parametrize("rows, entry", [
+        ([[complex(math.inf, 1.0)]], r"\(0,0\)"),
+        ([[complex(1.0, math.inf)]], r"\(0,0\)"),
+        ([[complex(math.nan, 1.0)]], r"\(0,0\)"),  # was reported as not symmetric
+        ([[1j, 0.3j], [complex(0.0, math.nan), 2j]], r"\(1,0\)"),  # before the symmetry check
+        ([[1j, 0.3j], [0.3j, complex(-math.inf, 2.0)]], r"\(1,1\)"),
+    ])
+    def test_nonfinite_entry_is_refused_by_name(self, rows, entry):
+        # such an Omega was admitted, and the series setup failed on a NaN with a numpy warning
+        with pytest.raises(DimensionMismatchError, match=rf"entry {entry} = .* is not finite"):
+            PeriodMatrix(rows)
 
     def test_equal_and_hash_by_value(self):
         rows = [[0.1 + 1j, 0.3j], [0.3j, 2j]]
