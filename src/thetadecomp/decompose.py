@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 import sys
 from collections import defaultdict
@@ -53,7 +54,6 @@ from .evaluation import (
 # the node classes stay importable from here
 from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
 from .numerics import (
-    Characteristic,
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
@@ -84,9 +84,14 @@ class FitConfig:
     fit_tol: float = 1e-8
     holdout: int = 16
 
-    def __post_init__(self):
+    def __post_init__(self):  # seed and holdout: any integer type but bool, kept as Python ints
         if not self.fit_tol > 0:
             raise ValueError("fit_tol must be positive")
+        for name in ("seed", "holdout"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
+            object.__setattr__(self, name, int(x))
         if self.holdout < 1:
             raise ValueError("holdout must be a positive integer")
 
@@ -127,11 +132,11 @@ def fit_in_basis(f: Callable, level: LevelMatrix, max_degree: int,
     samples raise ResidualTooLargeError before the solve.
     """
     h, g = level.h, omega.g
+    eval_cfg = truncation_config(level, omega, SAMPLE_BOX, max_degree)  # refuses a bad degree first
     js = multi_indices_up_to(h, g, max_degree)
     chars = enumerate_characteristics(level, g)
     n_fit = math.ceil(OVERSAMPLE * len(js) * len(chars))
     total = n_fit + cfg.holdout
-    eval_cfg = truncation_config(level, omega, SAMPLE_BOX, max_degree)
 
     conditioning = math.inf
     for seed in (cfg.seed, cfg.seed + 1):
@@ -186,25 +191,23 @@ def level_sum(l1: LevelMatrix, l2: LevelMatrix) -> LevelMatrix:
 
 
 def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix):
-    """The summed level of a product of two single-level elements, and its degree bound."""
+    """The level pair of a product of two single-level elements, and its degree bound."""
     lv1, lv2 = e1.levels(), e2.levels()
     if len(lv1) != 1 or len(lv2) != 1:
         raise DimensionMismatchError("product factors must each carry a single level")
     if e1.shape()[1] != omega.g or e2.shape()[1] != omega.g:
         raise DimensionMismatchError("product factors do not match the width of omega")
-    return _level_pair(lv1[0], lv2[0]).s, e1.degree() + e2.degree()
+    return _level_pair(lv1[0], lv2[0]), e1.degree() + e2.degree()
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: ``_level_pair`` makes one per (M1, M2)
 class _LevelPair:
     """The constants of a product of levels M1, M2, with S = M1 + M2 admissible: S, det S,
-    S^-1 M1 = I - S^-1 M2 and S^-1 M2 (exact), det S * S^-1 M2 = adj(S) M2 (integral), and
-    K = M1 S^-1 M2 in floats.  h, as_array(), min_eig and row_sum_norm are K's: to the
-    series kernel's kept points, tail bound and radius rule it is the level K."""
+    det S * S^-1 M2 = adj(S) M2 (integral, so S^-1 M2 exactly), and K = M1 S^-1 M2 in floats.
+    h, as_array(), min_eig and row_sum_norm are K's: to the series kernel's kept points, tail
+    bound and radius rule it is the level K."""
     s: LevelMatrix
     det: int
-    t1: list
-    t2: list
     dt2: np.ndarray
     k: np.ndarray
     h: int
@@ -226,10 +229,8 @@ def _level_pair(m1: LevelMatrix, m2: LevelMatrix) -> _LevelPair:
 
     adj = np.array([[cofactor(j, i) for j in range(h)] for i in range(h)], dtype=np.int64)
     dt2 = adj @ np.array(m2.entries, dtype=np.int64)
-    t2 = [[Fraction(int(x), det) for x in row] for row in dt2]
-    t1 = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t2)]
     k = m1.as_array() @ dt2 / det
-    return _LevelPair(s, det, t1, t2, dt2, k, h, float(np.linalg.eigvalsh(k).min()),
+    return _LevelPair(s, det, dt2, k, h, float(np.linalg.eigvalsh(k).min()),
                       float(np.abs(k).sum(axis=1).max()))
 
 
@@ -240,8 +241,10 @@ def _expansion(m1: LevelMatrix, m2: LevelMatrix, j1: MultiIndex, j2: MultiIndex)
     V-monomial V^J' and one pair per monomial E^q in it, q flat over the entries (k, a)."""
     pair = _level_pair(m1, m2)
     h, g = j1.h, j1.g
+    t2 = [[Fraction(x, pair.det) for x in row] for row in pair.dt2.tolist()]  # S^-1 M2
+    t1 = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t2)]  # S^-1 M1
     poly = {((0,) * (h * g), (0,) * (h * g)): Fraction(1)}
-    for jj, t, sign in ((j1, pair.t1, 1), (j2, pair.t2, -1)):
+    for jj, t, sign in ((j1, t1, 1), (j2, t2, -1)):
         for k, a in ((k, a) for k in range(h) for a in range(g) for _ in range(jj.j[k][a])):
             # (M S^-1)_kl = (S^-1 M)_lk, the levels being symmetric
             factor = [(l * g + a, t[l][k]) for l in range(h) if t[l][k]]
@@ -267,66 +270,56 @@ def _char_codes(level: LevelMatrix, g: int) -> dict:
             for char in enumerate_characteristics(level, g)}
 
 
-def _lattice_sums(m1, m2, a: Characteristic, b: Characteristic, omega: PeriodMatrix,
-                  degree: int, radius: int):
-    """The points D = A - B + n of one product's theta constants, n the series kernel's kept
-    points at level K (``evaluation._quadratic_form``, refused over the cube's cap).
-
-    Returns the index of each D's characteristic of S, C = A - S^-1 M2 D (mod 1), found in
-    integers (det S * C is integral); its weight e(D) = exp(pi i sigma(K D Omega D^t)); its
-    E = K D, flattened to P x hg (None at degree 0); the number of characteristics of S; and
-    err[d], d <= degree: a bound on the error of every class sum sum_{D in C} (2 pi)^d E^q e(D)
-    with |q| = d.  That is ``tail_bound`` at level K, degree d and Z = W = 0 (shells and cut),
-    plus twice the first-order roundoff of the P terms.  Its proof holds with X* = 0, log scale
-    0 and D = n - delta, as delta = B - A lies in (-1, 1)^(hg): q(delta) <= alpha^2 =
-    sum_ij |(K kron Im Omega)_ij|, |D|_inf >= s - 1 on shell s, and |(K D)_ka| <= rho (s + 1),
-    rho the row-sum norm of K.
-    """
-    pair = _level_pair(m1, m2)
-    h, g, hg = m1.h, omega.g, m1.h * omega.g
-    n, q = _quadratic_form(pair, omega, radius)[:2]
-    n = n.reshape(-1, h, g)
-    diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.a, b.a)]
-    c0 = [[int(pair.det * (a.a[i][c] - sum(pair.t2[i][l] * diff[l][c] for l in range(h))))
-           for c in range(g)] for i in range(h)]
-    keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.astype(np.int64)) % pair.det
-    rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
-    codes = _char_codes(pair.s, g)
-    cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
-    d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
-    weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, q, d))
-    e = (pair.k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
-    # each term errs by at most eps * slack * (1 + pi |x|) relative, |x| <= |D|^t |K kron Omega| |D|,
-    # and the sum of P terms adds P eps of their moduli
-    slack = hg * hg + (h + 1) * degree + 8
-    ad = np.abs(d)
-    scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(q), ad)))
-    e_sup = pair.row_sum_norm * ad.max(axis=1)
-    err = tuple(tail_bound(pair, omega, deg, 0.0, 0.0, radius)
-                + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
-                for deg in range(degree + 1))
-    return cls, weights, e, len(codes), err
-
-
 @functools.lru_cache(maxsize=64)
 def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: int) -> dict:
     """The product of two symbols by the addition formula, with D points up to ``radius``:
     J' -> (coefficients over the characteristics of S, read-only, their certified error bound).
 
-    The coefficient of (S, J', C) is sum_q c_q (2 pi i)^|q| sum_{D in C} E^q e(D), with c_q from
-    ``_expansion``; one bincount per monomial E^q gives the class sums.  The memo holds these
+    The points are D = A - B + n, n the series kernel's kept points at level K
+    (``evaluation._quadratic_form``, refused over the cube's cap).  Each D is binned by its
+    characteristic of S, C = A - S^-1 M2 D (mod 1), found in integers (det S * C is integral),
+    and weighted by e(D) = exp(pi i sigma(K D Omega D^t)); E = K D.  The coefficient of
+    (S, J', C) is sum_q c_q (2 pi i)^|q| sum_{D in C} E^q e(D), with c_q from ``_expansion``;
+    one bincount per monomial E^q gives the class sums.  Its bound is sum_q |c_q| err[|q|],
+    err[d] bounding every class sum (2 pi)^d sum_{D in C} E^q e(D) with |q| = d: ``tail_bound``
+    at level K, degree d and Z = W = 0 (shells and cut), plus twice the first-order roundoff of
+    the P terms.  That proof holds with X* = 0, log scale 0 and D = n - delta, as delta = B - A
+    lies in (-1, 1)^(hg): q(delta) <= alpha^2 = sum_ij |(K kron Im Omega)_ij|, |D|_inf >= s - 1
+    on shell s, and |(K D)_ka| <= rho (s + 1), rho the row-sum norm of K.  The memo holds the
     coefficients, arrays the size of the characteristics, and not the D points.
     """
-    m1, m2, degree = s1.level, s2.level, s1.j.size + s2.j.size
-    cls, weights, e, n_chars, err = _lattice_sums(m1, m2, s1.char, s2.char, omega, degree, radius)
-    sums = {}
-    out = {}
+    m1, m2, a, b = s1.level, s2.level, s1.char.a, s2.char.a
+    pair, degree = _level_pair(m1, m2), s1.j.size + s2.j.size
+    h, g, hg = pair.h, omega.g, pair.h * omega.g
+    n, form = _quadratic_form(pair, omega, radius)[:2]
+    n = n.reshape(-1, h, g)
+    diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    dt2 = pair.dt2.tolist()
+    c0 = [[int(pair.det * a[i][c] - sum(dt2[i][l] * diff[l][c] for l in range(h))) for c in range(g)]
+          for i in range(h)]
+    keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.astype(np.int64)) % pair.det
+    rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
+    codes = _char_codes(pair.s, g)
+    cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
+    d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
+    weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, form, d))
+    e = (pair.k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
+    # each term errs by at most eps * slack * (1 + pi |x|) relative, |x| <= |D|^t |K kron Omega| |D|,
+    # and the sum of P terms adds P eps of their moduli
+    slack = hg * hg + (h + 1) * degree + 8
+    ad = np.abs(d)
+    scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(form), ad)))
+    e_sup = pair.row_sum_norm * ad.max(axis=1)
+    err = [tail_bound(pair, omega, deg, 0.0, 0.0, radius)
+           + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
+           for deg in range(degree + 1)]
+    sums, out = {}, {}
     for jp, monomials in _expansion(m1, m2, s1.j, s2.j):
         coef, bound = 0j, 0.0
         for q, c in monomials:
             if q not in sums:
                 x = weights * np.prod(e ** np.array(q), axis=1) if any(q) else weights
-                sums[q] = np.bincount(cls, x.real, n_chars) + 1j * np.bincount(cls, x.imag, n_chars)
+                sums[q] = np.bincount(cls, x.real, len(codes)) + 1j * np.bincount(cls, x.imag, len(codes))
             coef = coef + float(c) * (2j * np.pi) ** sum(q) * sums[q]
             bound += abs(float(c)) * err[sum(q)]
         out[jp] = _read_only(coef), bound
@@ -348,13 +341,13 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     ResidualTooLargeError.
     """
     e1, e2 = _as_element(s1), _as_element(s2)
-    lvl, _ = _product_levels(e1, e2, omega)
-    chars = enumerate_characteristics(lvl, omega.g)
+    pair, _ = _product_levels(e1, e2, omega)
+    chars = enumerate_characteristics(pair.s, omega.g)
     coeffs, bounds = {}, {}
     for t1, c1 in e1.sorted_terms():
         for t2, c2 in e2.sorted_terms():
             c = complex(c1) * complex(c2)
-            pair, degree = _level_pair(t1.level, t2.level), t1.j.size + t2.j.size
+            degree = t1.j.size + t2.j.size
             # the radius rule at level K and Z = W = 0, the most over degrees <= |J1| + |J2|:
             # below a row-sum norm of 1/(4 pi), K's bound need not grow with the degree
             radius = max(_least_radius(pair, omega, d, 0.0, 0.0, TAIL_TARGET) for d in range(degree + 1))
@@ -367,7 +360,7 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
             raise ResidualTooLargeError(f"coefficients or bound of J' = {jp} are not finite")
         keep = np.abs(coef) > PRUNE_EPS
         residual = max(residual, bounds[jp] + float(np.abs(coef[~keep]).max(initial=0.0)))
-        terms.update((BasisSymbol(lvl, jp, chars[i]), complex(coef[i])) for i in np.flatnonzero(keep))
+        terms.update((BasisSymbol(pair.s, jp, chars[i]), complex(coef[i])) for i in np.flatnonzero(keep))
     if not residual <= cfg.fit_tol:
         raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
     return Decomposition(element=AlgebraElement(terms), residual=residual, conditioning=0.0)
@@ -377,13 +370,13 @@ def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     """The product of two single-level elements by ``fit_in_basis`` on its sampled values:
     the oracle ``product_expand`` is checked against."""
     e1, e2 = _as_element(s1), _as_element(s2)
-    lvl, degree = _product_levels(e1, e2, omega)
+    pair, degree = _product_levels(e1, e2, omega)
     cfg1, cfg2 = (truncation_config(e.levels()[0], omega, SAMPLE_BOX, e.degree()) for e in (e1, e2))
 
     def f(z, w):
         return evaluate_element(e1, omega, z, w, cfg1).value * evaluate_element(e2, omega, z, w, cfg2).value
 
-    return fit_in_basis(f, lvl, degree, omega, cfg)
+    return fit_in_basis(f, pair.s, degree, omega, cfg)
 
 
 def _decompose_node(expr, omega, cfg, product=None) -> AlgebraElement:

@@ -447,10 +447,12 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     sqrt(2) w_box + w_box ||(Im Omega)^-1||_inf, X* the Gaussian peak, and at the log
     scale pi sigma(M Im W (Im Omega)^-1 Im W^t) <= pi rho hg w_box^2 / lambda_min(Im Omega),
     rho the row-sum norm of the level (a bound on its largest eigenvalue).  A negative or
-    non-finite w_box is a ValueError.
+    non-finite w_box, or a degree that is not an integer >= 0 (bools included), is a ValueError.
     """
     if not 0.0 <= w_box < math.inf:
         raise ValueError(f"w_box must be finite and >= 0, got {w_box!r}")
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
     z_sup = w_box * (math.sqrt(2.0) + omega._im_inv_norm)
     log_scale = math.pi * level.row_sum_norm * level.h * omega.g * w_box * w_box / omega.im_min_eig
     return _least_radius(level, omega, degree, z_sup, log_scale, tail_tol)

@@ -140,6 +140,12 @@ class TestFitInBasis:
         with pytest.raises(IllConditionedError):
             fit_in_basis(f, LEVEL2, 2, OMEGA, FitConfig(seed=0))
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
+    def test_degree_is_an_integer_at_least_zero(self, degree):
+        # -1 ended in numpy's "need at least one array to concatenate"
+        with pytest.raises(ValueError, match="degree"):
+            fit_in_basis(lambda z, w: 1.0, LEVEL2, degree, OMEGA, CFG)
+
     def test_nan_function_raises(self):
         # a NaN right-hand side must not pass the holdout check as residual nan
         with pytest.raises(ResidualTooLargeError, match="not finite"):
@@ -153,6 +159,21 @@ class TestFitInBasis:
                             lambda level, j, chars, *rest: [complex(float("nan"), 0.0)] * len(chars))
         with pytest.raises(ResidualTooLargeError, match="not finite"):
             fit_in_basis(lambda z, w: 1.0 + 0j, LEVEL2, 1, OMEGA, CFG)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True), ("seed", "0"), ("seed", None),
+                                             ("holdout", 2.5), ("holdout", False), ("holdout", 0)])
+    def test_seed_and_holdout_are_integers(self, field, value):
+        # holdout 2.5 and seed 1.5 were accepted, and diff_poly_decompose then failed inside
+        # numpy with a bare TypeError
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        cfg = FitConfig(seed=np.int64(3), holdout=np.int32(5))
+        assert (type(cfg.seed), type(cfg.holdout), cfg.seed, cfg.holdout) == (int, int, 3, 5)
+
 
 class TestProductExpand:
     def test_level_doubling(self):
@@ -375,7 +396,7 @@ class TestAdditionFormula:
         ([[1, 0], [0, 1]], [[0, 1], [1, 0]], 1, 5),
         ([[1, 0], [0, 1]], [[0, 1], [1, 0]], 0, 1),
     ], ids=["J0-1x5", "deg4-1x5", "deg4-0x1"])
-    def test_hex_g2_product(self, j1, j2, a, b):
+    def test_hex_g2_product(self, j1, j2, a, b, monkeypatch):
         # h*g = 4: level sum [[4,2],[2,4]] with 144 characteristics; a fit took 26 s.  The D
         # points are the kernel's kept points at K: 6,235 of 14,641 at J = 0, and 9,717 of
         # 28,561 at degree 4, where the whole cube's roundoff allowance would exceed fit_tol
@@ -393,9 +414,21 @@ class TestAdditionFormula:
         assert degree or len(dec.element) == 16
         # each coefficient's certified bound covers the terms two more shells add
         radius = constant_radius(HEX, HEX, omega, degree)
-        points = decompose._lattice_sums(HEX, HEX, s.char, t.char, omega, degree, radius)[1]
-        kept = evaluation._quadratic_form(decompose._level_pair(HEX, HEX), omega, radius)[0]
-        assert len(points) == len(kept) < (2 * radius + 1) ** 4
+        pair = decompose._level_pair(HEX, HEX)
+        kept = evaluation._quadratic_form(pair, omega, radius)[0]
+        read = []  # the D points: what _pair_terms reads of the kernel's form, past its memo
+
+        def recorded(level, omega_, radius_):
+            out = evaluation._quadratic_form(level, omega_, radius_)
+            read.append((level, radius_, out[0]))
+            return out
+
+        monkeypatch.setattr(decompose, "_quadratic_form", recorded)
+        _pair_terms.__wrapped__(s, t, omega, radius)
+        monkeypatch.undo()
+        [(level, at, points)] = read
+        assert level is pair and at == radius and points is kept
+        assert len(points) < (2 * radius + 1) ** 4
         near, far = _pair_terms(s, t, omega, radius), _pair_terms(s, t, omega, radius + 2)
         assert near.keys() == far.keys()
         for jp, (coef, bound) in near.items():

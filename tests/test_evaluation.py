@@ -339,6 +339,19 @@ class TestChooseRadius:
         with pytest.raises(ValueError, match="w_box"):
             truncation_config(LEVEL2, OMEGA_I, box, 1)
 
+    @pytest.mark.parametrize("level,degree", [(LEVEL2, -3), (LEVEL2, -1), (HEX, -4), (LEVEL2, 1.5),
+                                              (LEVEL2, True), (LEVEL2, False), (LEVEL2, "1")])
+    def test_degree_is_an_integer_at_least_zero(self, level, degree):
+        # at box 0.4, degrees -3 and -1 gave radii 2 and 3 at [[2]], against 3 at degree 0, and
+        # -4 gave 3 at hex g = 1, against 4: short of certifying even degree 0
+        with pytest.raises(ValueError, match="degree"):
+            choose_radius(level, OMEGA_I, 0.4, 1e-12, degree)
+        with pytest.raises(ValueError, match="degree"):
+            truncation_config(level, OMEGA_I, 0.4, degree)
+
+    def test_numpy_integer_degree_is_a_degree(self):
+        assert choose_radius(HEX, OMEGA_I, 0.4, 1e-12, np.int64(2)) == choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 2)
+
     def test_monotone_in_tolerance(self):
         r_tight = choose_radius(LEVEL2, OMEGA_I, 0.5, 1e-12, 0)
         r_loose = choose_radius(LEVEL2, OMEGA_I, 0.5, 1e-3, 0)
@@ -744,7 +757,7 @@ class TestKernel:
         # omitted terms all lie outside that one, wherever that cube fits a budget of 40,000
         # points.  They agree within both tail bounds plus the roundoff of each sum: gamma_n *
         # sum|terms| (Higham, eq. 4.4), and each term's own error from its exponent X, at most
-        # eps * slack * (1 + pi |X|) relative, as in ``decompose._lattice_sums``, with |X| at
+        # eps * slack * (1 + pi |X|) relative, as in ``decompose._pair_terms``, with |X| at
         # most |x|^t |M kron Omega| |x| + 2 |vec MW| . |x| for |x| = |N| + |A| entrywise
         level, j, char, omega, z, w, _ = case
         h, g = level.h, omega.g
