@@ -81,11 +81,7 @@ def _finite_json(x):
 
 
 def _emit(payload, out_path):
-    dump = functools.partial(json.dumps, sort_keys=True, indent=2, allow_nan=False)
-    try:
-        text = dump(payload) + "\n"
-    except ValueError:  # a non-finite number: walk the payload only then
-        text = dump(_finite_json(payload)) + "\n"
+    text = json.dumps(_finite_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

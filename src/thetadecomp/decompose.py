@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 import sys
 from collections import defaultdict
@@ -57,6 +56,7 @@ from .numerics import (
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
+    _as_int,
     _read_only,
     enumerate_characteristics,
     int_det,
@@ -84,16 +84,11 @@ class FitConfig:
     fit_tol: float = 1e-8
     holdout: int = 16
 
-    def __post_init__(self):  # seed and holdout: any integer type but bool, kept as Python ints
+    def __post_init__(self):
         if not self.fit_tol > 0:
             raise ValueError("fit_tol must be positive")
-        for name in ("seed", "holdout"):
-            x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {x!r}")
-            object.__setattr__(self, name, int(x))
-        if self.holdout < 1:
-            raise ValueError("holdout must be a positive integer")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        object.__setattr__(self, "holdout", _as_int(self.holdout, "holdout", 1))
 
 
 @dataclass
@@ -234,7 +229,6 @@ def _level_pair(m1: LevelMatrix, m2: LevelMatrix) -> _LevelPair:
                       float(np.abs(k).sum(axis=1).max()))
 
 
-@functools.lru_cache(maxsize=256)
 def _expansion(m1: LevelMatrix, m2: LevelMatrix, j1: MultiIndex, j2: MultiIndex):
     """prod_ka (M1 S^-1 V + E)_ka^J1_ka * prod_ka (M2 S^-1 V - E)_ka^J2_ka, expanded exactly
     in the entries of V = S(Z+U) and E = K D: a tuple of (J', ((q, c), ...)), one row per
@@ -260,14 +254,6 @@ def _expansion(m1: LevelMatrix, m2: LevelMatrix, j1: MultiIndex, j2: MultiIndex)
         rows[v].append((e, c))
     return tuple((MultiIndex(tuple(v[i * g:(i + 1) * g] for i in range(h))), tuple(terms))
                  for v, terms in rows.items())
-
-
-@functools.lru_cache(maxsize=64)
-def _char_codes(level: LevelMatrix, g: int) -> dict:
-    """det M * A, flattened to integers, of each characteristic A of the level -> its index."""
-    det = level.det()
-    return {tuple(int(det * x) for row in char.a for x in row): char.index
-            for char in enumerate_characteristics(level, g)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,7 +285,9 @@ def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: i
           for i in range(h)]
     keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.astype(np.int64)) % pair.det
     rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
-    codes = _char_codes(pair.s, g)
+    # det S * C, flattened to integers, of each characteristic C of S -> its index
+    codes = {tuple(int(pair.det * x) for row in char.a for x in row): char.index
+             for char in enumerate_characteristics(pair.s, g)}
     cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
     d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
     weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, form, d))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -42,6 +41,7 @@ from .numerics import (
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
+    _as_int,
     _as_int_rows,
     _read_only,
 )
@@ -57,11 +57,8 @@ class TruncationConfig:
     radius: int
     tail_tol: float
 
-    def __post_init__(self):  # any integer type but bool, kept as a Python int
-        radius = self.radius
-        if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 1:
-            raise ValueError(f"radius must be an integer >= 1, got {radius!r}")
-        object.__setattr__(self, "radius", int(radius))
+    def __post_init__(self):
+        object.__setattr__(self, "radius", _as_int(self.radius, "radius", 1))
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
 
@@ -340,14 +337,11 @@ def aux_theta_series(level: LevelMatrix, j: MultiIndex, char: Characteristic,
     return ThetaValue(value=complex(values[0]), tail_bound=bound)
 
 
-_zero_index = functools.lru_cache(maxsize=64)(MultiIndex.zeros)
-
-
 def theta_series(level: LevelMatrix, char: Characteristic, omega: PeriodMatrix,
                  w, cfg: TruncationConfig) -> ThetaValue:
     """Theta series of the given level and characteristic at the point w."""
     zeros = np.zeros((level.h, omega.g), dtype=complex)
-    return aux_theta_series(level, _zero_index(level.h, omega.g), char, omega, zeros, w, cfg)
+    return aux_theta_series(level, MultiIndex.zeros(level.h, omega.g), char, omega, zeros, w, cfg)
 
 
 def transformation_factor(level: LevelMatrix, omega: PeriodMatrix, w, xi):
@@ -451,8 +445,7 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     """
     if not 0.0 <= w_box < math.inf:
         raise ValueError(f"w_box must be finite and >= 0, got {w_box!r}")
-    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    degree = _as_int(degree, "degree", 0)
     z_sup = w_box * (math.sqrt(2.0) + omega._im_inv_norm)
     log_scale = math.pi * level.row_sum_norm * level.h * omega.g * w_box * w_box / omega.im_min_eig
     return _least_radius(level, omega, degree, z_sup, log_scale, tail_tol)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,14 @@ def _as_int_rows(m) -> Rows:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatchError("ragged matrix")
     return tuple(rows)
+
+
+def _as_int(x, name: str, minimum: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``x`` as a Python int: any integer type but bool, at least ``minimum``; else ``error``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or (minimum is not None and x < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {x!r}")
+    return int(x)
 
 
 def int_det(m) -> int:
@@ -327,8 +336,7 @@ def enumerate_characteristics(level: LevelMatrix, g: int) -> tuple[Characteristi
     characteristics raise BudgetExceededError before anything is built.  The
     tuple is built once per (level, g) and shared by every caller.
     """
-    if g < 1:
-        raise DimensionMismatchError("g must be a positive integer")
+    g = _as_int(g, "g", 1, DimensionMismatchError)
     # det^g is never formed: at det >= 2, every g from the cap's bit length on exceeds the cap
     if level.det() ** min(g, CHARACTERISTIC_CAP.bit_length()) > CHARACTERISTIC_CAP:
         raise BudgetExceededError(f"{level.det()}^{g} characteristics exceed {CHARACTERISTIC_CAP}")

@@ -20,6 +20,7 @@ from .numerics import (
     Characteristic,
     LevelMatrix,
     MultiIndex,
+    _as_int,
     enumerate_characteristics,
     validate_level,
 )
@@ -59,9 +60,11 @@ def characteristic_to_json(char: Characteristic) -> dict:
 
 
 def char_by_index(level: LevelMatrix, g: int, index: int) -> Characteristic:
-    """Characteristic number ``index`` of (level, g); DimensionMismatchError if out of range."""
+    """Characteristic number ``index`` of (level, g); DimensionMismatchError unless ``index`` is
+    an integer in range."""
     chars = enumerate_characteristics(level, g)
-    if not 0 <= index < len(chars):
+    index = _as_int(index, "characteristic index", 0, DimensionMismatchError)
+    if index >= len(chars):
         raise DimensionMismatchError(f"characteristic index {index} outside 0..{len(chars) - 1}")
     return chars[index]
 

@@ -1,5 +1,6 @@
 """Expression trees: the fold against the JSON codec and the shape check."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from thetadecomp.numerics import (
     multi_indices_up_to,
     validate_level,
 )
-from thetadecomp.serialization import expr_from_json, expr_to_json
+from thetadecomp.serialization import char_by_index, expr_from_json, expr_to_json
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -107,3 +108,20 @@ def test_leaf_is_checked_when_built():
     # the JSON codec builds the same checked symbol
     with pytest.raises(DimensionMismatchError):
         expr_from_json({"kind": "deriv", "level": [[2]], "j": [[0], [1]], "char_index": 0})
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, -1, "1", None])
+def test_char_index_is_an_integer_at_least_zero(index):
+    # index True read characteristic 1, and 1.0 ended in a bare TypeError
+    level = validate_level([[2]])
+    with pytest.raises(DimensionMismatchError, match="characteristic index must be an integer >= 0"):
+        char_by_index(level, 1, index)
+    with pytest.raises(DimensionMismatchError, match="characteristic index"):
+        expr_from_json({"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": index})
+
+
+def test_char_index_range_and_numpy_integers():
+    level = validate_level([[2]])
+    assert char_by_index(level, 1, np.int64(1)) is enumerate_characteristics(level, 1)[1]
+    with pytest.raises(DimensionMismatchError, match="index 2 outside 0..1"):
+        char_by_index(level, 1, 2)

@@ -188,6 +188,17 @@ class TestCharacteristics:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("g", [2.0, True, False, 0, -1, "2", None])
+    def test_g_is_an_integer_at_least_one(self, g):
+        # g = 2.0 ended in a bare TypeError from range(), and g = True gave the g = 1 characteristics
+        with pytest.raises(DimensionMismatchError, match="g must be an integer >= 1"):
+            enumerate_characteristics(validate_level([[2]]), g)
+
+    def test_numpy_integer_g_is_a_g(self):
+        chars = enumerate_characteristics(validate_level([[2]]), np.int64(2))
+        assert chars is enumerate_characteristics(validate_level([[2]]), 2)
+        assert len(chars) == 4 and all(len(row) == 2 for c in chars for row in c.a)
+
     def test_count_is_det_to_the_g(self):
         assert len(enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)) == 9
         assert len(enumerate_characteristics(validate_level([[2]]), 2)) == 4
