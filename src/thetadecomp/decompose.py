@@ -57,6 +57,7 @@ from .numerics import (
     MultiIndex,
     PeriodMatrix,
     _as_int,
+    _as_tol,
     _read_only,
     enumerate_characteristics,
     int_det,
@@ -85,8 +86,7 @@ class FitConfig:
     holdout: int = 16
 
     def __post_init__(self):
-        if not self.fit_tol > 0:
-            raise ValueError("fit_tol must be positive")
+        object.__setattr__(self, "fit_tol", _as_tol(self.fit_tol, "fit_tol"))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         object.__setattr__(self, "holdout", _as_int(self.holdout, "holdout", 1))
 
@@ -99,8 +99,8 @@ class Decomposition:
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
-    # counter-based generator keyed by (seed, stream), deterministic by construction
-    return np.random.Generator(np.random.Philox(key=(seed & _MASK64) + (label << 64)))
+    # counter-based generator keyed by (seed, stream); every seed is read as an integer here
+    return np.random.Generator(np.random.Philox(key=(_as_int(seed, "seed") & _MASK64) + (label << 64)))
 
 
 def _box_sample(rng: np.random.Generator, shape) -> np.ndarray:

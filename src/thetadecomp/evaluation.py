@@ -43,6 +43,7 @@ from .numerics import (
     PeriodMatrix,
     _as_int,
     _as_int_rows,
+    _as_tol,
     _read_only,
 )
 
@@ -59,8 +60,7 @@ class TruncationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", _as_int(self.radius, "radius", 1))
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
+        object.__setattr__(self, "tail_tol", _as_tol(self.tail_tol, "tail_tol"))
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,8 @@ def shift_operator_check(level: LevelMatrix, j: MultiIndex, char: Characteristic
     with the magnitude of the function.
     """
     h, g = level.h, omega.g
-    if not (1 <= k <= h and 1 <= a <= g):
+    k, a = _as_int(k, "k", 1, IndexOutOfRangeError), _as_int(a, "a", 1, IndexOutOfRangeError)
+    if not (k <= h and a <= g):
         raise IndexOutOfRangeError(f"shift index ({k},{a}) outside 1..{h} x 1..{g}")
     z = as_matrix(z, h, g)
     w = as_matrix(w, h, g)
@@ -441,11 +442,13 @@ def choose_radius(level: LevelMatrix, omega: PeriodMatrix, w_box: float,
     sqrt(2) w_box + w_box ||(Im Omega)^-1||_inf, X* the Gaussian peak, and at the log
     scale pi sigma(M Im W (Im Omega)^-1 Im W^t) <= pi rho hg w_box^2 / lambda_min(Im Omega),
     rho the row-sum norm of the level (a bound on its largest eigenvalue).  A negative or
-    non-finite w_box, or a degree that is not an integer >= 0 (bools included), is a ValueError.
+    non-finite w_box, a degree not an integer >= 0 or a tail_tol not a positive real (bools
+    refused) is a ValueError.
     """
     if not 0.0 <= w_box < math.inf:
         raise ValueError(f"w_box must be finite and >= 0, got {w_box!r}")
     degree = _as_int(degree, "degree", 0)
+    tail_tol = _as_tol(tail_tol, "tail_tol")
     z_sup = w_box * (math.sqrt(2.0) + omega._im_inv_norm)
     log_scale = math.pi * level.row_sum_norm * level.h * omega.g * w_box * w_box / omega.im_min_eig
     return _least_radius(level, omega, degree, z_sup, log_scale, tail_tol)
@@ -457,9 +460,8 @@ def _least_radius(level: LevelMatrix, omega: PeriodMatrix, degree: int,
     """The least radius up to RADIUS_CAP whose ``tail_bound`` at these arguments is within
     tail_tol: the one radius rule of every lattice sum, memoised.  ``tail_bound`` does not
     decrease as its z_sup or log scale grows, so no radius below the least one at W = Z = 0
-    certifies other arguments: that search starts there, at its own memoised value."""
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
+    certifies other arguments: that search starts there, at its own memoised value.  Callers
+    check tail_tol: in here, a key equal to a cached one (True == 1) would skip a check."""
     start = _least_radius(level, omega, degree, 0.0, 0.0, tail_tol) if z_sup or log_scale else 1
     for radius in range(start, RADIUS_CAP + 1):
         if tail_bound(level, omega, degree, z_sup, log_scale, radius) <= tail_tol:
@@ -473,6 +475,7 @@ def _point_config(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w,
     radius whose ``tail_bound`` at the stack's ``_tail_point`` is within tail_tol, for every
     |J| <= degree, searched past the memo, since each stack is a one-off key.  cli ``eval``
     sets up its point so, and ``verify_theorem3`` its shift check."""
+    tail_tol = _as_tol(tail_tol, "tail_tol")
     radius = _least_radius.__wrapped__(level, omega, degree, *_tail_point(level, omega, degree, z, w)[1:],
                                        tail_tol)
     return TruncationConfig(radius=radius, tail_tol=tail_tol)

@@ -66,6 +66,13 @@ def _as_int(x, name: str, minimum: int | None = None, error: type[Exception] = V
     return int(x)
 
 
+def _as_tol(x, name: str) -> float:
+    """``x`` as a positive float: any real type but bool, inf included; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x > 0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return float(x)
+
+
 def int_det(m) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     a = [list(row) for row in m]
@@ -99,13 +106,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class LevelMatrix:
     """Positive symmetric even integral matrix with every entry nonzero.
 
-    Its float array, least eigenvalue and row-sum norm are computed on first use.
+    Its hash, read-only float array and row-sum norm are set at construction; its least
+    eigenvalue is computed on first use.
     """
 
     entries: Rows
 
     def __post_init__(self):  # hashed once: levels key the evaluation memos and every symbol
-        object.__setattr__(self, "_hash", hash((self.entries,)))
+        fields = self.__dict__
+        fields["_hash"] = hash((self.entries,))
+        fields["_array"] = arr = _read_only(np.array(self.entries, dtype=float))
+        fields["row_sum_norm"] = float(np.abs(arr).sum(axis=1).max())
 
     def __hash__(self):
         return self._hash
@@ -121,16 +132,10 @@ class LevelMatrix:
         return self._array
 
     @functools.cached_property
-    def _array(self) -> np.ndarray:
-        return _read_only(np.array(self.entries, dtype=float))
-
-    @functools.cached_property
     def min_eig(self) -> float:
+        """Lazy: only ``evaluation._form``, memoised on equal levels, reads it (no decompose-ref
+        op does), and at construction it would add a 2x2 eigensolve (8-10 us) to each level."""
         return float(np.linalg.eigvalsh(self._array).min())
-
-    @functools.cached_property
-    def row_sum_norm(self) -> float:
-        return float(np.abs(self._array).sum(axis=1).max())
 
     def __str__(self):
         return str([list(r) for r in self.entries])
@@ -237,6 +242,9 @@ class Characteristic:
 
     @functools.cached_property
     def _array(self) -> np.ndarray:
+        """Lazy: an enumeration builds up to CHARACTERISTIC_CAP characteristics, slowed by over a
+        third if each built its array, and the CLI's ``characteristics`` and ``eval`` read at
+        most one; only ``evaluation._char_rows``, memoised, reads them."""
         return _read_only(np.array([[float(x) for x in row] for row in self.a]))
 
     def __str__(self):
@@ -369,19 +377,21 @@ class MultiIndex:
     """Nonnegative integer h x g matrix labelling derivatives and degrees.
 
     Its entries are Python ints (``from_rows`` reads any other integral type), so
-    indices equal by value are equal entry by entry and share ``bump``'s memo.
+    indices equal by value are equal entry by entry and share ``bump``'s memo.  Its hash
+    and its total order ``size`` = |J| are set at construction (``_set_fields``); neither
+    enters equality.
     """
 
     j: Rows
 
-    def __post_init__(self):  # hashed once: multi-indices key every symbol
+    def __post_init__(self):
         for row in self.j:
             for x in row:
                 if type(x) is not int:
                     raise DimensionMismatchError(f"multi-index entry {x!r} is not an int")
                 if x < 0:
                     raise NegativeEntryError(f"multi-index entry {x} < 0")
-        object.__setattr__(self, "_hash", hash((self.j,)))
+        _set_fields(self, self.j, sum(map(sum, self.j)))
 
     def __hash__(self):
         return self._hash
@@ -401,11 +411,6 @@ class MultiIndex:
     @property
     def g(self) -> int:
         return len(self.j[0])
-
-    @functools.cached_property
-    def size(self) -> int:
-        """Total order |J|, computed on first use."""
-        return sum(sum(row) for row in self.j)
 
     def factorial(self) -> int:
         out = 1
@@ -434,6 +439,16 @@ class MultiIndex:
         return str([list(r) for r in self.j])
 
 
+def _set_fields(j: MultiIndex, rows: Rows, size: int) -> MultiIndex:
+    """Store a multi-index's rows, their hash (the default dataclass hash's value: indices
+    key every symbol) and |J| = ``size``: the one rule of the constructor and ``_bump``."""
+    fields = j.__dict__
+    fields["j"] = rows
+    fields["_hash"] = hash((rows,))
+    fields["size"] = size
+    return j
+
+
 _BUMP_MEMO_SIZE = 4096  # keys of ``_bump``'s memo; see its docstring
 
 
@@ -456,11 +471,7 @@ def _bump(j: MultiIndex, k: int, a: int, step: int) -> MultiIndex:
     if x < 0:
         raise NegativeEntryError(f"multi-index entry {x} < 0")
     rows = rows[:k - 1] + (row[:a - 1] + (x,) + row[a:],) + rows[k:]
-    out = object.__new__(MultiIndex)
-    fields = out.__dict__
-    fields["j"] = rows
-    fields["_hash"] = hash((rows,))
-    return out
+    return _set_fields(object.__new__(MultiIndex), rows, j.size + step)
 
 
 def multi_binom(k_idx: MultiIndex, p_idx: MultiIndex) -> int:

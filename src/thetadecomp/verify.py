@@ -51,6 +51,7 @@ from .evaluation import quasi_period_residual, shift_operator_check, truncation_
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
+    _as_tol,
     enumerate_characteristics,
     multi_indices_up_to,
     validate_level,
@@ -288,8 +289,8 @@ def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict:
     ``tol`` overrides the tolerance of the suites that have one and must be
     positive; the commutator checks are exact.
     """
-    if tol is not None and not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if tol is not None:
+        tol = _as_tol(tol, "tol")
     if name == "all":
         suites = [run_suite(one, seed, tol) for one in SUITES]
         return {"suite": "all", "seed": seed, "passed": all(s["passed"] for s in suites), "suites": suites}

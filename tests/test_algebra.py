@@ -113,7 +113,7 @@ class TestDerivedSymbols:
         with pytest.raises(DimensionMismatchError):  # J has g = 2, the characteristic g = 1
             BasisSymbol(LEVEL2, MultiIndex.zeros(1, 2), enumerate_characteristics(LEVEL2, 1)[0])
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(_cases())
     def test_apply_commutator_and_sub_are_the_checked_construction(self, case):
         x, y, op1, op2 = case
@@ -169,7 +169,7 @@ class TestDerivedSymbols:
 
 
 class TestBumpMemo:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(st.sampled_from(_CONFIGS), st.data())
     def test_memo_changes_no_image(self, config, data):
         # every bump, cold (memo cleared) and then warm, equals and hashes as its public

@@ -160,7 +160,7 @@ class TestEval:
         assert data["radius"] == 3 and data["tail_bound"] <= 1e-12
         assert data["value"] == pytest.approx(value, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_radius_is_the_least_that_certifies_its_point(self, data):
         config = data.draw(st.sampled_from(verify._SERIES_CONFIGS))
@@ -539,6 +539,21 @@ class TestExitCodes:
         for name in (*verify.SUITES, "all"):
             with pytest.raises(ValueError, match="tol must be positive"):
                 verify.run_suite(name, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [True, "1e-8"])
+    def test_run_suite_rejects_a_tol_that_is_no_real(self, tol):
+        # True was read as a tolerance of 1, and "1e-8" ended in a bare TypeError from '>'
+        for name in (*verify.SUITES, "all"):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                verify.run_suite(name, tol=tol)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_commutator_suite_seed_is_an_integer(self, seed):
+        # 1.5 and "3" ended in a bare TypeError from '&', and True was seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            verify.run_commutator_suite(seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            verify.run_suite("commutators", seed=seed)
 
     def test_nonfinite_kernel_exits_4(self, monkeypatch, tmp_path):
         # a NaN series value reaches the fit, which must refuse it before the solve

@@ -174,6 +174,27 @@ class TestFitConfig:
         cfg = FitConfig(seed=np.int64(3), holdout=np.int32(5))
         assert (type(cfg.seed), type(cfg.holdout), cfg.seed, cfg.holdout) == (int, int, 3, 5)
 
+    @pytest.mark.parametrize("tol", [True, "1e-8", None, 0.0, -1.0, math.nan])
+    def test_fit_tol_is_a_positive_real(self, tol):
+        # True was read as a tolerance of 1, and "1e-8" ended in a bare TypeError from '>'
+        with pytest.raises(ValueError, match="fit_tol must be positive"):
+            FitConfig(fit_tol=tol)
+
+    def test_real_fit_tols_are_kept_as_floats(self):
+        for tol, want in ((np.float32(0.5), 0.5), (np.int64(1), 1.0), (math.inf, math.inf)):
+            got = FitConfig(fit_tol=tol).fit_tol
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None])
+    def test_every_stream_reads_its_seed_as_an_integer(self, seed):
+        # 1.5 and "3" ended in a bare TypeError from '&', and True was seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            decompose._rng(seed, decompose._STREAM_FIT)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        draw = decompose._rng(np.int64(7), decompose._STREAM_FIT).uniform(size=4)
+        assert np.array_equal(draw, decompose._rng(7, decompose._STREAM_FIT).uniform(size=4))
+
 
 class TestProductExpand:
     def test_level_doubling(self):
@@ -320,7 +341,7 @@ def least_radius_cases(draw):
 class TestLeastRadius:
     """``evaluation._least_radius``, the one memoised radius search of every lattice sum."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(least_radius_cases())
     def test_memoised_search_is_the_search_from_one(self, case):
         # integral levels and the levels K of product pairs: a search at a nonzero z_sup or
@@ -337,7 +358,7 @@ class TestLeastRadius:
 class TestAdditionFormula:
     """product_expand by the theta addition formula, against fit_in_basis as the oracle."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(formula_cases())
     def test_formula_agrees_with_the_fit(self, case):
         from thetadecomp.decompose import _pair_terms, _product_fit
@@ -702,7 +723,7 @@ class TestDiffPolyDecompose:
         assert dec.residual < 1e-7 and len(dec.element) == 6
         assert len(calls) == 4
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(high_order_products(), st.integers(0, 2**32 - 1))
     def test_shift_check_radius_is_the_least_for_its_stack(self, case, seed):
         # one setup per level component, from the stack of its four cases' shifted and base
@@ -784,7 +805,7 @@ class TestDiffPolyDecompose:
         assert dec.residual < THEOREM3_TOL and report["max_z0_residual"] < THEOREM3_TOL
         assert report["max_sample_residual"] < 1e-8
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(high_order_products())
     def test_products_certify_at_every_order(self, case):
         # worst over the whole grid: 1.9e-6, at [[4]] x [[4]], |J1| = |J2| = 3, Omega =

@@ -110,6 +110,18 @@ class TestThetaSeries:
         with pytest.raises(ValueError, match="radius must be an integer >= 1"):
             TruncationConfig(radius=radius, tail_tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [True, "1e-8", None, 1j, 0, -1e-10, math.nan])
+    def test_tail_tol_is_a_positive_real(self, tol):
+        # True was read as a tolerance of 1, and "1e-8" ended in a bare TypeError from '>'
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            TruncationConfig(radius=8, tail_tol=tol)
+
+    def test_real_tail_tols_are_kept_as_floats(self):
+        for tol, want in ((np.float64(1e-10), 1e-10), (np.float32(0.5), 0.5), (np.int64(2), 2.0),
+                          (math.inf, math.inf)):
+            got = TruncationConfig(radius=8, tail_tol=tol).tail_tol
+            assert type(got) is float and got == want
+
     def test_numpy_integer_radius_is_kept_as_an_int(self):
         cfg = TruncationConfig(radius=np.int64(8), tail_tol=1e-10)
         assert type(cfg.radius) is int and cfg == CFG
@@ -325,6 +337,19 @@ class TestShiftOperator:
                 [[0.0]], [[0.0]], 2, 1, CFG,
             )
 
+    @pytest.mark.parametrize("k,a", [(1.5, 1), (True, 1), (1, True), ("1", 1), (1, 1.0)])
+    def test_index_is_an_integer(self, k, a):
+        # k = 1.5 on a 2x2 level ended in a bare TypeError from operator.index, and True was 1
+        from thetadecomp.errors import IndexOutOfRangeError
+
+        with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+            shift_operator_check(HEX, MultiIndex.zeros(2, 1), chars(HEX)[0], OMEGA_I,
+                                 [[0.0], [0.0]], [[0.0], [0.0]], k, a, CFG)
+
+    def test_numpy_integer_index_is_an_index(self):
+        args = (HEX, MultiIndex.zeros(2, 1), chars(HEX)[1], OMEGA_I, [[0.1], [0.0]], [[0.05j], [0.1]])
+        assert shift_operator_check(*args, np.int64(2), np.int32(1), CFG) == shift_operator_check(*args, 2, 1, CFG)
+
 
 class TestChooseRadius:
     def test_reference_case(self):
@@ -348,6 +373,15 @@ class TestChooseRadius:
             choose_radius(level, OMEGA_I, 0.4, 1e-12, degree)
         with pytest.raises(ValueError, match="degree"):
             truncation_config(level, OMEGA_I, 0.4, degree)
+
+    @pytest.mark.parametrize("tol", [True, "1e-12", 0.0, math.nan])
+    def test_tail_tol_is_checked_outside_the_memo(self, tol):
+        # True equals the cached key 1, so the search's memo returned the radius for tail_tol 1
+        choose_radius(LEVEL2, OMEGA_I, 0.4, 1, 0)
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            choose_radius(LEVEL2, OMEGA_I, 0.4, tol, 0)
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            evaluation._point_config(LEVEL2, OMEGA_I, 0, [[0.1]], [[0.1j]], tol)
 
     def test_numpy_integer_degree_is_a_degree(self):
         assert choose_radius(HEX, OMEGA_I, 0.4, 1e-12, np.int64(2)) == choose_radius(HEX, OMEGA_I, 0.4, 1e-12, 2)
@@ -522,7 +556,7 @@ LEVELS = [
     ])
     if level is not None
 ]
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80)
 unit = st.floats(-0.5, 0.5)
 
 
@@ -629,7 +663,7 @@ def period_matrices(draw):
 
 
 class TestTailBound:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(integral_levels(), period_matrices(), st.integers(1, 12),
            st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e6)),
            st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(0.0, 2e3)))

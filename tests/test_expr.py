@@ -17,7 +17,7 @@ from thetadecomp.numerics import (
 )
 from thetadecomp.serialization import char_by_index, expr_from_json, expr_to_json
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def leaves(rows):

@@ -81,6 +81,15 @@ class TestValidateLevel:
         # cached values never enter equality or hashing
         assert lvl == LevelMatrix(lvl.entries) and hash(lvl) == hash(LevelMatrix(lvl.entries))
 
+    def test_array_and_row_sum_norm_are_set_at_construction(self):
+        # most parsed levels are read for both; the least eigenvalue waits for its first read
+        lvl = validate_level([[4, -3], [-3, 8]])
+        fields = vars(lvl)
+        assert not fields["_array"].flags.writeable and fields["row_sum_norm"] == 11.0
+        np.testing.assert_array_equal(fields["_array"], [[4.0, -3.0], [-3.0, 8.0]])
+        assert "min_eig" not in fields
+        assert lvl.min_eig == pytest.approx(6 - math.sqrt(13)) and "min_eig" in vars(lvl)
+
     def test_hash_is_computed_once(self):
         # equal levels built separately are equal, hash equal, and share evaluation memos
         from thetadecomp import evaluation
@@ -169,6 +178,12 @@ class TestCharacteristics:
             enumerate_characteristics(validate_level([[2]]), 3)
         with pytest.raises(BudgetExceededError):
             enumerate_characteristics(validate_level([[2, 1], [1, 2]]), 2)
+
+    def test_enumeration_builds_no_array(self):
+        # a series reads the arrays of the characteristics it sums only, so none is built here
+        chars = enumerate_characteristics(validate_level([[4, -3], [-3, 8]]), 2)
+        assert len(chars) == 23 ** 2 and not any("_array" in vars(c) for c in chars)
+        assert chars[-1].as_array().shape == (2, 2) and "_array" in vars(chars[-1])
 
     def test_over_budget_is_refused_at_once(self):
         started = time.perf_counter()
@@ -284,10 +299,24 @@ class TestMultiIndex:
         assert j.size == 3
         assert j.factorial() == 2
 
-    def test_size_is_computed_once_and_stays_out_of_equality(self):
-        a, b = MultiIndex.from_rows([[2, 1], [0, 3]]), MultiIndex.from_rows([[2, 1], [0, 3]])
-        assert a.size == 6 and "size" in vars(a) and "size" not in vars(b)
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    def test_size_is_set_at_construction_and_stays_out_of_equality(self):
+        # on every path that builds an index: public, zeros, from_rows, bump cold and warm,
+        # and apply's images, which read the bump memo directly
+        from thetadecomp.algebra import AlgebraElement, BasisSymbol, apply, lowering_op, raising_op
+
+        a = MultiIndex(((2, 1), (0, 3)))
+        built = [a, MultiIndex.zeros(2, 3), MultiIndex.from_rows([[2, 1], [0, 3]])]
+        numerics._bump.cache_clear()
+        built += [a.bump(1, 1, +1), a.bump(2, 2, -1), a.bump(1, 1, +1), a.bump(2, 2, -1)]
+        level = validate_level([[2, 1], [1, 2]])
+        x = AlgebraElement.from_symbol(BasisSymbol(level, a, enumerate_characteristics(level, 2)[0]))
+        for op in (raising_op(2, 1), lowering_op(1, 2)):
+            built += [s.j for s in apply(op, x).terms()]
+        assert len(built) == 10
+        for j in built:
+            assert vars(j)["size"] == sum(map(sum, j.j))
+        b = MultiIndex.from_rows([[2, 1], [0, 3]])
+        assert a.size == b.size == 6 and a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != MultiIndex.from_rows([[3, 0], [0, 3]])
 
     def test_bump(self):
@@ -325,17 +354,17 @@ class TestMultiIndex:
             MultiIndex.from_rows([[1, 2]]).bump(1, 1, step)
 
     def test_bump_is_the_checked_index(self):
-        # a cold memo, so each J is built here (a memoised one may carry a cached size)
-        numerics._bump.cache_clear()
+        # its stored fields, size included, are the public constructor's, built or memoised
         j = MultiIndex.from_rows([[3, 0], [2, 5]])
-        for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
-            if j.j[k - 1][a - 1] + step < 0:
-                continue
-            rows = [list(row) for row in j.j]
-            rows[k - 1][a - 1] += step
-            want = MultiIndex(tuple(map(tuple, rows)))
-            got = j.bump(k, a, step)
-            assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
+        for _ in range(2):
+            for k, a, step in itertools.product((1, 2), (1, 2), (1, -1)):
+                if j.j[k - 1][a - 1] + step < 0:
+                    continue
+                rows = [list(row) for row in j.j]
+                rows[k - 1][a - 1] += step
+                want = MultiIndex(tuple(map(tuple, rows)))
+                got = j.bump(k, a, step)
+                assert got == want and hash(got) == hash(want) and vars(got) == vars(want)
 
     def test_float_index_raises_where_its_integer_is_cached(self):
         # 1.0 == 1 and hashes alike, so a memo keyed on the raw index would return a result

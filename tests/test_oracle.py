@@ -17,7 +17,7 @@ from thetadecomp.algebra import BasisSymbol
 from thetadecomp.evaluation import TAIL_TARGET, _least_radius, _point_config, _tail_point, aux_theta_series
 from thetadecomp.numerics import PeriodMatrix, enumerate_characteristics, multi_indices_of_size, validate_level
 
-ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=80)
 LEVELS = [validate_level(rows) for rows in ([[2]], [[4]], [[2, 1], [1, 2]], [[4, 2], [2, 4]])]
 LEVEL_PAIRS = [(m1, m2) for m1 in LEVELS for m2 in LEVELS if m1.h == m2.h]
 EXTRA_SHELLS = 4
@@ -102,7 +102,7 @@ class TestAdditionFormulaOracle:
                     assert abs(mpmath.mpc(complex(x)) - y) <= bound
 
 
-KERNEL_ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+KERNEL_ORACLE = settings(max_examples=60)
 KERNEL_SHAPES = [(validate_level(rows), g) for rows, g in
                  (([[2]], 1), ([[2]], 2), ([[4]], 1), ([[4]], 2), ([[2, 1], [1, 2]], 1),
                   ([[4, 2], [2, 4]], 1))]
