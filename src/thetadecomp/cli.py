@@ -117,12 +117,10 @@ def cmd_eval(args) -> int:
     w = as_matrix(_complex_matrix(args.w), h, g)
     j = MultiIndex.from_rows(json.loads(args.j)) if args.j else MultiIndex.zeros(h, g)
     z = as_matrix(_complex_matrix(args.z), h, g) if args.z else np.zeros((h, g), dtype=complex)
-    if args.kind == "theta" and (args.j or args.z):
-        raise ValueError("--j and --z apply only to --kind aux")
 
     cfg = _point_config(level, omega, j.size, z, w, args.tol if args.tol is not None else TAIL_TARGET)
-    # with J = 0 and Z = 0, as --kind theta forces, the auxiliary series is the theta series;
-    # a sum that overflowed is refused below, so numpy need not warn about it
+    # at J = 0 the auxiliary series is the theta series; a sum that overflowed is refused
+    # below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         value = aux_theta_series(level, j, char, omega, z, w, cfg)
     if not cmath.isfinite(value.value):
@@ -153,7 +151,7 @@ def cmd_decompose(args) -> int:
     cfg = FitConfig(seed=args.seed, **({"fit_tol": args.tol} if args.tol is not None else {}))
     dec = diff_poly_decompose(expr, omega, cfg)
     report = verify_theorem3(expr, dec, omega, cfg)
-    payload = decomposition_to_json(dec, args.seed, cfg)
+    payload = decomposition_to_json(dec, cfg)
     payload["verification"] = report
     _emit(payload, args.out)
     return 0
@@ -186,13 +184,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, help="integer matrix JSON, e.g. '[[2]]'")
     p.add_argument("-g", type=int, required=True, help="number of columns")
 
-    p = sub.add_parser("eval", parents=[out, tol], help="evaluate a theta or auxiliary series")
-    p.add_argument("--kind", choices=["theta", "aux"], required=True)
+    p = sub.add_parser("eval", parents=[out, tol],
+                       help="evaluate an auxiliary series, the theta series at J = 0")
     p.add_argument("--level", required=True, help="integer matrix JSON")
     p.add_argument("--char-index", type=int, default=0)
-    p.add_argument("--j", default=None, help="multi-index rows JSON (aux only)")
+    p.add_argument("--j", default=None, help="multi-index rows JSON (default 0)")
     p.add_argument("--omega", required=True, help="complex matrix JSON, entries [re,im]")
-    p.add_argument("--z", default=None, help="complex matrix JSON (aux only)")
+    p.add_argument("--z", default=None, help="complex matrix JSON (default 0)")
     p.add_argument("--w", required=True, help="complex matrix JSON")
 
     p = sub.add_parser("verify", parents=[out, seed, tol], help="run a built-in verification suite")

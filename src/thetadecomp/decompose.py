@@ -326,9 +326,11 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     at most PRUNE_EPS are dropped.  ``residual`` is the largest certified bound on the
     error of a coefficient, a dropped one's modulus included, and ``conditioning`` is 0.0.
     A residual above ``cfg.fit_tol``, or a non-finite coefficient or bound, raises
-    ResidualTooLargeError.
+    ResidualTooLargeError.  A zero factor gives the zero product, with residual 0.0.
     """
     e1, e2 = _as_element(s1), _as_element(s2)
+    if e1.is_zero() or e2.is_zero():
+        return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0)
     pair, _ = _product_levels(e1, e2, omega)
     chars = enumerate_characteristics(pair.s, omega.g)
     coeffs, bounds = {}, {}

@@ -2,14 +2,16 @@
 
 A tree has derivative leaves joined by sums, products and scalings.  A leaf,
 one W-derivative of one theta series, is the algebra's ``BasisSymbol``
-(``DerivSymbol`` is another name for it), checked when it is built.  Every
-walk over a tree -- its shape, its decomposition, its values and its JSON
-encoding -- is one call to ``fold``, so the node types are dispatched on in
-this module only.
+(``DerivSymbol`` is another name for it), checked when it is built.  So
+is each inner node: a sum or product with no children and a scaling by a
+coefficient that is not finite raise ValueError.  Every walk over a tree --
+its shape, its decomposition, its values and its JSON encoding -- is one
+call to ``fold``, so the node types are dispatched on in this module only.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -23,16 +25,26 @@ DerivSymbol = BasisSymbol  # the name expression leaves are built under
 class Sum:
     children: tuple
 
+    def __post_init__(self):
+        if not self.children:
+            raise ValueError(f"{type(self).__name__} has no children")
+
 
 @dataclass(frozen=True)
 class Product:
     children: tuple
+
+    __post_init__ = Sum.__post_init__
 
 
 @dataclass(frozen=True)
 class Scale:
     coeff: complex
     child: object
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.coeff):
+            raise ValueError(f"scale coefficient {self.coeff} is not finite")
 
 
 DiffPolyExpr = Union[BasisSymbol, Sum, Product, Scale]

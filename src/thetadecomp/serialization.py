@@ -9,7 +9,6 @@ enumeration of its level, which makes the files self-contained.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from .algebra import AlgebraElement, BasisSymbol
@@ -121,19 +120,16 @@ def expr_from_json(data):
     if kind == "product":
         return Product(tuple(expr_from_json(c) for c in data["children"]))
     if kind == "scale":
-        coeff = complex_from_json(data["coeff"])
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"scale coefficient {coeff} is not finite")
-        return Scale(coeff, expr_from_json(data["child"]))
+        return Scale(complex_from_json(data["coeff"]), expr_from_json(data["child"]))
     raise ValueError(f"unknown expression kind {kind!r}")
 
 
-def decomposition_to_json(dec, seed: int, config) -> dict:
+def decomposition_to_json(dec, config) -> dict:
     return {
         "element": element_to_json(dec.element),
         "residual": dec.residual,
         "conditioning": dec.conditioning,
-        "seed": seed,
+        "seed": config.seed,
         "config": {
             "oversample": OVERSAMPLE,
             "sample_box": SAMPLE_BOX,

@@ -51,6 +51,7 @@ from .evaluation import quasi_period_residual, shift_operator_check, truncation_
 from .numerics import (
     MultiIndex,
     PeriodMatrix,
+    _as_int,
     _as_tol,
     enumerate_characteristics,
     multi_indices_up_to,
@@ -82,11 +83,6 @@ def _shift_box(omega: PeriodMatrix) -> float:
     return SAMPLE_BOX + float(abs(omega.omega.imag).sum(axis=0).max()) + 1.0
 
 
-def _random_multi_index(rng, h, g, max_size):
-    candidates = multi_indices_up_to(h, g, max_size)
-    return candidates[int(rng.integers(0, len(candidates)))]
-
-
 def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
     """Sampled residuals of the joint shift law and the raising identity."""
     configs_out = []
@@ -96,6 +92,7 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
         omega = PeriodMatrix(spec_cfg["omega"])
         h, g = level.h, omega.g
         chars = enumerate_characteristics(level, g)
+        js = multi_indices_up_to(h, g, 2)
         cfg = truncation_config(level, omega, _shift_box(omega), 3)  # degree 3: J raised once
         rng = _rng(seed, _STREAM_QP_SUITE + idx)
 
@@ -105,7 +102,7 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
             z = _box_sample(rng, (h, g))
             xi = rng.integers(-1, 2, (h, g)).astype(float)
             eta = rng.integers(-1, 2, (h, g)).astype(float)
-            j = _random_multi_index(rng, h, g, 2)
+            j = js[int(rng.integers(0, len(js)))]
             char = chars[int(rng.integers(0, len(chars)))]
             qp.append((j, char, quasi_period_residual(level, j, char, omega, z, w, xi, eta, cfg)))
 
@@ -113,7 +110,7 @@ def run_quasiperiodicity_suite(seed: int = 0, tol: float = QP_TOL) -> dict:
         for _ in range(SHIFT_CASES):
             w = _box_sample(rng, (h, g))
             z = _box_sample(rng, (h, g))
-            j = _random_multi_index(rng, h, g, 2)
+            j = js[int(rng.integers(0, len(js)))]
             char = chars[int(rng.integers(0, len(chars)))]
             k = int(rng.integers(1, h + 1))
             a = int(rng.integers(1, g + 1))
@@ -183,12 +180,12 @@ def run_commutator_suite(seed: int = 0) -> dict:
     # kernel characterization: operator annihilation against the structural test
     rng = _rng(seed, _STREAM_KERNEL_SUITE)
     levels = [validate_level([[2]]), validate_level([[4]]), validate_level([[2, 1], [1, 2]])]
+    # each level with its characteristics and its multi-indices |J| <= 2, at g = 1
+    candidates = [(lv, enumerate_characteristics(lv, 1), multi_indices_up_to(lv.h, 1, 2)) for lv in levels]
     kernel_disagreements = 0
     for _ in range(KERNEL_ELEMENTS):
-        level = levels[int(rng.integers(0, len(levels)))]
+        level, chars, js = candidates[int(rng.integers(0, len(candidates)))]
         h = level.h
-        chars = enumerate_characteristics(level, 1)
-        js = multi_indices_up_to(h, 1, 2)
         terms = {}
         zero_only = bool(rng.integers(0, 2))
         for _ in range(int(rng.integers(1, 5))):
@@ -233,14 +230,14 @@ def _theorem3_expressions():
 def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
     """Decompose the reference expression set and certify it independently."""
     omega = PeriodMatrix([[1j]])
+    cfg = FitConfig(seed=seed, holdout=THEOREM3_HOLDOUT)
+    # the same products fitted to their sampled values at a second seed, uncertified
+    cfg2 = FitConfig(seed=seed + 1000003, holdout=THEOREM3_HOLDOUT)
     results = []
     passed = True
     for name, expr in _theorem3_expressions():
-        cfg = FitConfig(seed=seed, holdout=THEOREM3_HOLDOUT)
         dec = diff_poly_decompose(expr, omega, cfg)
         report = verify_theorem3(expr, dec, omega, cfg)
-        # the same products fitted to their sampled values at a second seed, uncertified
-        cfg2 = FitConfig(seed=seed + 1000003, holdout=THEOREM3_HOLDOUT)
         one, two = dec.element.terms(), _decompose_node(expr, omega, cfg2, _product_fit).terms()
         diffs = [abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)]
         # a NaN difference fails the case wherever the set yields it; else max keeps its type
@@ -286,9 +283,11 @@ SUITES = ("quasiperiodicity", "commutators", "theorem3")
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict:
     """Run one named suite, or each of ``SUITES`` in turn for ``all``.
 
-    ``tol`` overrides the tolerance of the suites that have one and must be
-    positive; the commutator checks are exact.
+    ``seed`` is read as a Python int, the one the report holds.  ``tol``
+    overrides the tolerance of the suites that have one and must be positive;
+    the commutator checks are exact.
     """
+    seed = _as_int(seed, "seed")
     if tol is not None:
         tol = _as_tol(tol, "tol")
     if name == "all":

@@ -80,7 +80,7 @@ class TestCharacteristics:
 class TestEval:
     def test_theta_value(self):
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", OMEGA_I, "--w", "[[[0,0]]]",
         )
         assert out.returncode == 0
@@ -91,11 +91,11 @@ class TestEval:
 
     def test_aux_j0_equals_theta(self):
         theta = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", OMEGA_I, "--w", "[[[0.05,0.1]]]",
         )
         aux = run_cli(
-            "eval", "--kind", "aux", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", OMEGA_I, "--w", "[[[0.05,0.1]]]", "--z", "[[[0.3,0.2]]]",
         )
         assert theta.returncode == 0 and aux.returncode == 0
@@ -103,7 +103,7 @@ class TestEval:
 
     def test_aux_j1_odd_symmetry(self):
         out = run_cli(
-            "eval", "--kind", "aux", "--level", "[[2]]", "--j", "[[1]]",
+            "eval", "--level", "[[2]]", "--j", "[[1]]",
             "--omega", OMEGA_I, "--w", "[[[0,0]]]",
         )
         data = json.loads(out.stdout)
@@ -111,21 +111,21 @@ class TestEval:
 
     def test_bad_level_exits_2(self):
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[1]]",
+            "eval", "--level", "[[1]]",
             "--omega", OMEGA_I, "--w", "[[[0,0]]]",
         )
         assert out.returncode == 2
 
     def test_unreachable_tail_exits_3(self):
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", OMEGA_I, "--w", "[[[0,60]]]",
         )
         assert out.returncode == 3
 
     def test_char_index_out_of_range_exits_2(self):
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]", "--char-index", "2",
+            "eval", "--level", "[[2]]", "--char-index", "2",
             "--omega", OMEGA_I, "--w", "[[[0,0]]]",
         )
         assert out.returncode == 2
@@ -133,7 +133,7 @@ class TestEval:
 
     def test_near_boundary_omega_exits_2(self):
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", "[[[0,0.0005]]]", "--w", "[[[0,0]]]",
         )
         assert out.returncode == 2
@@ -142,15 +142,15 @@ class TestEval:
     def test_radius_from_its_own_point(self, tmp_path):
         # a large Z sizes only the weight of the bound, not its W term: radius 3, not 18
         out = tmp_path / "eval.json"
-        assert cli.main(["eval", "--kind", "aux", "--level", "[[2]]", "--j", "[[3]]",
+        assert cli.main(["eval", "--level", "[[2]]", "--j", "[[3]]",
                          "--omega", OMEGA_I, "--z", "[[[6,6]]]", "--w", "[[[0,0]]]",
                          "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["radius"] == 3 and data["tail_bound"] <= 1e-12
 
     @pytest.mark.parametrize("argv,value", [
-        (["--kind", "theta", "--w", "[[[0,0]]]"], [1.0037348854877393, 0.0]),
-        (["--kind", "aux", "--j", "[[1]]", "--z", "[[[0.3,0]]]", "--w", "[[[0.1,0.2]]]"],
+        (["--w", "[[[0,0]]]"], [1.0037348854877393, 0.0]),
+        (["--j", "[[1]]", "--z", "[[[0.3,0]]]", "--w", "[[[0.1,0.2]]]"],
          [-0.1952193065726311, 3.708007881919616]),
     ])
     def test_readme_examples(self, argv, value, tmp_path):
@@ -181,7 +181,7 @@ class TestEval:
         def matrix(x):
             return json.dumps(x.tolist())
 
-        argv = ["eval", "--kind", "aux", "--level", json.dumps(config["level"]),
+        argv = ["eval", "--level", json.dumps(config["level"]),
                 "--j", json.dumps([list(row) for row in j.j]), "--z", matrix(z), "--w", matrix(w),
                 "--omega", matrix(np.stack((omega.real, omega.imag), axis=-1))]
         argv += [f"--tol={tol}"] if tol is not None else []
@@ -204,7 +204,7 @@ class TestEval:
     def test_over_lattice_budget_exits_2(self):
         # hex at g=2 with Im Omega = 0.1 I needs radius 19: a 2,313,441-point cube
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2,1],[1,2]]",
+            "eval", "--level", "[[2,1],[1,2]]",
             "--omega", "[[[0,0.1],[0,0]],[[0,0],[0,0.1]]]",
             "--w", "[[[0,0.4],[0,0.4]],[[0,0.4],[0,0.4]]]", timeout=60,
         )
@@ -214,7 +214,7 @@ class TestEval:
     @pytest.mark.parametrize("w,z", [("[[[NaN,0]]]", "[[[0,0]]]"), ("[[[0,0]]]", "[[[0,Infinity]]]"),
                                      ("[[[0,1e400]]]", "[[[0,0]]]")])
     def test_nonfinite_input_exits_2(self, w, z):
-        out = run_cli("eval", "--kind", "aux", "--level", "[[2]]", "--omega", OMEGA_I, "--w", w, "--z", z)
+        out = run_cli("eval", "--level", "[[2]]", "--omega", OMEGA_I, "--w", w, "--z", z)
         assert out.returncode == 2 and out.stderr == ""
         error = json.loads(out.stdout)["error"]
         assert error["type"] == "ValueError" and "non-finite" in error["message"]
@@ -222,7 +222,7 @@ class TestEval:
     def test_nonfinite_value_exits_3(self):
         # far from the real axis the sum overflows although its tail bound is 1.2e-68
         out = run_cli(
-            "eval", "--kind", "theta", "--level", "[[2]]",
+            "eval", "--level", "[[2]]",
             "--omega", OMEGA_I, "--w", "[[[0,12]]]",
         )
         assert out.returncode == 3 and out.stderr == ""
@@ -230,9 +230,9 @@ class TestEval:
         assert error["type"] == "TruncationInsufficientError" and "not finite" in error["message"]
 
     @pytest.mark.parametrize("argv", [
-        ("--kind", "aux", "--w", "[[[0,0]]]", "--z", "[[[1e200,0]]]", "--j", "[[2]]"),
-        ("--kind", "aux", "--w", "[[[0,0]]]", "--j", "[[300]]"),
-        ("--kind", "theta", "--w", "[[[0,1e160]]]"),
+        ("--w", "[[[0,0]]]", "--z", "[[[1e200,0]]]", "--j", "[[2]]"),
+        ("--w", "[[[0,0]]]", "--j", "[[300]]"),
+        ("--w", "[[[0,1e160]]]"),
     ], ids=["huge-z", "degree-300", "huge-im-w"])
     def test_overflowing_tail_bound_exits_3(self, argv):
         # the tail bound's envelope overflows the direct product (the first two) or its log
@@ -253,11 +253,11 @@ class TestIntegerEntries:
     @pytest.mark.parametrize("argv,stdin", [
         (("characteristics", "--level", "[[1e400]]", "-g", "1"), None),
         (("characteristics", "--level", "[[Infinity]]", "-g", "1"), None),
-        (("eval", "--kind", "aux", "--level", "[[2]]", "--j", "[[1e400]]", "--omega", OMEGA_I,
+        (("eval", "--level", "[[2]]", "--j", "[[1e400]]", "--omega", OMEGA_I,
           "--w", "[[[0,0]]]"), None),
         (("decompose", "--input", "-", "--omega", OMEGA_I),
          '{"kind": "deriv", "level": [[2]], "j": [[1e400]], "char_index": 0}'),
-        (("eval", "--kind", "theta", "--level", _HUGE_LEVEL, "--omega", OMEGA_I,
+        (("eval", "--level", _HUGE_LEVEL, "--omega", OMEGA_I,
           "--w", "[[[0,0]],[[0,0]]]"), None),
     ], ids=["level-1e400", "level-infinity", "eval-j-1e400", "decompose-j-1e400", "level-10^200+1"])
     def test_entry_no_double_holds_exits_2(self, argv, stdin):
@@ -296,6 +296,35 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+    def test_report_seed_is_a_python_int(self):
+        # a numpy seed was stored as given, and json.dumps of the report raised TypeError
+        report = verify.run_suite("all", seed=np.int64(0))
+        assert type(report["seed"]) is int
+        assert json.loads(json.dumps(report)) == json.loads(GOLDEN_REPORT.read_text())
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "0"])
+    def test_seed_is_refused_before_any_suite_runs(self, seed, monkeypatch):
+        ran = []
+        for name in ("run_quasiperiodicity_suite", "run_commutator_suite", "run_theorem3_suite"):
+            monkeypatch.setattr(verify, name, lambda *args, name=name, **kw: ran.append(name))
+        for suite in (*verify.SUITES, "all"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                verify.run_suite(suite, seed=seed)
+        assert ran == []
+
+    @pytest.mark.parametrize("suite,calls", [("quasiperiodicity", 4), ("commutators", 9)])
+    def test_candidate_lists_are_built_once_per_configuration(self, suite, calls, monkeypatch):
+        # one list per configuration or level, not one per case (600 and 206 calls before)
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return multi_indices_up_to(*args)
+
+        monkeypatch.setattr(verify, "multi_indices_up_to", counting)
+        assert verify.run_suite(suite)["passed"]
+        assert len(counted) == calls
 
     def test_nan_kernel_fails_the_quasiperiodicity_suite(self, monkeypatch):
         # a NaN residual fails its case and is the configuration's maximum, never 0
@@ -371,6 +400,14 @@ class TestDecompose:
         assert out.returncode == 2 and out.stderr == ""
         error = json.loads(out.stdout)["error"]
         assert error["type"] == "ValueError" and "not finite" in error["message"]
+
+    @pytest.mark.parametrize("kind", ["sum", "product"])
+    def test_node_without_children_exits_2(self, kind):
+        # exited 2 as a DimensionMismatchError: "expression mixes shapes []"
+        out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I,
+                      stdin=json.dumps({"kind": kind, "children": []}))
+        assert out.returncode == 2 and out.stderr == ""
+        assert json.loads(out.stdout)["error"] == {"type": "ValueError", "message": f"{kind.title()} has no children"}
 
     def test_out_flag_writes_file(self, tmp_path):
         expr = {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1}
@@ -530,7 +567,7 @@ class TestExitCodes:
         src.write_text(json.dumps(THETA_PRODUCT))
         for argv in (["verify", "--suite", "quasiperiodicity"],
                      ["decompose", "--input", str(src), "--omega", OMEGA_I],
-                     ["eval", "--kind", "theta", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]"]):
+                     ["eval", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]"]):
             out = tmp_path / "err.json"
             assert cli.main([*argv, f"--tol={tol}", "--out", str(out)]) == 2
             assert json.loads(out.read_text())["error"]["type"] == "ValueError"
@@ -569,7 +606,7 @@ class TestExitCodes:
         assert "not finite" in error["message"]
 
 
-EVAL_THETA = ("eval", "--kind", "theta", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]")
+EVAL_THETA = ("eval", "--level", "[[2]]", "--omega", OMEGA_I, "--w", "[[[0,0]]]")
 USAGE_ERRORS = {
     "unknown-suite": ("verify", "--suite", "nope"),
     "missing-omega": ("decompose", "--input", "-"),
@@ -579,6 +616,9 @@ USAGE_ERRORS = {
     "characteristics-seed": ("characteristics", "--level", "[[2]]", "-g", "1", "--seed", "1"),
     "characteristics-tol": ("characteristics", "--level", "[[2]]", "-g", "1", "--tol", "1e-8"),
     "eval-seed": (*EVAL_THETA, "--seed", "1"),
+    # the value depends on --j and --z alone: theta is the auxiliary series at J = 0
+    "eval-kind-theta": (*EVAL_THETA, "--kind", "theta"),
+    "eval-kind-aux": (*EVAL_THETA, "--kind", "aux"),
 }
 
 

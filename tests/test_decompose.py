@@ -514,6 +514,16 @@ class TestAdditionFormula:
         with pytest.raises(DimensionMismatchError):
             product_expand(s, s, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
+    @pytest.mark.parametrize("factor", ["symbol", "element"])
+    def test_zero_factor_gives_the_zero_product(self, factor):
+        # as _decompose_node treats it; this raised "product factors must each carry a single level"
+        s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
+        other = s if factor == "symbol" else random_element(np.random.default_rng(3))
+        zero = AlgebraElement.zero()
+        for pair in ((zero, other), (other, zero)):
+            dec = product_expand(*pair, OMEGA, CFG)
+            assert dec.element.is_zero() and (dec.residual, dec.conditioning) == (0.0, 0.0)
+
 
 def deriv(level, jrows, char):
     return DerivSymbol(level, MultiIndex.from_rows(jrows), char)

@@ -1,12 +1,18 @@
 """Every demo script, and each runnable README example, runs to completion without a warning
-or error."""
+or error; every module-qualified name README cites exists."""
 
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import thetadecomp
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -49,3 +55,25 @@ def test_readme_command_line_runs_cleanly():
 
 def test_readme_library_sketch_runs_cleanly():
     run_cleanly([sys.executable, "-c", readme_block("Library sketch", "python")])
+
+
+def _attribute(obj, name):
+    """``obj.name``; of a class, also a name its ``__init__`` sets on each instance (None)."""
+    if isinstance(obj, type) and not hasattr(obj, name) and f"self.{name} = " in inspect.getsource(obj.__init__):
+        return None
+    return getattr(obj, name)
+
+
+def test_readme_names_exist():
+    # every backticked <module>.<name>, with or without "thetadecomp.", and a call's name, is a
+    # name of thetadecomp.<module>; each further dotted part an attribute of what it names
+    modules = {m.name for m in pkgutil.iter_modules(thetadecomp.__path__)}
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    refs = [m.groups() for span in re.findall(r"`([^`]+)`", text)
+            if (m := re.fullmatch(r"(?:thetadecomp\.)?(\w+)\.([\w.]*\w)(?:\(.*)?", span, re.S))
+            and m[1] in modules]
+    assert len(set(refs)) >= 24  # as many as README cited when this test was written
+    for module, path in refs:
+        obj = importlib.import_module(f"thetadecomp.{module}")
+        for name in path.split("."):
+            obj = _attribute(obj, name)

@@ -1,5 +1,7 @@
 """Expression trees: the fold against the JSON codec and the shape check."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from thetadecomp import expr as expr_module
 from thetadecomp.algebra import BasisSymbol
 from thetadecomp.errors import DimensionMismatchError
+from thetadecomp.decompose import FitConfig, diff_poly_decompose
 from thetadecomp.expr import DerivSymbol, Product, Scale, Sum, expr_shape, fold
 from thetadecomp.numerics import (
     MultiIndex,
+    PeriodMatrix,
     enumerate_characteristics,
     multi_indices_up_to,
     validate_level,
@@ -125,3 +129,24 @@ def test_char_index_range_and_numpy_integers():
     assert char_by_index(level, 1, np.int64(1)) is enumerate_characteristics(level, 1)[1]
     with pytest.raises(DimensionMismatchError, match="index 2 outside 0..1"):
         char_by_index(level, 1, 2)
+
+
+@pytest.mark.parametrize("node", [Sum, Product])
+def test_empty_children_are_refused_when_built(node):
+    # both ended in "DimensionMismatchError: expression mixes shapes []"
+    with pytest.raises(ValueError, match=f"^{node.__name__} has no children$"):
+        node(())
+    with pytest.raises(ValueError, match=f"^{node.__name__} has no children$"):
+        expr_from_json({"kind": node.__name__.lower(), "children": []})
+
+
+@pytest.mark.parametrize("coeff", [complex(math.nan, 0), complex(0, -math.inf), complex(float("1e400"), 0),
+                                   math.nan, math.inf])
+def test_nonfinite_scale_is_refused_when_built(coeff):
+    # diff_poly_decompose(Scale(nan, d), ...) ended in "certificate residual nan is not finite"
+    leaf = H1_LEAVES[0]
+    with pytest.raises(ValueError, match="^scale coefficient .* is not finite$"):
+        diff_poly_decompose(Scale(coeff, leaf), PeriodMatrix([[1j]]), FitConfig())
+    # the JSON codec meets the same rule, in the constructor
+    with pytest.raises(ValueError, match="^scale coefficient .* is not finite$"):
+        expr_from_json({"kind": "scale", "coeff": [coeff.real, coeff.imag], "child": expr_to_json(leaf)})
