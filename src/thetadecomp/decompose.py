@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .algebra import (
     BasisSymbol,
     evaluate_element,
 )
+from . import evaluation
 from .errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -53,6 +53,7 @@ from .evaluation import (
 # the node classes stay importable from here
 from .expr import DerivSymbol, DiffPolyExpr, Product, Scale, Sum, expr_shape, fold  # noqa: F401
 from .numerics import (
+    Characteristic,
     LevelMatrix,
     MultiIndex,
     PeriodMatrix,
@@ -261,57 +262,53 @@ def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: i
     """The product of two symbols by the addition formula, with D points up to ``radius``:
     J' -> (coefficients over the characteristics of S, read-only, their certified error bound).
 
-    The points are D = A - B + n, n the series kernel's kept points at level K
-    (``evaluation._quadratic_form``, refused over the cube's cap).  Each D is binned by its
-    characteristic of S, C = A - S^-1 M2 D (mod 1), found in integers (det S * C is integral),
-    and weighted by e(D) = exp(pi i sigma(K D Omega D^t)); E = K D.  The coefficient of
-    (S, J', C) is sum_q c_q (2 pi i)^|q| sum_{D in C} E^q e(D), with c_q from ``_expansion``;
-    one bincount per monomial E^q gives the class sums.  Its bound is sum_q |c_q| err[|q|],
-    err[d] bounding every class sum (2 pi)^d sum_{D in C} E^q e(D) with |q| = d: ``tail_bound``
-    at level K, degree d and Z = W = 0 (shells and cut), plus twice the first-order roundoff of
-    the P terms.  That proof holds with X* = 0, log scale 0 and D = n - delta, as delta = B - A
-    lies in (-1, 1)^(hg): q(delta) <= alpha^2 = sum_ij |(K kron Im Omega)_ij|, |D|_inf >= s - 1
-    on shell s, and |(K D)_ka| <= rho (s + 1), rho the row-sum norm of K.  The memo holds the
-    coefficients, arrays the size of the characteristics, and not the D points.
+    The D sum is the series kernel's (``evaluation._aux_value``) at level K, Z = W = 0 and
+    peak 0, its one characteristic the offset delta = A - B centred into [-1/2, 1/2]^(hg)
+    exactly, which it then does not shift: D = delta + n over its kept points n, each sum split
+    by the class of S of each D, C = A - S^-1 M2 D (mod 1), found in integers (det S * C is
+    integral).  At J = q, one call per distinct q, it gives (2 pi i)^|q| sum_{D in C} E^q e(D),
+    E = K D, e(D) = exp(pi i sigma(K D Omega D^t)); the coefficient of (S, J', C) is sum_q c_q
+    times that, c_q from ``_expansion``, and its bound sum_q |c_q| err[|q|].  err[d] bounds
+    every class sum at |q| = d: ``tail_bound`` at level K, degree d, Z = W = 0 (X* = 0, log
+    scale 0), plus twice the first-order roundoff of the P terms t = (2 pi i)^d e(D) prod_d
+    ((K n)_ka + (K delta)_ka), each factor at most e = rho |D|_inf, rho the row-sum norm of K.
+    With y = |n| + |delta|, the exponent n^t Q n + 2 delta^t Q n + delta^t Q delta, Q = K kron
+    Omega, errs by at most (hg^2 + 8) eps y^t |Q| y, the exp, products and (2 pi i)^d by (d + 8)
+    eps relative, and each factor, K and delta being rounded, by (h + 2) eps rho |y|_inf.  So t
+    errs by eps (2 pi)^d |e(D)| ((hg^2 + d + 8)(1 + pi y^t |Q| y) e^d + d (h + 2) rho |y|_inf
+    e^(d-1)) at most, and the sum adds P eps (2 pi e)^d |e(D)|, |e(D)| the kernel's own term at
+    q = 0, one class per point.  The memo holds the coefficients, not the D points.
     """
     m1, m2, a, b = s1.level, s2.level, s1.char.a, s2.char.a
     pair, degree = _level_pair(m1, m2), s1.j.size + s2.j.size
-    h, g, hg = pair.h, omega.g, pair.h * omega.g
+    h, g, hg, rho = pair.h, omega.g, pair.h * omega.g, pair.row_sum_norm
     n, form = _quadratic_form(pair, omega, radius)[:2]
-    n = n.reshape(-1, h, g)
-    diff = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    delta = tuple(tuple(x - y - round(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
     dt2 = pair.dt2.tolist()
-    c0 = [[int(pair.det * a[i][c] - sum(dt2[i][l] * diff[l][c] for l in range(h))) for c in range(g)]
+    c0 = [[int(pair.det * a[i][c] - sum(dt2[i][l] * delta[l][c] for l in range(h))) for c in range(g)]
           for i in range(h)]
-    keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.astype(np.int64)) % pair.det
+    keys = (np.array(c0, dtype=np.int64) - pair.dt2 @ n.reshape(-1, h, g).astype(np.int64)) % pair.det
     rows, inverse = np.unique(keys.reshape(-1, hg), axis=0, return_inverse=True)
     # det S * C, flattened to integers, of each characteristic C of S -> its index
     codes = {tuple(int(pair.det * x) for row in char.a for x in row): char.index
              for char in enumerate_characteristics(pair.s, g)}
     cls = np.array([codes[tuple(row)] for row in rows.tolist()])[inverse.ravel()]
-    d = (n + np.array(diff, dtype=float)).reshape(-1, hg)
-    weights = np.exp(1j * np.pi * np.einsum("pi,ij,pj->p", d, form, d))
-    e = (pair.k @ d.reshape(-1, h, g)).reshape(-1, hg) if degree else None
-    # each term errs by at most eps * slack * (1 + pi |x|) relative, |x| <= |D|^t |K kron Omega| |D|,
-    # and the sum of P terms adds P eps of their moduli
-    slack = hg * hg + (h + 1) * degree + 8
-    ad = np.abs(d)
-    scale = np.abs(weights) * (len(d) + slack * (1.0 + np.pi * np.einsum("pi,ij,pj->p", ad, np.abs(form), ad)))
-    e_sup = pair.row_sum_norm * ad.max(axis=1)
-    err = [tail_bound(pair, omega, deg, 0.0, 0.0, radius)
-           + 2.0 * sys.float_info.epsilon * (2.0 * np.pi) ** deg * float(scale @ e_sup ** deg)
-           for deg in range(degree + 1)]
-    sums, out = {}, {}
-    for jp, monomials in _expansion(m1, m2, s1.j, s2.j):
-        coef, bound = 0j, 0.0
-        for q, c in monomials:
-            if q not in sums:
-                x = weights * np.prod(e ** np.array(q), axis=1) if any(q) else weights
-                sums[q] = np.bincount(cls, x.real, len(codes)) + 1j * np.bincount(cls, x.imag, len(codes))
-            coef = coef + float(c) * (2j * np.pi) ** sum(q) * sums[q]
-            bound += abs(float(c)) * err[sum(q)]
-        out[jp] = _read_only(coef), bound
-    return out
+    offset, zero = Characteristic(pair, delta, 0), np.zeros((h, g))
+
+    def kernel(q, split):
+        j = MultiIndex(tuple(q[i * g:(i + 1) * g] for i in range(h)))
+        return evaluation._aux_value(pair, j, [offset], omega, zero, zero, radius, zero, -math.inf, split)
+
+    moduli = np.abs(kernel((0,) * hg, (np.arange(len(n)), len(n))))
+    y, e_sup = np.abs(n) + np.abs(offset.as_array().ravel()), rho * np.abs(n + offset.as_array().ravel()).max(axis=1)
+    scale = moduli * (len(n) + (hg * hg + degree + 8) * (1.0 + np.pi * np.einsum("pi,ij,pj->p", y, np.abs(form), y)))
+    factor = moduli * (h + 2) * rho * y.max(axis=1)
+    err = [tail_bound(pair, omega, d, 0.0, 0.0, radius) + 2.0 * np.finfo(float).eps * (2.0 * np.pi) ** d
+           * float(scale @ e_sup ** d + d * (factor @ e_sup ** max(d - 1, 0))) for d in range(degree + 1)]
+    expansion = _expansion(m1, m2, s1.j, s2.j)
+    sums = {q: kernel(q, (cls, len(codes))) for q in {q for _, monomials in expansion for q, _ in monomials}}
+    return {jp: (_read_only(np.array([float(c) for _, c in monomials]) @ np.array([sums[q] for q, _ in monomials])),
+                 sum(abs(float(c)) * err[sum(q)] for q, c in monomials)) for jp, monomials in expansion}
 
 
 def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
@@ -358,8 +355,10 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
 
 def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     """The product of two single-level elements by ``fit_in_basis`` on its sampled values:
-    the oracle ``product_expand`` is checked against."""
+    the oracle ``product_expand`` is checked against, and like it zero for a zero factor."""
     e1, e2 = _as_element(s1), _as_element(s2)
+    if e1.is_zero() or e2.is_zero():
+        return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0)
     pair, degree = _product_levels(e1, e2, omega)
     cfg1, cfg2 = (truncation_config(e.levels()[0], omega, SAMPLE_BOX, e.degree()) for e in (e1, e2))
 

@@ -195,7 +195,7 @@ def _char_rows(level: LevelMatrix, omega: PeriodMatrix, chars: tuple) -> tuple[n
     return _read_only(a), _read_only(qa)
 
 
-def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
+def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf, split=None):
     """The truncated series at (..., h, g) points Z, W for C characteristics, as one
     quadratic form X = n^t Q n + c.n + d per (point, characteristic): values (..., C).
 
@@ -209,7 +209,8 @@ def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
     product, and the columns (M(Z+N+A'))_ka of the nonzero J_ka.  A term's exponential has
     modulus exp(-pi Im X), so one comparison prunes the terms where -pi Im X < log_floor (a
     NaN is kept; the default prunes none), and the exp, the monomials and the sums run over
-    the kept terms only, each sum in P order.
+    the kept terms only, each sum in P order.  ``split`` = (class of each kept point, count)
+    splits each row's sum by class: values (..., C * count); one class per point gives the terms.
     """
     n, q, n_imq_n, n_req_n = _quadratic_form(level, omega, radius)
     h, g = level.h, omega.g
@@ -229,7 +230,7 @@ def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
     kept = np.flatnonzero(~(im_x > log_floor / -np.pi))
     row = kept // len(n)
     phase = re_x.ravel()[kept] + d.real[row]
-    if n_req_n is not None or j.size:
+    if n_req_n is not None or j.size or split is not None:
         p = kept - row * len(n)
     if n_req_n is not None:
         phase += n_req_n[p]
@@ -239,7 +240,8 @@ def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
     np.exp(terms, out=terms)
     if j.size:
         # (M(Z+N+A'))_ka = (M N)_ka + (M(Z+A'))_ka, with (M N)_ka = sum_l M_kl N_la read from
-        # the rows (l, a) of n^t at the kept points: integral, so exact in any order
+        # the rows (l, a) of n^t at the kept points: exact for an integral level, and covered by
+        # ``decompose._pair_terms``' allowance for the rational K of a product's theta constants
         offsets = (m @ (z.reshape(-1, 1, h, g) + a.reshape(len(w), -1, h, g))).reshape(rows, -1)
         for i, power in enumerate(x for jrow in j.j for x in jrow):
             if power:
@@ -252,9 +254,11 @@ def _aux_value(level, j, chars, omega, z, w, radius, peak, log_floor=-math.inf):
                 for _ in range(power):
                     terms *= lam
         terms *= (2j * np.pi) ** j.size
-    sums = np.zeros(rows, dtype=complex)
-    np.add.at(sums, row, terms)  # in P order within each value
-    return sums.reshape(*lead, len(chars))
+    cls, count = split or (None, 1)
+    index = row if cls is None else row * count + cls[p]
+    sums = np.zeros(rows * count, dtype=complex)
+    np.add.at(sums, index, terms)  # in P order within each value
+    return sums.reshape(*lead, len(chars) * count)
 
 
 def _tail_point(level: LevelMatrix, omega: PeriodMatrix, degree: int, z, w) -> tuple:

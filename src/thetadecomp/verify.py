@@ -231,8 +231,8 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
     """Decompose the reference expression set and certify it independently."""
     omega = PeriodMatrix([[1j]])
     cfg = FitConfig(seed=seed, holdout=THEOREM3_HOLDOUT)
-    # the same products fitted to their sampled values at a second seed, uncertified
-    cfg2 = FitConfig(seed=seed + 1000003, holdout=THEOREM3_HOLDOUT)
+    # the same products fitted to their sampled values at a second seed (a Python int), uncertified
+    cfg2 = FitConfig(seed=_as_int(seed, "seed") + 1000003, holdout=THEOREM3_HOLDOUT)
     results = []
     passed = True
     for name, expr in _theorem3_expressions():

@@ -592,6 +592,12 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="seed must be an integer"):
             verify.run_suite("commutators", seed=seed)
 
+    def test_theorem3_suite_at_the_largest_numpy_seed(self):
+        # seed + 1000003 overflowed in numpy int64 with a RuntimeWarning; as a Python int its
+        # stream key, masked to 64 bits, is the one the wrapped sum gave
+        big = 2**63 - 1
+        assert verify.run_theorem3_suite(seed=np.int64(big)) == verify.run_theorem3_suite(seed=big)
+
     def test_nonfinite_kernel_exits_4(self, monkeypatch, tmp_path):
         # a NaN series value reaches the fit, which must refuse it before the solve
         monkeypatch.setattr(evaluation, "_aux_value",

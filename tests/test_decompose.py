@@ -437,19 +437,26 @@ class TestAdditionFormula:
         radius = constant_radius(HEX, HEX, omega, degree)
         pair = decompose._level_pair(HEX, HEX)
         kept = evaluation._quadratic_form(pair, omega, radius)[0]
-        read = []  # the D points: what _pair_terms reads of the kernel's form, past its memo
+        calls = []  # the D sums: what _pair_terms asks of the series kernel, past its memo
+        kernel = evaluation._aux_value
 
-        def recorded(level, omega_, radius_):
-            out = evaluation._quadratic_form(level, omega_, radius_)
-            read.append((level, radius_, out[0]))
-            return out
+        def recorded(level, j, chars, omega_, z, w, radius_, peak, log_floor, split):
+            calls.append((level, j, chars, omega_, radius_, split, not (z.any() or w.any() or peak.any())))
+            return kernel(level, j, chars, omega_, z, w, radius_, peak, log_floor, split)
 
-        monkeypatch.setattr(decompose, "_quadratic_form", recorded)
+        monkeypatch.setattr(evaluation, "_aux_value", recorded)
         _pair_terms.__wrapped__(s, t, omega, radius)
         monkeypatch.undo()
-        [(level, at, points)] = read
-        assert level is pair and at == radius and points is kept
-        assert len(points) < (2 * radius + 1) ** 4
+        # one call per distinct monomial E^q, and one for the moduli of the terms
+        distinct = {q for _, monomials in decompose._expansion(HEX, HEX, s.j, t.j) for q, _ in monomials}
+        assert len(calls) == len(distinct) + 1
+        assert {tuple(x for row in j.j for x in row) for _, j, *_ in calls} == distinct | {(0,) * 4}
+        # at level K, Z = W = 0 and peak 0, over the kept points, each with its class: the D
+        # points are the kept points offset by A - B centred into [-1/2, 1/2]
+        for level, _, (offset,), omega_, at, (cls, _), zero in calls:
+            assert level is pair and omega_ is omega and at == radius and zero
+            assert len(cls) == len(kept) and np.abs(offset.as_array()).max() <= 0.5
+        assert len(kept) < (2 * radius + 1) ** 4
         near, far = _pair_terms(s, t, omega, radius), _pair_terms(s, t, omega, radius + 2)
         assert near.keys() == far.keys()
         for jp, (coef, bound) in near.items():
@@ -516,13 +523,15 @@ class TestAdditionFormula:
 
     @pytest.mark.parametrize("factor", ["symbol", "element"])
     def test_zero_factor_gives_the_zero_product(self, factor):
-        # as _decompose_node treats it; this raised "product factors must each carry a single level"
+        # as _decompose_node treats it; both raised "product factors must each carry a single
+        # level", the fitted oracle until after the formula
         s = BasisSymbol(LEVEL2, MultiIndex.zeros(1, 1), CHARS2[0])
         other = s if factor == "symbol" else random_element(np.random.default_rng(3))
         zero = AlgebraElement.zero()
         for pair in ((zero, other), (other, zero)):
-            dec = product_expand(*pair, OMEGA, CFG)
-            assert dec.element.is_zero() and (dec.residual, dec.conditioning) == (0.0, 0.0)
+            for product in (product_expand, decompose._product_fit):
+                dec = product(*pair, OMEGA, CFG)
+                assert dec.element.is_zero() and (dec.residual, dec.conditioning) == (0.0, 0.0)
 
 
 def deriv(level, jrows, char):

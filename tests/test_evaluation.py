@@ -754,6 +754,26 @@ class TestKernel:
         assert memo[-1] is not None  # n^t (Re Q) n, computed since Re Omega != 0
         assert not any(arr.flags.writeable for arr in memo)
 
+    @PROPERTY
+    @given(kernel_cases(), st.integers(1, 5))
+    def test_class_sums_add_up_to_the_value(self, case, count):
+        # split by a class of each kept point, each row's sums over its classes are its unsplit
+        # value, the same terms summed in another order: within (2P + count) eps/2 of their
+        # moduli.  One class per point returns the terms themselves, which sum to each class
+        level, j, _, omega, z, w, radius = case
+        chars = enumerate_characteristics(level, omega.g)
+        peak = evaluation._tail_point(level, omega, j.size, z, w)[0]
+        points = len(evaluation._quadratic_form(level, omega, radius)[0])
+        cls = np.arange(points) % count
+        args = (level, j, chars, omega, z, w, radius, peak, -math.inf)
+        value = evaluation._aux_value(*args)
+        split = evaluation._aux_value(*args, (cls, count)).reshape(len(chars), count)
+        terms = evaluation._aux_value(*args, (np.arange(points), points)).reshape(len(chars), points)
+        scale = (points + count) * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        assert (np.abs(split.sum(axis=1) - value) <= scale).all()
+        for c in range(count):
+            assert (np.abs(split[:, c] - terms[:, cls == c].sum(axis=1)) <= scale).all()
+
     def test_dropped_points_are_within_the_tail_bound(self):
         # the cut cube's sum at R against the full cube's at R + 2, both centred on the peak
         # X*: both tails at |Z| + |X*| and the log scale, plus gamma_n * sum|terms| of
@@ -791,7 +811,7 @@ class TestKernel:
         # omitted terms all lie outside that one, wherever that cube fits a budget of 40,000
         # points.  They agree within both tail bounds plus the roundoff of each sum: gamma_n *
         # sum|terms| (Higham, eq. 4.4), and each term's own error from its exponent X, at most
-        # eps * slack * (1 + pi |X|) relative, as in ``decompose._pair_terms``, with |X| at
+        # eps * slack * (1 + pi |X|) relative, slack = (hg)^2 + (h+1)|J| + 8, with |X| at
         # most |x|^t |M kron Omega| |x| + 2 |vec MW| . |x| for |x| = |N| + |A| entrywise
         level, j, char, omega, z, w, _ = case
         h, g = level.h, omega.g

@@ -72,15 +72,23 @@ def addition_coefficients(s1, s2, omega, radius):
 
 @st.composite
 def symbol_pairs(draw):
-    """Two symbols at g = 1 with |J1| + |J2| <= 3, random characteristics, and an Omega with
-    real part in [-0.5, 0.5] and imaginary part in [0.6, 1.5]."""
-    m1, m2 = draw(st.sampled_from(LEVEL_PAIRS))
-    size1 = draw(st.integers(0, 3))
-    size2 = draw(st.integers(0, 3 - size1))
-    s1, s2 = (BasisSymbol(m, draw(st.sampled_from(multi_indices_of_size(m.h, 1, size))),
-                          draw(st.sampled_from(enumerate_characteristics(m, 1))))
+    """Two symbols with random characteristics, at g = 1 with |J1| + |J2| <= 3, or at g = 2 and
+    level [[2]] with |J1| + |J2| <= 2, where the kernel's centring of A - B decides the window
+    at hg = 2; and an Omega with real part in [-0.5, 0.5], Im Omega's diagonal in [0.6, 1.5]
+    and off-diagonal within 0.2."""
+    g = draw(st.sampled_from((1, 2)))
+    m1, m2 = draw(st.sampled_from(LEVEL_PAIRS if g == 1 else [(LEVELS[0], LEVELS[0])]))
+    top = 4 - g
+    size1 = draw(st.integers(0, top))
+    size2 = draw(st.integers(0, top - size1))
+    s1, s2 = (BasisSymbol(m, draw(st.sampled_from(multi_indices_of_size(m.h, g, size))),
+                          draw(st.sampled_from(enumerate_characteristics(m, g))))
               for m, size in ((m1, size1), (m2, size2)))
-    return s1, s2, PeriodMatrix([[complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.6, 1.5)))]])
+    diag = [complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.6, 1.5))) for _ in range(g)]
+    if g == 1:
+        return s1, s2, PeriodMatrix([diag])
+    off = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.2, 0.2)))
+    return s1, s2, PeriodMatrix([[diag[0], off], [off, diag[1]]])
 
 
 class TestAdditionFormulaOracle:
@@ -97,7 +105,7 @@ class TestAdditionFormulaOracle:
             want = addition_coefficients(s1, s2, omega, radius + EXTRA_SHELLS)
             assert got.keys() == want.keys()
             for jp, (coef, bound) in got.items():
-                assert len(coef) == len(want[jp]) == pair.det
+                assert len(coef) == len(want[jp]) == pair.det ** omega.g
                 for x, y in zip(coef, want[jp]):
                     assert abs(mpmath.mpc(complex(x)) - y) <= bound
 
@@ -144,8 +152,8 @@ def aux_series_oracle(level, j, char, omega, z, w, radius):
 def roundoff_allowance(level, j, char, omega, z, w, radius):
     """eps sum_t |t| (slack (1 + pi X_t) + P) over the window's P terms t: each term errs by at
     most eps slack (1 + pi X_t) relative, X_t = |x|^t |Q| |x| + 2 |vec(MW)| . |x| bounding its
-    exponent's terms, slack = (hg)^2 + (h+1)|J| + 8 as in ``decompose._pair_terms``, and the
-    sum of P terms adds P eps of their moduli."""
+    exponent's terms, slack = (hg)^2 + (h+1)|J| + 8, and the sum of P terms adds P eps of
+    their moduli."""
     h, g = level.h, omega.g
     n, ax = window(level, char, omega, z, w, radius)
     x = n + char.as_array().ravel()
