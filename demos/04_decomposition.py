@@ -50,7 +50,7 @@ for sym, coeff in dec.element.sorted_terms():
     const = theta_series(level4, chars4[sym.char.index], omega, [[0.0]], tcfg).value
     print(f"  coeff at char#{sym.char.index}: {coeff.real:+.10f}"
           f"   (theta constant of that characteristic: {const.real:+.10f})")
-print(f"  certified residual: {dec.residual:.2e}")
+print(f"  certified coefficient bound: {dec.residual:.2e}")
 
 # --- a Wronskian-type differential polynomial --------------------------------
 d1 = DerivSymbol(level, MultiIndex.from_rows([[1]]), chars[0])

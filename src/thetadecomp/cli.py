@@ -12,9 +12,10 @@ JSON error object and nothing on stderr; a usage error is a ValueError
 entry or a --tol <= 0 is a ValueError, an Omega below the Im floor of ``PeriodMatrix``
 a NotPositiveDefiniteError, and JSON nested too deeply a RecursionError (exit 2).
 eval sums to the least radius whose tail bound at its own point is within --tol; a
-non-finite value or bound is exit 3.  Every report is strict JSON: a non-finite
-number in it (a NaN residual of a failing verify case) is written as the string
-"NaN", "Infinity" or "-Infinity".
+non-finite value or bound is exit 3.  decompose exits 4 when its coefficient bound
+exceeds --tol (fit_tol, default 1e-8) or a residual of its verification is not finite.
+Every report is strict JSON: a non-finite number in it (a NaN residual of a failing
+verify case) is written as the string "NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def cmd_decompose(args) -> int:
     cfg = FitConfig(seed=args.seed, **({"fit_tol": args.tol} if args.tol is not None else {}))
     dec = diff_poly_decompose(expr, omega, cfg)
     report = verify_theorem3(expr, dec, omega, cfg)
+    if not all(math.isfinite(x) for x in report.values()):  # a NaN kernel, say
+        raise ResidualTooLargeError(f"verification residuals are not finite: {report}")
     payload = decomposition_to_json(dec, cfg)
     payload["verification"] = report
     _emit(payload, args.out)

@@ -6,11 +6,15 @@ K = M1 (M1 + M2)^-1 M2 with a certified tail (see ``product_expand``).
 ``fit_in_basis`` expresses any sampled function by a dense least-squares
 solve (orthogonal factorization via SVD), with the residual measured on
 points held out of the solve; it is the oracle the formula is tested
-against.  The certificates never read the expanded coefficients' lattice
-sums: they compare the expression, each leaf read as its own auxiliary
-series, with the element summed symbol by symbol by the series kernel.  At
-Z = 0 the auxiliary series is the exact W-derivative of the theta series,
-with the kernel's certified tail, so no numerical derivative enters them.
+against.  ``diff_poly_decompose`` certifies each coefficient by an error
+bound propagated through the expression tree, from the formula's certified
+bounds, the roundoff of the tree's arithmetic and what it prunes; it
+samples nothing.  ``verify_theorem3`` is the independent, sampled check: it
+never reads the expanded coefficients' lattice sums, but compares the
+expression, each leaf read as its own auxiliary series, with the element
+summed symbol by symbol by the series kernel.  At Z = 0 the auxiliary series
+is the exact W-derivative of the theta series, with the kernel's certified
+tail, so no numerical derivative enters it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .algebra import (
     PRUNE_EPS,
     AlgebraElement,
     BasisSymbol,
+    _symbol,
     evaluate_element,
 )
 from . import evaluation
@@ -70,10 +75,10 @@ COND_LIMIT = 1e8
 SAMPLE_BOX = 0.4  # sample points have every real and imaginary part in [-SAMPLE_BOX, SAMPLE_BOX]
 OVERSAMPLE = 2.0  # fitted samples per basis symbol
 _MASK64 = (1 << 64) - 1
+_EPS = np.finfo(float).eps
 
-# sample streams; labels keep the draws for different purposes independent
+# sample streams; labels keep the draws for different purposes independent (1 is retired)
 _STREAM_FIT = 0
-_STREAM_CERTIFY = 1
 _STREAM_VERIFY = 2
 _STREAM_VERIFY_SHIFT = 18  # verify_theorem3's shift-law cases
 _STREAM_QP_SUITE = 32  # plus the configuration index: the quasiperiodicity suite's cases
@@ -299,16 +304,68 @@ def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: i
         j = MultiIndex(tuple(q[i * g:(i + 1) * g] for i in range(h)))
         return evaluation._aux_value(pair, j, [offset], omega, zero, zero, radius, zero, -math.inf, split)
 
-    moduli = np.abs(kernel((0,) * hg, (np.arange(len(n)), len(n))))
+    q0 = (0,) * hg
+    terms = kernel(q0, (np.arange(len(n)), len(n)))  # the q = 0 terms, one class per point
+    moduli = np.abs(terms)
     y, e_sup = np.abs(n) + np.abs(offset.as_array().ravel()), rho * np.abs(n + offset.as_array().ravel()).max(axis=1)
     scale = moduli * (len(n) + (hg * hg + degree + 8) * (1.0 + np.pi * np.einsum("pi,ij,pj->p", y, np.abs(form), y)))
     factor = moduli * (h + 2) * rho * y.max(axis=1)
-    err = [tail_bound(pair, omega, d, 0.0, 0.0, radius) + 2.0 * np.finfo(float).eps * (2.0 * np.pi) ** d
+    err = [tail_bound(pair, omega, d, 0.0, 0.0, radius) + 2.0 * _EPS * (2.0 * np.pi) ** d
            * float(scale @ e_sup ** d + d * (factor @ e_sup ** max(d - 1, 0))) for d in range(degree + 1)]
     expansion = _expansion(m1, m2, s1.j, s2.j)
-    sums = {q: kernel(q, (cls, len(codes))) for q in {q for _, monomials in expansion for q, _ in monomials}}
+    distinct = {q for _, monomials in expansion for q, _ in monomials}
+    sums = {q: kernel(q, (cls, len(codes))) for q in distinct - {q0}}
+    if q0 in distinct:  # the kernel's split sum of the same terms, in P order
+        sums[q0] = np.zeros(len(codes), dtype=complex)
+        np.add.at(sums[q0], cls, terms)
     return {jp: (_read_only(np.array([float(c) for _, c in monomials]) @ np.array([sums[q] for q, _ in monomials])),
                  sum(abs(float(c)) * err[sum(q)] for q, c in monomials)) for jp, monomials in expansion}
+
+
+def _expand(x, y, omega: PeriodMatrix):
+    """The product of two single-level factors, each a list of (symbol, coefficient, bound) in
+    sorted order, by the addition formula: its element and its bounds.
+
+    Bounds map a symbol to a certified bound on the error of its coefficient, a pruned
+    symbol's included; a symbol with no entry is exact.  With a, b the factors' coefficients,
+    da, db their bounds, and T, e a symbol pair's coefficients and bound from ``_pair_terms``,
+    a coefficient's bound is the sum over the pairs of |a b| e + (da |b| + |a| db + da db)
+    (|T| + e), plus (pairs + 3) eps |a b T| for the roundoff of forming and adding the pairs'
+    terms (none for one pair of unit coefficients, which is exact), plus the modulus of a
+    coefficient pruned at PRUNE_EPS.  A non-finite coefficient or bound raises
+    ResidualTooLargeError.
+    """
+    pair = _level_pair(x[0][0].level, y[0][0].level)
+    unit = len(x) == len(y) == 1 and x[0][1] == y[0][1] == 1
+    rnd = 0.0 if unit else (len(x) * len(y) + 3) * _EPS
+    coeffs, bounds = {}, {}
+    for t1, c1, d1 in x:
+        for t2, c2, d2 in y:
+            c = complex(c1) * complex(c2)
+            degree = t1.j.size + t2.j.size
+            # the radius rule at level K and Z = W = 0, the most over degrees <= |J1| + |J2|:
+            # below a row-sum norm of 1/(4 pi), K's bound need not grow with the degree
+            radius = max(_least_radius(pair, omega, d, 0.0, 0.0, TAIL_TARGET) for d in range(degree + 1))
+            mixed = d1 * abs(c2) + abs(c1) * d2 + d1 * d2
+            for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
+                coeffs[jp] = coeffs.get(jp, 0j) + c * coef
+                bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
+                if mixed or rnd:
+                    bounds[jp] = bounds[jp] + (mixed + rnd * abs(c)) * np.abs(coef) + mixed * bound
+    chars = enumerate_characteristics(pair.s, omega.g)
+    terms, out = {}, {}
+    for jp, coef in coeffs.items():
+        moduli = np.abs(coef)
+        keep = moduli > PRUNE_EPS
+        bound = bounds[jp] + np.where(keep, 0.0, moduli)
+        if not (np.isfinite(coef).all() and np.isfinite(bound).all()):
+            raise ResidualTooLargeError(f"coefficients or bound of J' = {jp} are not finite")
+        for char, c, b, k in zip(chars, coef.tolist(), bound.tolist(), keep.tolist()):
+            sym = _symbol(pair.s, jp, char)
+            out[sym] = b
+            if k:
+                terms[sym] = c
+    return AlgebraElement(terms), out
 
 
 def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
@@ -321,36 +378,20 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     |J1| + |J2|, whose coefficients are lattice sums over D = A - B + N (``_pair_terms``).
     No sample, design matrix or solve is made; ``cfg.seed`` is not read.  Coefficients
     at most PRUNE_EPS are dropped.  ``residual`` is the largest certified bound on the
-    error of a coefficient, a dropped one's modulus included, and ``conditioning`` is 0.0.
+    error of a coefficient (``_expand``): a dropped one's modulus included, and for factors
+    of several terms the roundoff of combining their pairs.  ``conditioning`` is 0.0.
     A residual above ``cfg.fit_tol``, or a non-finite coefficient or bound, raises
     ResidualTooLargeError.  A zero factor gives the zero product, with residual 0.0.
     """
     e1, e2 = _as_element(s1), _as_element(s2)
     if e1.is_zero() or e2.is_zero():
         return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0)
-    pair, _ = _product_levels(e1, e2, omega)
-    chars = enumerate_characteristics(pair.s, omega.g)
-    coeffs, bounds = {}, {}
-    for t1, c1 in e1.sorted_terms():
-        for t2, c2 in e2.sorted_terms():
-            c = complex(c1) * complex(c2)
-            degree = t1.j.size + t2.j.size
-            # the radius rule at level K and Z = W = 0, the most over degrees <= |J1| + |J2|:
-            # below a row-sum norm of 1/(4 pi), K's bound need not grow with the degree
-            radius = max(_least_radius(pair, omega, d, 0.0, 0.0, TAIL_TARGET) for d in range(degree + 1))
-            for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
-                coeffs[jp] = coeffs.get(jp, 0j) + c * coef
-                bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
-    terms, residual = {}, 0.0
-    for jp, coef in coeffs.items():
-        if not (np.isfinite(coef).all() and math.isfinite(bounds[jp])):
-            raise ResidualTooLargeError(f"coefficients or bound of J' = {jp} are not finite")
-        keep = np.abs(coef) > PRUNE_EPS
-        residual = max(residual, bounds[jp] + float(np.abs(coef[~keep]).max(initial=0.0)))
-        terms.update((BasisSymbol(pair.s, jp, chars[i]), complex(coef[i])) for i in np.flatnonzero(keep))
+    _product_levels(e1, e2, omega)
+    element, bounds = _expand(*([(s, c, 0.0) for s, c in e.sorted_terms()] for e in (e1, e2)), omega)
+    residual = max(bounds.values())
     if not residual <= cfg.fit_tol:
         raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
-    return Decomposition(element=AlgebraElement(terms), residual=residual, conditioning=0.0)
+    return Decomposition(element=element, residual=residual, conditioning=0.0)
 
 
 def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
@@ -368,27 +409,73 @@ def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     return fit_in_basis(f, pair.s, degree, omega, cfg)
 
 
-def _decompose_node(expr, omega, cfg, product=None) -> AlgebraElement:
-    """Symbol-level decomposition, uncertified: each pairwise product by ``product``
-    (``product_expand``, looked up per call so that a wrapper installed on the module is
-    seen), the accumulated product pruned after each factor and the whole element pruned at
-    the end, which drops the cancellation residue of sums of products."""
-    product = product or product_expand
+def _decompose_node(expr, omega, cfg, product=None):
+    """The element of an expression and the bounds on its coefficients' errors, propagated
+    through the tree as ``_expand``'s symbol -> bound maps: a leaf is exact, a sum adds its
+    children's bounds, a scaling by c multiplies them by |c|, each pairwise product is
+    ``_expand``'s, and a prune adds the modulus it drops.  Sums and scalings add the roundoff of their own
+    arithmetic: (n - 1) eps of each child's coefficient moduli for a sum of n children (the
+    products of a factor's level pairs are summed so too), 2 eps of each scaled coefficient.
+    The accumulated product is pruned after each factor and the whole element at the end,
+    which drops the cancellation residue of sums of products.  With ``product``
+    (``_product_fit``, the seed-agreement oracle) each pairwise product is that function's
+    element and the bounds are None."""
 
     def mul(parts):
-        acc = parts[0]
-        for nxt in parts[1:]:
-            out = AlgebraElement.zero()
-            for la in acc.levels():
-                for lb in nxt.levels():
-                    out = out + product(acc.level_component(la), nxt.level_component(lb), omega, cfg).element
-            acc = out.prune()
-        return acc
+        (acc, da), rest = parts[0], parts[1:]
+        for nxt, db in rest:
+            acc, da = _prune(*add([
+                (product(acc.level_component(la), nxt.level_component(lb), omega, cfg).element, {}) if product
+                else _expand(_factor(acc, da, la), _factor(nxt, db, lb), omega)
+                for la in _levels(acc, da) for lb in _levels(nxt, db)]))
+        return acc, da
 
     def add(parts):
-        return sum(parts, AlgebraElement.zero())
+        # past the first, each addition errs by at most eps/2 of a partial sum, which is at
+        # most the sum of the children's moduli
+        rnd = [((len(parts) - 1) * _EPS, _moduli(e)) for e, _ in parts] if len(parts) > 1 else []
+        return sum((e for e, _ in parts), AlgebraElement.zero()), _combine(*((1.0, b) for _, b in parts), *rnd)
 
-    return fold(expr, AlgebraElement.from_symbol, add, mul, operator.mul).prune()
+    def scale(c, part):
+        element = c * part[0]
+        return element, _combine((abs(c), part[1]), (2.0 * _EPS, _moduli(element)))
+
+    element, bounds = _prune(*fold(expr, lambda d: (AlgebraElement.from_symbol(d), {}), add, mul, scale))
+    return element, None if product else bounds
+
+
+def _combine(*parts) -> dict:
+    """The sum of weight * bounds over (weight, bounds) pairs, symbol by symbol."""
+    out = {}
+    for weight, bounds in parts:
+        for sym, b in bounds.items():
+            out[sym] = out.get(sym, 0.0) + weight * b
+    return out
+
+
+def _moduli(element: AlgebraElement) -> dict:
+    """|coefficient| of each term, as a symbol -> bound map."""
+    return {s: abs(c) for s, c in element.items()}
+
+
+def _prune(element: AlgebraElement, bounds: dict):
+    """``element.prune()``, and the bounds with each dropped coefficient's modulus added."""
+    dropped = {s: abs(c) for s, c in element.items() if abs(c) <= PRUNE_EPS}
+    return element.prune(), _combine((1.0, bounds), (1.0, dropped)) if dropped else bounds
+
+
+def _levels(element: AlgebraElement, bounds: dict) -> list:
+    """The levels of an element's terms, then those that carry only bounds."""
+    seen = element.levels()
+    return seen + [lv for lv in dict.fromkeys(s.level for s in bounds) if lv not in seen]
+
+
+def _factor(element: AlgebraElement, bounds: dict, level) -> list:
+    """One level component as (symbol, coefficient, bound) in sorted order: its terms, and the
+    symbols that carry a bound but no coefficient, with coefficient 0."""
+    coeffs = {s: 0.0 for s, b in bounds.items() if s.level == level and b}
+    coeffs.update(element.level_component(level).items())
+    return [(s, c, bounds.get(s, 0.0)) for s, c in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())]
 
 
 def _concat(parts) -> list:
@@ -401,12 +488,12 @@ def _worst(residuals) -> float:
 
 
 def _mismatch(expr, elem: AlgebraElement, omega, z, w) -> np.ndarray:
-    """|expression - element| at each point of the stacks z, w (S x h x g): the leaves
-    read as their auxiliary series, one kernel call per (level, J) over its distinct
-    characteristics, and each level component of the element by ``evaluate_element``, one
-    call per (level, J) run, all at the sample box's radius.  At Z = 0 the auxiliary series
-    of (M, J, A) is the W-derivative of order J of its theta series, so there the two sides
-    are W-derivative polynomials of plain theta series, summed exactly."""
+    """|expression - element| at each point of the stacks z, w (S x h x g), the sampled check
+    of ``verify_theorem3``: the leaves read as their auxiliary series, one kernel call per
+    (level, J) over its distinct characteristics, and each level component of the element by
+    ``evaluate_element``, one call per (level, J) run, all at the sample box's radius.  At Z = 0
+    the auxiliary series of (M, J, A) is the W-derivative of order J of its theta series, so
+    there the two sides are W-derivative polynomials of plain theta series, summed exactly."""
     groups = defaultdict(dict)  # (level, J) -> its distinct leaves, in the order first met
     for d in fold(expr, lambda d: [d], _concat, _concat, lambda _, leaves: leaves):
         groups[d.level, d.j][d] = None
@@ -426,23 +513,22 @@ def _mismatch(expr, elem: AlgebraElement, omega, z, w) -> np.ndarray:
 def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
     """Rewrite a differential polynomial as one combination of basis symbols.
 
-    Leaves map to their symbols, sums and scalings combine exactly, and each
-    pairwise product is expanded by ``product_expand``.  The returned residual
-    is an end-to-end certificate at ``cfg.holdout`` fresh W points and Z = 0:
-    the largest |expression - combination|, both read as W-derivative
-    polynomials of plain theta series, each derivative the auxiliary series at
-    Z = 0 (``_mismatch``).  The residual is absolute and carries no roundoff
-    allowance.  A certificate that is not finite raises ResidualTooLargeError.
+    Leaves map to their symbols, sums and scalings combine coefficientwise, and
+    each pairwise product is expanded by the addition formula (``_expand``, as
+    ``product_expand``).  The returned residual is the largest certified bound
+    on the error of one coefficient, propagated through the tree with the roundoff
+    of its arithmetic and the moduli it prunes (``_decompose_node``): 0.0 for a
+    leaf, exactly ``product_expand``'s residual for a product of two leaves.  No
+    series is sampled; ``verify_theorem3`` is the sampled check.  A bound above
+    ``cfg.fit_tol``, or not finite, raises ResidualTooLargeError.
     ``conditioning`` is 0.0: no fit is made.
     """
-    h, g = expr_shape(expr)
-    if g != omega.g:
+    if expr_shape(expr)[1] != omega.g:
         raise DimensionMismatchError("expression width does not match omega")
-    element = _decompose_node(expr, omega, cfg)
-    _, w_pts = _sample_points(cfg.seed, _STREAM_CERTIFY, cfg.holdout, h, g)
-    residual = _worst(_mismatch(expr, element, omega, np.zeros_like(w_pts), w_pts))
-    if not math.isfinite(residual):
-        raise ResidualTooLargeError(f"certificate residual {residual} is not finite")
+    element, bounds = _decompose_node(expr, omega, cfg)
+    residual = max(bounds.values(), default=0.0)
+    if not residual <= cfg.fit_tol:
+        raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
     return Decomposition(element=element, residual=residual, conditioning=0.0)
 
 

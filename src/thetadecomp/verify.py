@@ -7,10 +7,10 @@ Three suites back the command line and the acceptance tests:
   finite difference,
 * ``commutators``: exact bracket relations, ladder action and the
   kernel characterization of the derivative-free subalgebra,
-* ``theorem3``: decomposition of a reference expression set, certified
-  against the exact W-derivatives at Z = 0 (the auxiliary series there), and
-  agreement of its coefficients with a least-squares fit of the same
-  products at a second seed.
+* ``theorem3``: decomposition of a reference expression set, each with its
+  propagated coefficient bound, checked against the exact W-derivatives at
+  Z = 0 (the auxiliary series there), and agreement of its coefficients with
+  a least-squares fit of the same products at a second seed.
 
 Reports are plain dicts of JSON-serializable values; given a seed they are
 deterministic down to the byte.
@@ -238,7 +238,7 @@ def run_theorem3_suite(seed: int = 0, tol: float = THEOREM3_TOL) -> dict:
     for name, expr in _theorem3_expressions():
         dec = diff_poly_decompose(expr, omega, cfg)
         report = verify_theorem3(expr, dec, omega, cfg)
-        one, two = dec.element.terms(), _decompose_node(expr, omega, cfg2, _product_fit).terms()
+        one, two = dec.element.terms(), _decompose_node(expr, omega, cfg2, _product_fit)[0].terms()
         diffs = [abs(one.get(s, 0) - two.get(s, 0)) for s in set(one) | set(two)]
         # a NaN difference fails the case wherever the set yields it; else max keeps its type
         seed_diff = math.nan if any(d != d for d in diffs) else max(diffs, default=0.0)

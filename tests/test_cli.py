@@ -24,12 +24,12 @@ OMEGA_I = "[[[0,1]]]"
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_seed0.json"
 # one input per decompose-ref template shape, each with its decompose --out bytes at --seed 0
 GOLDEN_DECOMPOSE = json.loads((Path(__file__).parent / "data" / "decompose_ref_seed0.json").read_text())
-# aux_theta_block calls of one decompose of each: the certificate, then verify_theorem3's
-# z0 and sample checks as one stack, then its shift check, each one call per (level, J) of
-# the leaves and of the element
-DECOMPOSE_KERNEL_CALLS = {"single_j0": 5, "single_j1": 5, "single_j2": 5, "theta_product": 5,
-                          "wronskian": 9, "syntactic_zero": 4, "hex_g1_deg0": 5, "hex_g1_deg1": 10,
-                          "l2_g2_deg0": 5}
+# aux_theta_block calls of one decompose of each: verify_theorem3's z0 and sample checks as
+# one stack, then its shift check, each one call per (level, J) of the leaves and of the
+# element; the decomposition's certificate, its propagated bound, reads no series
+DECOMPOSE_KERNEL_CALLS = {"single_j0": 3, "single_j1": 3, "single_j2": 3, "theta_product": 3,
+                          "wronskian": 5, "syntactic_zero": 2, "hex_g1_deg0": 3, "hex_g1_deg1": 6,
+                          "l2_g2_deg0": 3}
 
 
 def run_cli(*args, stdin=None, timeout=None):
@@ -431,6 +431,17 @@ class TestDecompose:
     def test_output_matches_the_golden_file(self, case, tmp_path):
         # a change that alters these outputs on purpose regenerates the file and says so
         assert self.decompose_case(case, tmp_path) == (0, case["out"].encode())
+
+    @pytest.mark.parametrize("case", GOLDEN_DECOMPOSE, ids=lambda case: case["name"])
+    def test_one_sampled_pass_per_decompose(self, case, tmp_path, monkeypatch):
+        # verify_theorem3's; the decomposition's certificate is its propagated bound
+        from thetadecomp import decompose
+
+        calls = []
+        mismatch = decompose._mismatch
+        monkeypatch.setattr(decompose, "_mismatch", lambda *args: calls.append(args) or mismatch(*args))
+        assert self.decompose_case(case, tmp_path)[0] == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", GOLDEN_DECOMPOSE, ids=lambda case: case["name"])
     def test_kernel_calls_of_each_template(self, case, tmp_path, monkeypatch):

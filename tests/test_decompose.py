@@ -1,5 +1,6 @@
 """Fitting engine: round trips, products, differential polynomials, uniqueness."""
 
+import json
 import math
 import time
 
@@ -400,14 +401,16 @@ class TestAdditionFormula:
         assert len(product_expand(s, t, PeriodMatrix([[0.2 + 1j]]), CFG).element) > 0
 
     def test_decompose_calls_the_module_product(self, monkeypatch):
-        # a wrapper installed on decompose.product_expand (the per-layer tracer's) sees every product
+        # a wrapper installed on decompose._expand, the product with bounds that product_expand
+        # shares, sees every product
         calls = []
+        expand = decompose._expand
 
         def counted(*args):
             calls.append(args)
-            return product_expand(*args)
+            return expand(*args)
 
-        monkeypatch.setattr(decompose, "product_expand", counted)
+        monkeypatch.setattr(decompose, "_expand", counted)
         expr = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[1])))
         diff_poly_decompose(expr, OMEGA, CFG)
         assert len(calls) == 1
@@ -447,10 +450,15 @@ class TestAdditionFormula:
         monkeypatch.setattr(evaluation, "_aux_value", recorded)
         _pair_terms.__wrapped__(s, t, omega, radius)
         monkeypatch.undo()
-        # one call per distinct monomial E^q, and one for the moduli of the terms
+        # one call per distinct monomial E^q, q = 0 included: at q = 0 the terms themselves, one
+        # class per point, whose moduli the roundoff allowance reads and whose class sums are q = 0's
         distinct = {q for _, monomials in decompose._expansion(HEX, HEX, s.j, t.j) for q, _ in monomials}
-        assert len(calls) == len(distinct) + 1
+        assert len(calls) == len(distinct | {(0,) * 4})
         assert {tuple(x for row in j.j for x in row) for _, j, *_ in calls} == distinct | {(0,) * 4}
+        for _, j, *_, (cls, count), _ in calls:
+            per_point = not j.size
+            assert count == (len(kept) if per_point else 144)
+            assert np.array_equal(cls, np.arange(len(kept))) or not per_point
         # at level K, Z = W = 0 and peak 0, over the kept points, each with its class: the D
         # points are the kept points offset by A - B centred into [-1/2, 1/2]
         for level, _, (offset,), omega_, at, (cls, _), zero in calls:
@@ -622,22 +630,28 @@ class TestDiffPolyDecompose:
             diff_poly_decompose(d, PeriodMatrix([[1j, 0.3j], [0.3j, 2j]]), CFG)
 
     def test_certificate_differentiates_each_symbol_once(self, monkeypatch):
-        # one kernel call per (level, J) of the leaves, over their distinct characteristics,
-        # and one per (level, J) run of the element's terms, each on the whole point stack:
-        # the derivatives are the series at Z = 0
+        # verify_theorem3's sampled pass: one kernel call per (level, J) of the leaves, over
+        # their distinct characteristics, and one per (level, J) run of the element's terms,
+        # each on the whole point stack, Z = 0 then the sampled Z: at Z = 0 the derivatives
+        # are the series
         from thetadecomp import algebra, decompose
 
-        calls = []
-        block = aux_theta_block
+        calls, passes = [], []
+        block, mismatch = aux_theta_block, decompose._mismatch
 
         def counted(level, j, *rest):
             calls.append(j)
             return block(level, j, *rest)
 
+        def sampled(expr, elem, omega, z, w):
+            before = len(calls)
+            got = mismatch(expr, elem, omega, z, w)
+            passes.append((len(calls) - before, z, w, got))
+            return got
+
         d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[0]) for k in range(3))
         d0b = deriv(LEVEL2, [[0]], CHARS2[1])
-        w = np.array([[[0.1 + 0.2j]], [[-0.3 + 0.05j]]])  # two certificate points, one stack
-        z = np.zeros_like(w)
+        cfg = FitConfig(seed=0, holdout=2)  # two points, one stack of four
         element = AlgebraElement({d0: 0.5, d1: 1j})
         cases = [
             (d2, AlgebraElement.from_symbol(d2), 1 + 1),  # single_j2: leaf and term are one symbol
@@ -645,12 +659,14 @@ class TestDiffPolyDecompose:
             (Product((d0, d0b)), element, 1 + 2),  # two leaves of one (level, J): one leaf call
         ]
         for expr, elem, kernel_calls in cases:
-            calls.clear()
+            passes.clear()
             for module in (algebra, decompose):
                 monkeypatch.setattr(module, "aux_theta_block", counted)
-            got = decompose._mismatch(expr, elem, OMEGA, z, w)
-            assert len(calls) == kernel_calls
+            monkeypatch.setattr(decompose, "_mismatch", sampled)
+            verify_theorem3(expr, decompose.Decomposition(elem, 0.0, 0.0), OMEGA, cfg)
             monkeypatch.undo()
+            [(count, z, w, got)] = passes
+            assert count == kernel_calls and len(w) == 4 and not z[:2].any()
             # the value is the one a series read per occurrence gives, one residual per point
             aux = {s: aux_theta_block(LEVEL2, s.j, [s.char], OMEGA, z, w,
                                       truncation_config(LEVEL2, OMEGA, SAMPLE_BOX, s.j.size))[0][:, 0]
@@ -662,9 +678,9 @@ class TestDiffPolyDecompose:
             assert np.array_equal(got, np.abs(lhs - rhs))
 
     def test_theorem3_suite_certifies_only_what_it_reports(self, monkeypatch):
-        # per expression: the decomposition's certificate, one stack of THEOREM3_HOLDOUT
-        # points at Z = 0, then verify_theorem3's z0 and sample residuals as one stack of
-        # twice as many, Z = 0 then the sampled Z; the second seed is fitted, not certified
+        # per expression one sampled pass, verify_theorem3's z0 and sample residuals as one
+        # stack of 2 * THEOREM3_HOLDOUT points, Z = 0 then the sampled Z: the decomposition's
+        # certificate is its propagated bound, and the second seed is fitted, not certified
         from thetadecomp import decompose, verify
 
         stacks = []
@@ -678,7 +694,7 @@ class TestDiffPolyDecompose:
         report = verify.run_theorem3_suite(seed=0)
         assert report["passed"]
         holdout = verify.THEOREM3_HOLDOUT
-        assert stacks == [(holdout, True), (2 * holdout, False)] * 6
+        assert stacks == [(2 * holdout, False)] * 6
 
     @pytest.mark.parametrize("planted_at", range(4))
     def test_nan_in_the_second_seed_fit_fails_its_case(self, monkeypatch, planted_at):
@@ -707,40 +723,61 @@ class TestDiffPolyDecompose:
         from thetadecomp.decompose import _decompose_node
 
         expr = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[0])))
-        element = _decompose_node(expr, OMEGA, CFG)
+        element, bounds = _decompose_node(expr, OMEGA, CFG)
         assert element == element.prune()
-        assert element == diff_poly_decompose(expr, OMEGA, CFG).element
+        dec = diff_poly_decompose(expr, OMEGA, CFG)
+        assert element == dec.element and max(bounds.values()) == dec.residual
+        # the seed-agreement path fits its products and reports no bound
+        assert _decompose_node(expr, OMEGA, CFG, decompose._product_fit)[1] is None
 
-    def test_nan_certificate_raises(self, monkeypatch):
-        # a NaN kernel must not pass as a certified residual of 0
-        from thetadecomp import evaluation
+    def test_nan_certificate_raises(self, monkeypatch, tmp_path):
+        # a NaN kernel must not pass as a certified residual of 0: a leaf's bound reads no
+        # series, so verify_theorem3's sampled pass reports NaN and decompose exits 4 on it
+        from thetadecomp import cli, evaluation
 
         monkeypatch.setattr(evaluation, "_aux_value",
                             lambda level, j, chars, *rest: np.full(len(chars), complex("nan")))
-        with pytest.raises(ResidualTooLargeError, match="not finite"):
-            diff_poly_decompose(deriv(LEVEL2, [[0]], CHARS2[0]), OMEGA, CFG)
+        leaf = deriv(LEVEL2, [[0]], CHARS2[0])
+        dec = diff_poly_decompose(leaf, OMEGA, CFG)
+        assert dec.residual == 0.0
+        report = verify_theorem3(leaf, dec, OMEGA, CFG)
+        assert all(math.isnan(report[k]) for k in ("max_z0_residual", "max_sample_residual"))
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text('{"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 0}')
+        assert cli.main(["decompose", "--input", str(src), "--omega", "[[[0, 1]]]", "--out", str(out)]) == 4
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "ResidualTooLargeError" and "not finite" in error["message"]
 
     def test_kernel_calls_of_a_hex_product(self, monkeypatch):
-        # one hex g=1 degree-1 product: none to expand it (the addition formula; a fit
-        # took 5), then one stacked call per distinct leaf (2) and per J of the element
-        # (2) for the certificate.  Finite differences of each distinct symbol took 8,
-        # and point by point 808.
+        # one hex g=1 degree-1 product: none to expand and certify it (the addition formula
+        # and its propagated bound; a fit took 5), then for verify_theorem3's sampled pass one
+        # stacked call per distinct leaf (2) and per J of the element (2).  Finite differences
+        # of each distinct symbol took 8, and point by point 808.
         from thetadecomp import algebra, decompose, evaluation
 
-        calls = []
-        block = evaluation.aux_theta_block
+        calls, passes = [], []
+        block, mismatch = evaluation.aux_theta_block, decompose._mismatch
 
         def counted(*args):
             calls.append(args)
             return block(*args)
 
+        def sampled(*args):
+            before = len(calls)
+            out = mismatch(*args)
+            passes.append(len(calls) - before)
+            return out
+
         for module in (algebra, decompose, evaluation):
             monkeypatch.setattr(module, "aux_theta_block", counted)
+        monkeypatch.setattr(decompose, "_mismatch", sampled)
         hexc = enumerate_characteristics(HEX, 1)
         expr = Product((deriv(HEX, [[1], [0]], hexc[1]), deriv(HEX, [[0], [0]], hexc[2])))
         dec = diff_poly_decompose(expr, OMEGA, CFG)
         assert dec.residual < 1e-7 and len(dec.element) == 6
-        assert len(calls) == 4
+        assert calls == []
+        verify_theorem3(expr, dec, OMEGA, CFG)
+        assert passes == [4]
 
     @settings(max_examples=30)
     @given(high_order_products(), st.integers(0, 2**32 - 1))
@@ -833,6 +870,92 @@ class TestDiffPolyDecompose:
         dec = diff_poly_decompose(expr, omega, CFG)
         report = verify_theorem3(expr, dec, omega, CFG)
         assert dec.residual < THEOREM3_TOL and report["max_z0_residual"] < THEOREM3_TOL
+
+
+class TestPropagatedBounds:
+    """The certificate of ``diff_poly_decompose``: each coefficient's error bound, propagated
+    through the tree by ``_decompose_node``, the largest of them its residual."""
+
+    def test_leaf_is_exact(self):
+        d = deriv(LEVEL2, [[2]], CHARS2[1])
+        assert decompose._decompose_node(d, OMEGA, CFG)[1] == {}
+        assert diff_poly_decompose(d, OMEGA, CFG).residual == 0.0
+
+    @pytest.mark.parametrize("level,j1,j2,a,b", [
+        (LEVEL2, [[0]], [[0]], 0, 1), (LEVEL2, [[2]], [[1]], 1, 1), (HEX, [[1], [0]], [[0], [0]], 1, 2),
+    ])
+    def test_product_of_two_leaves_is_product_expand(self, level, j1, j2, a, b):
+        chars = enumerate_characteristics(level, 1)
+        s, t = deriv(level, j1, chars[a]), deriv(level, j2, chars[b])
+        want = product_expand(s, t, OMEGA, CFG)
+        got = diff_poly_decompose(Product((s, t)), OMEGA, CFG)
+        assert got.element == want.element and got.residual == want.residual > 0.0
+
+    def test_scale_multiplies_the_bound(self):
+        # by |c|, plus 2 eps of each scaled coefficient for the roundoff of the scaling
+        expr = Product((deriv(LEVEL2, [[1]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[1])))
+        c = 0.3 - 2.0j
+        element, bounds = decompose._decompose_node(expr, OMEGA, CFG)
+        scaled, got = decompose._decompose_node(Scale(c, expr), OMEGA, CFG)
+        assert got.keys() == bounds.keys() and scaled == c * element
+        for sym, b in bounds.items():
+            assert got[sym] == abs(c) * b + 2.0 * np.finfo(float).eps * abs(scaled.terms().get(sym, 0.0))
+        assert diff_poly_decompose(Scale(c, expr), OMEGA, CFG).residual >= abs(c) * max(bounds.values())
+
+    def test_sum_adds_the_bounds(self):
+        # and the roundoff of its one addition, eps of each child's moduli
+        p = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[1])))
+        q = Product((deriv(LEVEL2, [[1]], CHARS2[0]), deriv(LEVEL2, [[0]], CHARS2[1])))
+        (ep, bp), (eq, bq) = (decompose._decompose_node(x, OMEGA, CFG) for x in (p, q))
+        element, got = decompose._decompose_node(Sum((p, q)), OMEGA, CFG)
+        eps = np.finfo(float).eps
+        assert got.keys() == bp.keys() | bq.keys()
+        for sym, b in got.items():
+            want = bp.get(sym, 0.0) + bq.get(sym, 0.0) + eps * (abs(ep.terms().get(sym, 0)) + abs(eq.terms().get(sym, 0)))
+            assert b == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_three_factors_carry_the_first_products_bound(self):
+        # the second product reads the first's bounds, on its pruned symbols too: the
+        # bound of the three-factor product is above the two-factor one's, and below fit_tol
+        d0, d1 = deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[1])
+        two = diff_poly_decompose(Product((d0, d1)), OMEGA, CFG)
+        three = diff_poly_decompose(Product((d0, d1, d0)), OMEGA, CFG)
+        assert three.element.levels() == [validate_level([[6]])]
+        assert two.residual < three.residual < CFG.fit_tol
+
+    def test_product_bound_carries_the_input_bounds(self):
+        # factors of unit coefficients with bounds da, db: each coefficient's bound grows by
+        # (da + db + da db)(|T| + e), T and e the symbol pair's coefficients and bound
+        s, t = deriv(LEVEL2, [[1]], CHARS2[0]), deriv(LEVEL2, [[0]], CHARS2[1])
+        da, db = 1e-9, 2e-9
+        element, exact = decompose._expand([(s, 1, 0.0)], [(t, 1, 0.0)], OMEGA)
+        same, got = decompose._expand([(s, 1, da)], [(t, 1, db)], OMEGA)
+        assert same == element
+        radius = constant_radius(LEVEL2, LEVEL2, OMEGA, 1)
+        for jp, (coef, e) in decompose._pair_terms(s, t, OMEGA, radius).items():
+            for char, x in zip(CHARS4, coef):
+                sym = BasisSymbol(LEVEL4, jp, char)
+                want = exact[sym] + (da + db + da * db) * (abs(x) + e)
+                assert exact[sym] < got[sym] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_prune_adds_the_modulus_it_drops(self):
+        d = deriv(LEVEL2, [[1]], CHARS2[0])
+        dec = diff_poly_decompose(Sum((d, Scale(-(1 - 1e-13), d))), OMEGA, CFG)
+        assert dec.element.is_zero() and 1e-13 <= dec.residual < 1.1e-13
+
+    def test_perturbed_coefficient_fails_the_sampled_check(self):
+        # verify_theorem3's sampled pass, the independent check of the bound, sees the largest
+        # coefficient of each reference decomposition off by 1e-3 of itself
+        for name, expr in verify._theorem3_expressions():
+            dec = diff_poly_decompose(expr, OMEGA, CFG)
+            if dec.element.is_zero():
+                continue
+            terms = dec.element.terms()
+            sym = max(terms, key=lambda s: abs(terms[s]))
+            terms[sym] *= 1 + 1e-3
+            bad = decompose.Decomposition(AlgebraElement(terms), dec.residual, dec.conditioning)
+            assert verify_theorem3(expr, dec, OMEGA, CFG)["max_z0_residual"] < THEOREM3_TOL
+            assert verify_theorem3(expr, bad, OMEGA, CFG)["max_z0_residual"] >= THEOREM3_TOL, name
 
 
 class TestRestrictZ0:

@@ -14,8 +14,15 @@ from hypothesis import strategies as st
 
 from thetadecomp import decompose
 from thetadecomp.algebra import BasisSymbol
+from thetadecomp.expr import Product, Scale, Sum, fold
 from thetadecomp.evaluation import TAIL_TARGET, _least_radius, _point_config, _tail_point, aux_theta_series
-from thetadecomp.numerics import PeriodMatrix, enumerate_characteristics, multi_indices_of_size, validate_level
+from thetadecomp.numerics import (
+    PeriodMatrix,
+    enumerate_characteristics,
+    multi_indices_of_size,
+    multi_indices_up_to,
+    validate_level,
+)
 
 ORACLE = settings(max_examples=80)
 LEVELS = [validate_level(rows) for rows in ([[2]], [[4]], [[2, 1], [1, 2]], [[4, 2], [2, 4]])]
@@ -108,6 +115,92 @@ class TestAdditionFormulaOracle:
                 assert len(coef) == len(want[jp]) == pair.det ** omega.g
                 for x, y in zip(coef, want[jp]):
                     assert abs(mpmath.mpc(complex(x)) - y) <= bound
+
+
+TREE_ORACLE = settings(max_examples=50)
+
+
+@st.composite
+def expression_trees(draw):
+    """A tree of depth at most 3 over two or three leaves of one level, [[2]] with |J| <= 2 or
+    hex with |J| <= 1, at g = 1: each inner node a sum or (twice
+    as likely) a product of contiguous groups of the leaves, or a scaling by a coefficient of
+    modulus 0.5-2; and an Omega with real part in [-0.5, 0.5] and imaginary part in
+    [0.8, 1.5]."""
+    level = draw(st.sampled_from((LEVELS[0], LEVELS[2])))
+    count = draw(st.integers(2, 3))
+    top = 2 if level.h == 1 else 1
+    chars, js = enumerate_characteristics(level, 1), multi_indices_up_to(level.h, 1, top)
+    leaves = [BasisSymbol(level, draw(st.sampled_from(js)), draw(st.sampled_from(chars))) for _ in range(count)]
+
+    def coeff():
+        return complex(mpmath.rect(draw(st.floats(0.5, 2.0)), draw(st.floats(-math.pi, math.pi))))
+
+    def build(parts, depth):
+        if len(parts) == 1:
+            return Scale(coeff(), parts[0]) if depth and draw(st.booleans()) else parts[0]
+        if depth >= 2 and not draw(st.integers(0, 3)):
+            return Scale(coeff(), build(parts, depth - 1))
+        cuts = list(range(1, len(parts))) if depth == 1 else sorted(draw(
+            st.sets(st.integers(1, len(parts) - 1), min_size=1)))
+        groups = [parts[i:j] for i, j in zip([0, *cuts], [*cuts, len(parts)])]
+        return draw(st.sampled_from((Product, Sum, Product)))(tuple(build(g, depth - 1) for g in groups))
+
+    omega = PeriodMatrix([[complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.8, 1.5)))]])
+    return build(leaves, 3), omega
+
+
+def tree_oracle(expr, omega):
+    """symbol -> the tree's coefficient, every product of two symbols by
+    ``addition_coefficients`` EXTRA_SHELLS past the radius product_expand takes."""
+    pairs = {}
+
+    def times(x, y):
+        out = {}
+        for s1, c1 in x.items():
+            for s2, c2 in y.items():
+                if (s1, s2) not in pairs:
+                    pair = decompose._level_pair(s1.level, s2.level)
+                    radius = max(_least_radius(pair, omega, d, 0.0, 0.0, TAIL_TARGET)
+                                 for d in range(s1.j.size + s2.j.size + 1))
+                    pairs[s1, s2] = addition_coefficients(s1, s2, omega, radius + EXTRA_SHELLS)
+                chars = enumerate_characteristics(decompose.level_sum(s1.level, s2.level), omega.g)
+                for jp, coefs in pairs[s1, s2].items():
+                    for char, coef in zip(chars, coefs):
+                        sym = BasisSymbol(char.level, jp, char)
+                        out[sym] = out.get(sym, 0) + c1 * c2 * coef
+        return out
+
+    def add(parts):
+        out = {}
+        for part in parts:
+            for sym, c in part.items():
+                out[sym] = out.get(sym, 0) + c
+        return out
+
+    def mul(parts):
+        acc = parts[0]
+        for nxt in parts[1:]:
+            acc = times(acc, nxt)
+        return acc
+
+    return fold(expr, lambda d: {d: mpmath.mpc(1)}, add, mul,
+                lambda c, part: {s: mpmath.mpc(c) * x for s, x in part.items()})
+
+
+class TestPropagatedBoundOracle:
+    @TREE_ORACLE
+    @given(expression_trees())
+    def test_coefficients_lie_within_their_propagated_bounds(self, case):
+        # every symbol the exact tree reaches, those the expansion pruned or never met included
+        expr, omega = case
+        element, bounds = decompose._decompose_node(expr, omega, decompose.FitConfig())
+        got = element.terms()
+        with mpmath.workdps(30):
+            want = tree_oracle(expr, omega)
+            assert set(got) <= set(want)
+            for sym, exact in want.items():
+                assert abs(mpmath.mpc(got.get(sym, 0)) - exact) <= bounds.get(sym, 0.0), sym
 
 
 KERNEL_ORACLE = settings(max_examples=60)
