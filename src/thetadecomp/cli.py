@@ -12,8 +12,9 @@ JSON error object and nothing on stderr; a usage error is a ValueError
 entry or a --tol <= 0 is a ValueError, an Omega below the Im floor of ``PeriodMatrix``
 a NotPositiveDefiniteError, and JSON nested too deeply a RecursionError (exit 2).
 eval sums to the least radius whose tail bound at its own point is within --tol; a
-non-finite value or bound is exit 3.  decompose exits 4 when its coefficient bound
-exceeds --tol (fit_tol, default 1e-8) or a residual of its verification is not finite.
+non-finite value or bound is exit 3.  decompose exits 4 when the addition formula's own
+bound of one of its products exceeds --tol (fit_tol, default 1e-8), or when its propagated
+coefficient bound or a residual of its verification is not finite.
 Every report is strict JSON: a non-finite number in it (a NaN residual of a failing
 verify case) is written as the string "NaN", "Infinity" or "-Infinity".
 """

@@ -102,6 +102,7 @@ class Decomposition:
     element: AlgebraElement
     residual: float
     conditioning: float
+    bounds: dict | None = None  # symbol -> certified bound on its coefficient's error, where propagated
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -191,14 +192,15 @@ def level_sum(l1: LevelMatrix, l2: LevelMatrix) -> LevelMatrix:
         raise LevelSumInvalidError(f"sum of levels is not admissible: {exc}") from exc
 
 
-def _product_levels(e1: AlgebraElement, e2: AlgebraElement, omega: PeriodMatrix):
-    """The level pair of a product of two single-level elements, and its degree bound."""
-    lv1, lv2 = e1.levels(), e2.levels()
+def _product_levels(f1, f2, omega: PeriodMatrix):
+    """The level pair of a product of two single-level factors, given by their symbols, and its
+    degree bound."""
+    lv1, lv2 = ({s.level for s in f} for f in (f1, f2))
     if len(lv1) != 1 or len(lv2) != 1:
         raise DimensionMismatchError("product factors must each carry a single level")
-    if e1.shape()[1] != omega.g or e2.shape()[1] != omega.g:
+    if any(s.g != omega.g for f in (f1, f2) for s in f):
         raise DimensionMismatchError("product factors do not match the width of omega")
-    return _level_pair(lv1[0], lv2[0]), e1.degree() + e2.degree()
+    return _level_pair(*lv1, *lv2), max(s.j.size for s in f1) + max(s.j.size for s in f2)
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: ``_level_pair`` makes one per (M1, M2)
@@ -322,9 +324,10 @@ def _pair_terms(s1: BasisSymbol, s2: BasisSymbol, omega: PeriodMatrix, radius: i
                  sum(abs(float(c)) * err[sum(q)] for q, c in monomials)) for jp, monomials in expansion}
 
 
-def _expand(x, y, omega: PeriodMatrix):
-    """The product of two single-level factors, each a list of (symbol, coefficient, bound) in
-    sorted order, by the addition formula: its element and its bounds.
+def _expand(pair: _LevelPair, x, y, omega: PeriodMatrix):
+    """The product of two factors of the level pair's levels, each a list of (symbol,
+    coefficient, bound) in sorted order, by the addition formula: its element, its bounds and
+    the formula's own bound.
 
     Bounds map a symbol to a certified bound on the error of its coefficient, a pruned
     symbol's included; a symbol with no entry is exact.  With a, b the factors' coefficients,
@@ -332,13 +335,14 @@ def _expand(x, y, omega: PeriodMatrix):
     a coefficient's bound is the sum over the pairs of |a b| e + (da |b| + |a| db + da db)
     (|T| + e), plus (pairs + 3) eps |a b T| for the roundoff of forming and adding the pairs'
     terms (none for one pair of unit coefficients, which is exact), plus the modulus of a
-    coefficient pruned at PRUNE_EPS.  A non-finite coefficient or bound raises
+    coefficient pruned at PRUNE_EPS.  The formula's own bound is the largest of the terms
+    |a b| e and the pruned moduli alone, what the product errs by with exact factors and exact
+    arithmetic on their coefficients.  A non-finite coefficient or bound raises
     ResidualTooLargeError.
     """
-    pair = _level_pair(x[0][0].level, y[0][0].level)
     unit = len(x) == len(y) == 1 and x[0][1] == y[0][1] == 1
     rnd = 0.0 if unit else (len(x) * len(y) + 3) * _EPS
-    coeffs, bounds = {}, {}
+    coeffs, own, spread = {}, {}, {}
     for t1, c1, d1 in x:
         for t2, c2, d2 in y:
             c = complex(c1) * complex(c2)
@@ -349,26 +353,28 @@ def _expand(x, y, omega: PeriodMatrix):
             mixed = d1 * abs(c2) + abs(c1) * d2 + d1 * d2
             for jp, (coef, bound) in _pair_terms(t1, t2, omega, radius).items():
                 coeffs[jp] = coeffs.get(jp, 0j) + c * coef
-                bounds[jp] = bounds.get(jp, 0.0) + abs(c) * bound
+                own[jp] = own.get(jp, 0.0) + abs(c) * bound
                 if mixed or rnd:
-                    bounds[jp] = bounds[jp] + (mixed + rnd * abs(c)) * np.abs(coef) + mixed * bound
+                    spread[jp] = spread.get(jp, 0.0) + (mixed + rnd * abs(c)) * np.abs(coef) + mixed * bound
     chars = enumerate_characteristics(pair.s, omega.g)
-    terms, out = {}, {}
+    terms, out, worst = {}, {}, 0.0
     for jp, coef in coeffs.items():
         moduli = np.abs(coef)
         keep = moduli > PRUNE_EPS
-        bound = bounds[jp] + np.where(keep, 0.0, moduli)
+        formula = own[jp] + np.where(keep, 0.0, moduli)
+        bound = formula + spread.get(jp, 0.0)
         if not (np.isfinite(coef).all() and np.isfinite(bound).all()):
             raise ResidualTooLargeError(f"coefficients or bound of J' = {jp} are not finite")
+        worst = max(worst, float(formula.max()))
         for char, c, b, k in zip(chars, coef.tolist(), bound.tolist(), keep.tolist()):
             sym = _symbol(pair.s, jp, char)
             out[sym] = b
             if k:
                 terms[sym] = c
-    return AlgebraElement(terms), out
+    return AlgebraElement(terms), out, worst
 
 
-def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
+def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig, bounds=None) -> Decomposition:
     """Expand a pointwise product of two single-level elements in the summed level.
 
     The theta addition formula: with S = M1 + M2, K = M1 S^-1 M2, X = U + S^-1 M2 D and
@@ -377,30 +383,34 @@ def product_expand(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition
     the product of two symbols is a combination of the symbols of S with degree at most
     |J1| + |J2|, whose coefficients are lattice sums over D = A - B + N (``_pair_terms``).
     No sample, design matrix or solve is made; ``cfg.seed`` is not read.  Coefficients
-    at most PRUNE_EPS are dropped.  ``residual`` is the largest certified bound on the
-    error of a coefficient (``_expand``): a dropped one's modulus included, and for factors
-    of several terms the roundoff of combining their pairs.  ``conditioning`` is 0.0.
-    A residual above ``cfg.fit_tol``, or a non-finite coefficient or bound, raises
-    ResidualTooLargeError.  A zero factor gives the zero product, with residual 0.0.
+    at most PRUNE_EPS are dropped.  ``bounds``, if given, is a pair of symbol -> bound maps
+    on the errors of the factors' coefficients, a symbol with a bound but no term being a
+    coefficient 0 (``_decompose_node`` passes them); the factors are exact otherwise.  The
+    result's ``bounds`` maps each symbol of the product to a certified bound on the error of
+    its coefficient (``_expand``): a dropped one's modulus included, and for factors of
+    several terms the roundoff of combining their pairs; ``residual`` is the largest, and
+    ``conditioning`` is 0.0.  The formula's own bound above ``cfg.fit_tol`` (the largest
+    with exact factors, leaving out that roundoff), or a non-finite coefficient or bound,
+    raises ResidualTooLargeError.  A zero factor gives the zero product, with residual 0.0.
     """
-    e1, e2 = _as_element(s1), _as_element(s2)
-    if e1.is_zero() or e2.is_zero():
-        return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0)
-    _product_levels(e1, e2, omega)
-    element, bounds = _expand(*([(s, c, 0.0) for s, c in e.sorted_terms()] for e in (e1, e2)), omega)
-    residual = max(bounds.values())
-    if not residual <= cfg.fit_tol:
-        raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
-    return Decomposition(element=element, residual=residual, conditioning=0.0)
+    x, y = (_factor(_as_element(s), b) for s, b in zip((s1, s2), bounds or ({}, {})))
+    if not (x and y):
+        return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0, bounds={})
+    pair, _ = _product_levels(*([s for s, _, _ in f] for f in (x, y)), omega)
+    element, out, formula = _expand(pair, x, y, omega)
+    if not formula <= cfg.fit_tol:
+        raise ResidualTooLargeError(f"coefficient bound {formula:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
+    return Decomposition(element=element, residual=max(out.values()), conditioning=0.0, bounds=out)
 
 
-def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
+def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig, bounds=None) -> Decomposition:
     """The product of two single-level elements by ``fit_in_basis`` on its sampled values:
-    the oracle ``product_expand`` is checked against, and like it zero for a zero factor."""
+    the oracle ``product_expand`` is checked against, and like it zero for a zero factor.
+    It takes ``product_expand``'s arguments but propagates no ``bounds``."""
     e1, e2 = _as_element(s1), _as_element(s2)
     if e1.is_zero() or e2.is_zero():
         return Decomposition(element=AlgebraElement.zero(), residual=0.0, conditioning=0.0)
-    pair, degree = _product_levels(e1, e2, omega)
+    pair, degree = _product_levels(e1.terms(), e2.terms(), omega)
     cfg1, cfg2 = (truncation_config(e.levels()[0], omega, SAMPLE_BOX, e.degree()) for e in (e1, e2))
 
     def f(z, w):
@@ -411,23 +421,24 @@ def _product_fit(s1, s2, omega: PeriodMatrix, cfg: FitConfig) -> Decomposition:
 
 def _decompose_node(expr, omega, cfg, product=None):
     """The element of an expression and the bounds on its coefficients' errors, propagated
-    through the tree as ``_expand``'s symbol -> bound maps: a leaf is exact, a sum adds its
-    children's bounds, a scaling by c multiplies them by |c|, each pairwise product is
-    ``_expand``'s, and a prune adds the modulus it drops.  Sums and scalings add the roundoff of their own
-    arithmetic: (n - 1) eps of each child's coefficient moduli for a sum of n children (the
-    products of a factor's level pairs are summed so too), 2 eps of each scaled coefficient.
-    The accumulated product is pruned after each factor and the whole element at the end,
-    which drops the cancellation residue of sums of products.  With ``product``
-    (``_product_fit``, the seed-agreement oracle) each pairwise product is that function's
-    element and the bounds are None."""
+    through the tree as symbol -> bound maps: a leaf is exact, a sum adds its children's
+    bounds, a scaling by c multiplies them by |c|, each pairwise product of level components
+    is ``product_expand``'s with its factors' bounds, and a prune adds the modulus it drops.
+    Sums and scalings add the roundoff of their own arithmetic: (n - 1) eps of each child's
+    coefficient moduli for a sum of n children (the products of a factor's level pairs are
+    summed so too), 2 eps of each scaled coefficient.  The accumulated product is pruned
+    after each factor and the whole element at the end, which drops the cancellation residue
+    of sums of products.  ``product`` is looked up per call, so that a wrapper installed on
+    the module is seen; with ``_product_fit`` (the seed-agreement oracle) each pairwise
+    product is fitted and the bounds are None."""
+    fitted, product = product is not None, product or product_expand
 
     def mul(parts):
         (acc, da), rest = parts[0], parts[1:]
         for nxt, db in rest:
-            acc, da = _prune(*add([
-                (product(acc.level_component(la), nxt.level_component(lb), omega, cfg).element, {}) if product
-                else _expand(_factor(acc, da, la), _factor(nxt, db, lb), omega)
-                for la in _levels(acc, da) for lb in _levels(nxt, db)]))
+            decs = [product(ea, eb, omega, cfg, (ba, bb))
+                    for ea, ba in _components(acc, da) for eb, bb in _components(nxt, db)]
+            acc, da = _prune(*add([(dec.element, dec.bounds or {}) for dec in decs]))
         return acc, da
 
     def add(parts):
@@ -441,7 +452,7 @@ def _decompose_node(expr, omega, cfg, product=None):
         return element, _combine((abs(c), part[1]), (2.0 * _EPS, _moduli(element)))
 
     element, bounds = _prune(*fold(expr, lambda d: (AlgebraElement.from_symbol(d), {}), add, mul, scale))
-    return element, None if product else bounds
+    return element, None if fitted else bounds
 
 
 def _combine(*parts) -> dict:
@@ -464,17 +475,20 @@ def _prune(element: AlgebraElement, bounds: dict):
     return element.prune(), _combine((1.0, bounds), (1.0, dropped)) if dropped else bounds
 
 
-def _levels(element: AlgebraElement, bounds: dict) -> list:
-    """The levels of an element's terms, then those that carry only bounds."""
-    seen = element.levels()
-    return seen + [lv for lv in dict.fromkeys(s.level for s in bounds) if lv not in seen]
+def _components(element: AlgebraElement, bounds: dict) -> list:
+    """(level component, its bounds) per level: the levels of the element's terms, then those
+    where a pruned or cancelled coefficient left only a non-zero bound.  A zero bound (of a
+    zero scaling, say) makes no level."""
+    levels = element.levels()
+    levels += [lv for lv in dict.fromkeys(s.level for s, b in bounds.items() if b) if lv not in levels]
+    return [(element.level_component(lv), {s: b for s, b in bounds.items() if s.level == lv}) for lv in levels]
 
 
-def _factor(element: AlgebraElement, bounds: dict, level) -> list:
-    """One level component as (symbol, coefficient, bound) in sorted order: its terms, and the
-    symbols that carry a bound but no coefficient, with coefficient 0."""
-    coeffs = {s: 0.0 for s, b in bounds.items() if s.level == level and b}
-    coeffs.update(element.level_component(level).items())
+def _factor(element: AlgebraElement, bounds: dict) -> list:
+    """A factor as (symbol, coefficient, bound) in sorted order: its terms, and the symbols
+    that carry a non-zero bound but no coefficient, with coefficient 0."""
+    coeffs = {s: 0.0 for s, b in bounds.items() if b}
+    coeffs.update(element.items())
     return [(s, c, bounds.get(s, 0.0)) for s, c in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())]
 
 
@@ -514,22 +528,23 @@ def diff_poly_decompose(expr: DiffPolyExpr, omega: PeriodMatrix, cfg: FitConfig)
     """Rewrite a differential polynomial as one combination of basis symbols.
 
     Leaves map to their symbols, sums and scalings combine coefficientwise, and
-    each pairwise product is expanded by the addition formula (``_expand``, as
-    ``product_expand``).  The returned residual is the largest certified bound
-    on the error of one coefficient, propagated through the tree with the roundoff
-    of its arithmetic and the moduli it prunes (``_decompose_node``): 0.0 for a
-    leaf, exactly ``product_expand``'s residual for a product of two leaves.  No
-    series is sampled; ``verify_theorem3`` is the sampled check.  A bound above
-    ``cfg.fit_tol``, or not finite, raises ResidualTooLargeError.
-    ``conditioning`` is 0.0: no fit is made.
+    each pairwise product is expanded by the addition formula (``product_expand``,
+    which raises when the formula's own bound exceeds ``cfg.fit_tol``).  ``bounds``
+    maps each symbol to a certified bound on the error of its coefficient,
+    propagated through the tree with the roundoff of its arithmetic and the moduli
+    it prunes (``_decompose_node``), and the residual is the largest: 0.0 for a
+    leaf, exactly ``product_expand``'s residual for a product of two leaves.  It is
+    reported, not gated, as it scales with the coefficients; one that is not finite
+    raises ResidualTooLargeError.  No series is sampled; ``verify_theorem3`` is the
+    sampled check.  ``conditioning`` is 0.0: no fit is made.
     """
     if expr_shape(expr)[1] != omega.g:
         raise DimensionMismatchError("expression width does not match omega")
     element, bounds = _decompose_node(expr, omega, cfg)
-    residual = max(bounds.values(), default=0.0)
-    if not residual <= cfg.fit_tol:
-        raise ResidualTooLargeError(f"coefficient bound {residual:.3e} exceeds fit_tol {cfg.fit_tol:.3e}")
-    return Decomposition(element=element, residual=residual, conditioning=0.0)
+    residual = _worst(list(bounds.values()))
+    if not math.isfinite(residual):
+        raise ResidualTooLargeError(f"coefficient bound {residual} is not finite")
+    return Decomposition(element=element, residual=residual, conditioning=0.0, bounds=bounds)
 
 
 def verify_theorem3(expr: DiffPolyExpr, dec: Decomposition, omega: PeriodMatrix,

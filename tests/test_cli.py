@@ -401,6 +401,27 @@ class TestDecompose:
         error = json.loads(out.stdout)["error"]
         assert error["type"] == "ValueError" and "not finite" in error["message"]
 
+    @pytest.mark.parametrize("zeroed", [0, 1])
+    def test_zero_scaling_inside_a_product_exits_0(self, zeroed):
+        # the zeroed factor's bounds are 0.0 and add no level of their own to the product
+        leaves = [{"kind": "deriv", "level": [[2]], "j": [[k]], "char_index": k % 2} for k in range(3)]
+        factors = [leaves[2]]
+        factors.insert(zeroed, {"kind": "scale", "coeff": [0, 0],
+                                "child": {"kind": "product", "children": leaves[:2]}})
+        out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I,
+                      stdin=json.dumps({"kind": "product", "children": factors}))
+        assert out.returncode == 0 and out.stderr == ""
+        data = json.loads(out.stdout)
+        assert data["element"] == [] and data["residual"] == 0.0
+
+    def test_large_exact_scaling_exits_0(self):
+        # the propagated bound, 2 eps 1e8 = 4.4e-8 above the default --tol, is reported
+        leaf = {"kind": "deriv", "level": [[2]], "j": [[0]], "char_index": 1}
+        out = run_cli("decompose", "--input", "-", "--omega", OMEGA_I,
+                      stdin=json.dumps({"kind": "scale", "coeff": [1e8, 0], "child": leaf}))
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout)["residual"] == 2.0 * 2.0 ** -52 * 1e8
+
     @pytest.mark.parametrize("kind", ["sum", "product"])
     def test_node_without_children_exits_2(self, kind):
         # exited 2 as a DimensionMismatchError: "expression mixes shapes []"

@@ -401,16 +401,14 @@ class TestAdditionFormula:
         assert len(product_expand(s, t, PeriodMatrix([[0.2 + 1j]]), CFG).element) > 0
 
     def test_decompose_calls_the_module_product(self, monkeypatch):
-        # a wrapper installed on decompose._expand, the product with bounds that product_expand
-        # shares, sees every product
+        # a wrapper installed on decompose.product_expand (the per-layer tracer's) sees every product
         calls = []
-        expand = decompose._expand
 
         def counted(*args):
             calls.append(args)
-            return expand(*args)
+            return product_expand(*args)
 
-        monkeypatch.setattr(decompose, "_expand", counted)
+        monkeypatch.setattr(decompose, "product_expand", counted)
         expr = Product((deriv(LEVEL2, [[0]], CHARS2[0]), deriv(LEVEL2, [[1]], CHARS2[1])))
         diff_poly_decompose(expr, OMEGA, CFG)
         assert len(calls) == 1
@@ -928,15 +926,43 @@ class TestPropagatedBounds:
         # (da + db + da db)(|T| + e), T and e the symbol pair's coefficients and bound
         s, t = deriv(LEVEL2, [[1]], CHARS2[0]), deriv(LEVEL2, [[0]], CHARS2[1])
         da, db = 1e-9, 2e-9
-        element, exact = decompose._expand([(s, 1, 0.0)], [(t, 1, 0.0)], OMEGA)
-        same, got = decompose._expand([(s, 1, da)], [(t, 1, db)], OMEGA)
-        assert same == element
+        exact = product_expand(s, t, OMEGA, CFG)
+        got = product_expand(s, t, OMEGA, CFG, ({s: da}, {t: db}))
+        assert got.element == exact.element and got.residual == max(got.bounds.values())
         radius = constant_radius(LEVEL2, LEVEL2, OMEGA, 1)
         for jp, (coef, e) in decompose._pair_terms(s, t, OMEGA, radius).items():
             for char, x in zip(CHARS4, coef):
                 sym = BasisSymbol(LEVEL4, jp, char)
-                want = exact[sym] + (da + db + da * db) * (abs(x) + e)
-                assert exact[sym] < got[sym] == pytest.approx(want, rel=1e-12, abs=0.0)
+                want = exact.bounds[sym] + (da + db + da * db) * (abs(x) + e)
+                assert exact.bounds[sym] < got.bounds[sym] == pytest.approx(want, rel=1e-12, abs=0.0)
+        # fit_tol gates the formula's own bound, not what the factors' bounds carry in
+        loose = product_expand(s, t, OMEGA, FitConfig(fit_tol=exact.residual), ({s: 1.0}, {t: 1.0}))
+        assert loose.element == exact.element and loose.residual > 1.0
+
+    def test_tree_bound_is_reported_not_gated(self):
+        # a scaling by 1e8 is exact in its coefficient, and its 2 eps roundoff allowance,
+        # 4.4e-8, is above the default fit_tol: reported, as a sum or scaling of products
+        # whose own bounds pass is
+        d0, d1 = deriv(LEVEL2, [[1]], CHARS2[0]), deriv(LEVEL2, [[0]], CHARS2[1])
+        dec = diff_poly_decompose(Scale(1e8, d0), OMEGA, CFG)
+        assert dec.element.terms() == {d0: 1e8} and dec.residual == 2.0 * np.finfo(float).eps * 1e8 > CFG.fit_tol
+        p, q = Product((d0, d1)), Product((d1, d1))
+        tight = FitConfig(fit_tol=max(diff_poly_decompose(x, OMEGA, CFG).residual for x in (p, q)))
+        for expr in (Scale(1.1, p), Sum((p, q))):
+            dec = diff_poly_decompose(expr, OMEGA, tight)
+            assert dec.residual > tight.fit_tol and dec.element == diff_poly_decompose(expr, OMEGA, CFG).element
+        # each product still gates the formula's own bound, 1e8 e here
+        with pytest.raises(ResidualTooLargeError, match="coefficient bound"):
+            diff_poly_decompose(Product((Scale(1e8, d0), d1)), OMEGA, CFG)
+
+    @pytest.mark.parametrize("zeroed", [0, 1])
+    def test_zero_scaling_in_a_product_is_the_zero_element(self, zeroed):
+        # its bounds are 0.0 and make no level of their own to multiply
+        d0, d1, d2 = (deriv(LEVEL2, [[k]], CHARS2[k % 2]) for k in range(3))
+        factors = [d2]
+        factors.insert(zeroed, Scale(0, Product((d0, d1))))
+        dec = diff_poly_decompose(Product(tuple(factors)), OMEGA, CFG)
+        assert dec.element.is_zero() and dec.residual == 0.0
 
     def test_prune_adds_the_modulus_it_drops(self):
         d = deriv(LEVEL2, [[1]], CHARS2[0])
